@@ -565,8 +565,37 @@ mod tests {
         std::fs::read_dir("/proc/self/task").map_or(1, |d| d.count())
     }
 
+    /// Re-run the test `name` alone in a child process of this test
+    /// binary and assert that it passed; returns true inside that child,
+    /// where the caller runs the body. Other tests of this binary run
+    /// `exec.native` without installing a fault plan, so in a shared
+    /// process they can consume a one-shot fault meant for `name`, and
+    /// their threads show up in its `/proc/self/task` count.
+    fn isolated(name: &str) -> bool {
+        const CHILD: &str = "EXL_ISOLATED_TEST";
+        if std::env::var(CHILD).as_deref() == Ok(name) {
+            return true;
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new(exe)
+            .args([name, "--exact", "--test-threads=1"])
+            .env(CHILD, name)
+            .output()
+            .expect("spawn the isolated test");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("test result: ok. 1 passed"),
+            "isolated run of {name} failed:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        false
+    }
+
     #[test]
     fn deadline_cuts_off_a_stalled_backend() {
+        if !isolated("supervise::tests::deadline_cuts_off_a_stalled_backend") {
+            return;
+        }
         let (code, input, wanted) = native_setup();
         let _guard = exl_fault::install(exl_fault::FaultPlan::delay_once("exec.native", 200));
         let policy = DispatchPolicy {
@@ -585,6 +614,9 @@ mod tests {
 
     #[test]
     fn timed_out_workers_are_joined_not_leaked() {
+        if !isolated("supervise::tests::timed_out_workers_are_joined_not_leaked") {
+            return;
+        }
         let (code, input, wanted) = native_setup();
         let policy = DispatchPolicy {
             subgraph_timeout: Some(Duration::from_millis(10)),

@@ -8,14 +8,15 @@
 //! intermediate hash maps of [`DimTuple`]s. Hash-stored [`CubeData`] is
 //! produced only at the session boundary ([`EvalSession::resolve`]).
 //!
-//! Aggregation runs as a mergeable state machine
-//! ([`exl_stats::state::AggState`]): partitioned workers fold local
-//! per-group states over their rows and the results are merged once, in
-//! ascending partition order. Order-sensitive aggregations keep row
-//! *indices* and replay [`ExactState`] over the group's bag sorted by
-//! full input key — the former sorted-map evaluator's fold order — so
-//! every float is bit-identical to the serial kernel for any partition
-//! count (pinned by the interned differential suite).
+//! Aggregation is one partition-then-fold kernel for every worker count
+//! (`aggregate_batch`). Workers resolve group keys over contiguous row
+//! chunks in parallel; one serial pass numbers the groups in first-seen
+//! order and scatters each row's sort-key columns and measure into its
+//! group's contiguous segment; workers then fold ranges of groups in
+//! parallel, each segment sorted by full input key and replayed through
+//! [`ExactState`] — the former sorted-map evaluator's fold order — so
+//! every float is bit-identical for any worker count (pinned against a
+//! `DimTuple`-sorted reference by the interned differential suite).
 //!
 //! Tuple-level operators, group-by partitions, and series slices fan out
 //! across [`std::thread::scope`] workers when the machine has more than
@@ -26,6 +27,7 @@
 
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use exl_lang::analyze::AnalyzedProgram;
 use exl_lang::ast::{Expr, GroupKey, JoinPolicy, Statement};
@@ -48,8 +50,8 @@ pub(crate) const PAR_MIN_ROWS: usize = 4096;
 /// Worker count for data-parallel operators (1 on single-core machines,
 /// capped so oversubscription never pays for thread spawns it cannot use).
 /// `EXL_EVAL_THREADS` overrides the probe — pinning worker counts for
-/// reproducing parallel-path behavior on any machine. The fold-then-merge
-/// contract makes the setting invisible in the results: every float is
+/// reproducing parallel-path behavior on any machine. Canonical fold
+/// order makes the setting invisible in the results: every float is
 /// bit-identical for any worker count.
 pub(crate) fn workers() -> usize {
     if let Some(n) = THREAD_OVERRIDE.get() {
@@ -110,8 +112,8 @@ pub struct EvalOptions {
     /// evaluator. Bit-identical results either way.
     pub no_fusion: bool,
     /// Fixed worker count for data-parallel operators; `None` probes the
-    /// machine (capped at 8). The fold-then-merge contract makes the
-    /// setting invisible in results.
+    /// machine (capped at 8). Canonical fold order makes the setting
+    /// invisible in results.
     pub threads: Option<usize>,
 }
 
@@ -609,7 +611,7 @@ fn panic_detail(p: &(dyn std::any::Any + Send)) -> String {
 
 /// Join one scoped worker, converting a panic into the typed error the
 /// supervisor contains per-statement (never a re-panic in the caller).
-pub(crate) fn join_worker<T>(
+fn join_worker<T>(
     h: std::thread::ScopedJoinHandle<'_, Result<T, EvalError>>,
 ) -> Result<T, EvalError> {
     match h.join() {
@@ -631,10 +633,8 @@ fn worker_fault(e: exl_fault::FaultError) -> EvalError {
 /// checkpoint against the dispatching thread's governor (thread-locals do
 /// not cross `thread::scope`, so the governor is captured outside and
 /// checked here). Checked once per partition — the partition body stays
-/// checkpoint-free so the fold-then-merge bit discipline is untouched.
-pub(crate) fn worker_entry(
-    governor: &Option<exl_fault::govern::Governor>,
-) -> Result<(), EvalError> {
+/// checkpoint-free so the canonical fold order is untouched.
+fn worker_entry(governor: &Option<exl_fault::govern::Governor>) -> Result<(), EvalError> {
     // the captured governor is ambient while the fault site runs, so an
     // injected `cancel` lands on the shared attempt token instead of
     // evaporating on the governor-less worker thread
@@ -658,33 +658,16 @@ fn map_measures(
     threads: usize,
 ) -> Result<CubeBatch, EvalError> {
     let mut out = batch.into_owned();
-    let n = out.len();
-    let measures = out.measures_mut();
-    if threads <= 1 || n < PAR_MIN_ROWS {
-        for v in measures.iter_mut() {
-            *v = f(*v);
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        let governor = exl_fault::govern::governor();
-        let joined: Vec<Result<(), EvalError>> = std::thread::scope(|s| {
-            let governor = &governor;
-            let handles: Vec<_> = measures
-                .chunks_mut(chunk)
-                .map(|mc| {
-                    s.spawn(move || {
-                        worker_entry(governor)?;
-                        for v in mc.iter_mut() {
-                            *v = f(*v);
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect()
-        });
-        joined.into_iter().collect::<Result<(), EvalError>>()?;
-    }
+    let chunk = chunk_len(out.len(), threads);
+    fan_out(
+        out.measures_mut().chunks_mut(chunk).collect(),
+        &|mc: &mut [f64]| {
+            for v in mc.iter_mut() {
+                *v = f(*v);
+            }
+            Ok(())
+        },
+    )?;
     out.retain_finite();
     Ok(out)
 }
@@ -716,32 +699,16 @@ pub(crate) fn probe_combine(
         None if miss.is_nan() => f64::NAN,
         None => f(va, miss),
     };
-    if threads <= 1 || keys.len() < PAR_MIN_ROWS {
-        for (k, v) in keys.iter().zip(measures.iter_mut()) {
-            *v = combine(k, *v);
-        }
-    } else {
-        let chunk = keys.len().div_ceil(threads);
-        let governor = exl_fault::govern::governor();
-        let joined: Vec<Result<(), EvalError>> = std::thread::scope(|s| {
-            let governor = &governor;
-            let handles: Vec<_> = keys
-                .chunks(chunk)
-                .zip(measures.chunks_mut(chunk))
-                .map(|(kc, mc)| {
-                    s.spawn(move || {
-                        worker_entry(governor)?;
-                        for (k, v) in kc.iter().zip(mc.iter_mut()) {
-                            *v = combine(k, *v);
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect()
-        });
-        joined.into_iter().collect::<Result<(), EvalError>>()?;
-    }
+    let chunk = chunk_len(keys.len(), threads);
+    fan_out(
+        keys.chunks(chunk).zip(measures.chunks_mut(chunk)).collect(),
+        &|(kc, mc): (&[IKey], &mut [f64])| {
+            for (k, v) in kc.iter().zip(mc.iter_mut()) {
+                *v = combine(k, *v);
+            }
+            Ok(())
+        },
+    )?;
     if let JoinPolicy::Outer { default } = policy {
         // anti side, probed against the still-complete left key set;
         // buffered so the appends don't invalidate the probe index mid-loop
@@ -866,50 +833,127 @@ pub(crate) fn part_value<'r>(
     }
 }
 
-/// Per-worker partial state of one group: the mergeable-state-machine
-/// side of the fold-then-merge aggregate. Order-free aggregations
-/// (`count`) accumulate an O(1) [`ExactState`] directly; order-sensitive
-/// ones collect row indices so `finish` can replay the canonical
-/// full-key-sorted fold (bit-identical to the serial kernel).
-enum GroupAcc {
-    Direct(ExactState),
-    Rows(Vec<u32>),
+/// Run `f` over each item and return the results in item order. A single
+/// item runs inline; several fan out to one scoped worker each, entering
+/// through [`worker_entry`], so a panicking or faulted worker surfaces as
+/// [`EvalError::WorkerPanicked`]. The evaluator's one fan-out path.
+pub(crate) fn fan_out<I: Send, T: Send>(
+    items: Vec<I>,
+    f: &(dyn Fn(I) -> Result<T, EvalError> + Sync),
+) -> Result<Vec<T>, EvalError> {
+    if items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let governor = exl_fault::govern::governor();
+    let joined: Vec<Result<T, EvalError>> = std::thread::scope(|s| {
+        let governor = &governor;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| {
+                s.spawn(move || {
+                    worker_entry(governor)?;
+                    f(item)
+                })
+            })
+            .collect();
+        handles.into_iter().map(join_worker).collect()
+    });
+    joined.into_iter().collect()
 }
 
-impl GroupAcc {
-    fn init(agg: AggFn) -> GroupAcc {
-        if ExactState::order_sensitive(agg) {
-            GroupAcc::Rows(Vec::new())
-        } else {
-            GroupAcc::Direct(ExactState::init(agg))
-        }
-    }
+/// Contiguous ranges splitting `0..n` into at most `parts` pieces.
+pub(crate) fn row_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    let chunk = n.div_ceil(parts.max(1)).max(1);
+    (0..n)
+        .step_by(chunk)
+        .map(|lo| lo..(lo + chunk).min(n))
+        .collect()
+}
 
-    fn add(&mut self, row: u32, v: f64) {
-        match self {
-            GroupAcc::Direct(st) => st.accumulate(v),
-            GroupAcc::Rows(rows) => rows.push(row),
-        }
-    }
-
-    /// Absorb the next partition's state, in ascending partition order.
-    fn merge(&mut self, next: GroupAcc) {
-        match (self, next) {
-            (GroupAcc::Direct(a), GroupAcc::Direct(b)) => a.merge(b),
-            (GroupAcc::Rows(a), GroupAcc::Rows(mut b)) => a.append(&mut b),
-            _ => unreachable!("one aggregation, one state shape"),
-        }
+/// Chunk length that fans `n` rows out across `threads` workers, or one
+/// chunk for everything when the operand is too small to pay for threads.
+fn chunk_len(n: usize, threads: usize) -> usize {
+    if threads <= 1 || n < PAR_MIN_ROWS {
+        n.max(1)
+    } else {
+        n.div_ceil(threads)
     }
 }
 
-/// Group-by aggregation over a batch. `partitions <= 1` runs the serial
-/// hash kernel; otherwise rows are split into `partitions` contiguous
-/// chunks, each worker folds local per-group states, and the states are
-/// merged in ascending partition order ([`GroupAcc`]). Either way each
-/// group's bag is folded by [`ExactState`] in full-input-key-sorted
-/// order, which reproduces the former sorted-map evaluator's fold order
-/// — and therefore its float results — bit for bit, independent of the
-/// partition count.
+/// Dense group ids in first-seen order over strided group keys, with a
+/// row count per group: a hash index to the first group of each hash,
+/// collisions chained through `next`.
+struct GroupTable {
+    stride: usize,
+    keys: Vec<IDim>,
+    counts: Vec<usize>,
+    next: Vec<u32>,
+    index: FxHashMap<u64, u32>,
+}
+
+impl GroupTable {
+    const NONE: u32 = u32::MAX;
+
+    fn new(stride: usize) -> GroupTable {
+        GroupTable {
+            stride,
+            keys: Vec::new(),
+            counts: Vec::new(),
+            next: Vec::new(),
+            index: FxHashMap::default(),
+        }
+    }
+
+    fn key(&self, g: usize) -> &[IDim] {
+        &self.keys[g * self.stride..(g + 1) * self.stride]
+    }
+
+    /// Count `rows` more rows in `key`'s group, opening the group on first
+    /// sight; returns the group's id.
+    fn add(&mut self, key: &[IDim], rows: usize) -> u32 {
+        let fresh = self.counts.len() as u32;
+        let mut g = *self.index.entry(fx_hash(key)).or_insert(fresh);
+        if g != fresh {
+            loop {
+                if self.key(g as usize) == key {
+                    self.counts[g as usize] += rows;
+                    return g;
+                }
+                match self.next[g as usize] {
+                    GroupTable::NONE => {
+                        self.next[g as usize] = fresh;
+                        break;
+                    }
+                    n => g = n,
+                }
+            }
+        }
+        self.keys.extend_from_slice(key);
+        self.counts.push(rows);
+        self.next.push(GroupTable::NONE);
+        fresh
+    }
+}
+
+/// Group-by aggregation over a batch: one kernel for every worker count,
+/// in four phases.
+///
+/// 1. Contiguous row chunks, in parallel, resolve each row's group key
+///    ([`part_idim`]) and number it in a chunk-local [`GroupTable`]; each
+///    row keeps only its local id.
+/// 2. One serial pass merges the chunk tables, in chunk order, into dense
+///    global ids — so groups are numbered in first-seen row order.
+/// 3. A counting-sort scatter copies each row's sort columns and measure
+///    into its group's contiguous segment, freeing each chunk's ids as it
+///    goes. The sort columns are the full input key minus the dimensions
+///    the group key passes through, which are equal within a group.
+/// 4. Ranges of groups, in parallel, sort each segment by those local
+///    copies ([`DimPool::cmp_keys`]) and replay [`ExactState`] in that
+///    order.
+///
+/// Each group thus folds in full-input-key order — the former sorted-map
+/// evaluator's order — so every float is bit-identical for any
+/// `partitions`, and output rows come in first-seen group order.
 pub(crate) fn aggregate_batch(
     batch: &CubeBatch,
     pool: &DimPool,
@@ -917,197 +961,132 @@ pub(crate) fn aggregate_batch(
     agg: AggFn,
     partitions: usize,
 ) -> Result<CubeBatch, EvalError> {
-    if partitions <= 1 {
-        aggregate_serial(batch, pool, parts, agg)
-    } else {
-        aggregate_partitioned(batch, pool, parts, agg, partitions)
-    }
-}
-
-/// Serial aggregation: one pass assigns each row a group slot (group keys
-/// in one strided vector, hash-chained on collisions), a scatter pass
-/// segments row indices by group, then each segment is sorted by its
-/// rows' full input keys and folded through [`ExactState`].
-fn aggregate_serial(
-    batch: &CubeBatch,
-    pool: &DimPool,
-    parts: &[KeyPart],
-    agg: AggFn,
-) -> Result<CubeBatch, EvalError> {
-    const NO_SLOT: u32 = u32::MAX;
+    let keys = batch.keys();
+    let measures = batch.measures();
+    let n = keys.len();
+    let Some(width) = keys.first().map(|k| k.len()) else {
+        return Ok(CubeBatch::new());
+    };
     let stride = parts.len();
-    let keys = batch.keys();
-    let measures = batch.measures();
-    let mut group_keys: Vec<IDim> = Vec::new();
-    let mut next_slot: Vec<u32> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    let mut index: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut row_slot: Vec<u32> = Vec::with_capacity(keys.len());
-    let mut scratch: Vec<IDim> = Vec::with_capacity(stride);
-    for k in keys {
-        scratch.clear();
-        for p in parts {
-            scratch.push(part_idim(p, k, pool)?);
-        }
-        let h = fx_hash(&scratch);
-        let slot = match index.entry(h) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let gi = (group_keys.len() / stride.max(1)) as u32;
-                group_keys.extend_from_slice(&scratch);
-                next_slot.push(NO_SLOT);
-                counts.push(0);
-                *e.insert(gi)
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let mut gi = *e.get();
-                loop {
-                    let at = gi as usize * stride;
-                    if group_keys[at..at + stride] == scratch[..] {
-                        break gi;
-                    }
-                    if next_slot[gi as usize] == NO_SLOT {
-                        let ni = (group_keys.len() / stride.max(1)) as u32;
-                        group_keys.extend_from_slice(&scratch);
-                        next_slot.push(NO_SLOT);
-                        counts.push(0);
-                        next_slot[gi as usize] = ni;
-                        break ni;
-                    }
-                    gi = next_slot[gi as usize];
-                }
-            }
-        };
-        counts[slot as usize] += 1;
-        row_slot.push(slot);
-    }
+    let partitions = partitions.max(1);
 
-    // scatter row indices into one flat array segmented by group (no
-    // per-bag reallocation)
-    let n_groups = counts.len();
-    let mut offsets: Vec<u32> = Vec::with_capacity(n_groups + 1);
-    let mut acc = 0u32;
-    for &c in &counts {
-        offsets.push(acc);
-        acc += c;
-    }
-    offsets.push(acc);
-    let mut cursor: Vec<u32> = offsets[..n_groups].to_vec();
-    let mut flat: Vec<u32> = vec![0; keys.len()];
-    for (ri, &slot) in row_slot.iter().enumerate() {
-        let c = &mut cursor[slot as usize];
-        flat[*c as usize] = ri as u32;
-        *c += 1;
-    }
+    // phase 1: chunk-local group ids
+    let chunks = fan_out(row_ranges(n, partitions), &|rows: Range<usize>| {
+        let mut table = GroupTable::new(stride);
+        let mut ids: Vec<u32> = Vec::with_capacity(rows.len());
+        let mut scratch: Vec<IDim> = Vec::with_capacity(stride);
+        for k in &keys[rows] {
+            if k.len() != width {
+                return Err(EvalError::InvalidStatement {
+                    detail: format!(
+                        "row has {} dimensions, the operand's first row has {width}",
+                        k.len()
+                    ),
+                });
+            }
+            scratch.clear();
+            for p in parts {
+                scratch.push(part_idim(p, k, pool)?);
+            }
+            ids.push(table.add(&scratch, 1));
+        }
+        Ok((table, ids))
+    })?;
+
+    // phase 2: global ids, merged in chunk order
+    let mut groups = GroupTable::new(stride);
+    let remaps: Vec<Vec<u32>> = chunks
+        .iter()
+        .map(|(local, _)| {
+            (0..local.counts.len())
+                .map(|l| groups.add(local.key(l), local.counts[l]))
+                .collect()
+        })
+        .collect();
+
+    // phase 3: counting-sort scatter into contiguous group segments; only
+    // order-sensitive folds sort, so `count` copies no key columns
     let sort_rows = ExactState::order_sensitive(agg);
-    let mut out = CubeBatch::with_capacity(n_groups);
-    for gi in 0..n_groups {
-        let seg = &mut flat[offsets[gi] as usize..offsets[gi + 1] as usize];
-        if sort_rows {
-            seg.sort_unstable_by(|&a, &b| pool.cmp_keys(&keys[a as usize], &keys[b as usize]));
-        }
-        let mut st = ExactState::init(agg);
-        for &ri in seg.iter() {
-            st.accumulate(measures[ri as usize]);
-        }
-        if let Some(v) = st.finish() {
-            if v.is_finite() {
-                out.push(group_keys[gi * stride..(gi + 1) * stride].into(), v);
+    let sort_cols: Vec<usize> = (0..width)
+        .filter(|&c| {
+            sort_rows
+                && !parts
+                    .iter()
+                    .any(|p| matches!(p, KeyPart::Dim(i) if *i == c))
+        })
+        .collect();
+    let w = sort_cols.len();
+    let n_groups = groups.counts.len();
+    let mut offsets: Vec<usize> = Vec::with_capacity(n_groups + 1);
+    offsets.push(0);
+    for &c in &groups.counts {
+        offsets.push(offsets[offsets.len() - 1] + c);
+    }
+    let mut cursor: Vec<usize> = offsets[..n_groups].to_vec();
+    let mut seg_keys: Vec<IDim> = vec![IDim::Int(0); n * w];
+    let mut seg_vals: Vec<f64> = vec![0.0; n];
+    let mut ri = 0;
+    for ((_, ids), remap) in chunks.into_iter().zip(&remaps) {
+        for l in ids {
+            let g = remap[l as usize] as usize;
+            let at = cursor[g];
+            cursor[g] += 1;
+            for (dst, &c) in seg_keys[at * w..(at + 1) * w].iter_mut().zip(&sort_cols) {
+                *dst = keys[ri][c];
             }
+            seg_vals[at] = measures[ri];
+            ri += 1;
         }
     }
-    Ok(out)
-}
+    drop(remaps);
+    drop(cursor);
 
-/// Partitioned fold-then-merge aggregation: contiguous row chunks fold
-/// local per-group [`GroupAcc`] states in parallel; the local maps are
-/// merged in ascending partition order; each merged group finishes by
-/// replaying [`ExactState`] over its bag sorted by full input key.
-fn aggregate_partitioned(
-    batch: &CubeBatch,
-    pool: &DimPool,
-    parts: &[KeyPart],
-    agg: AggFn,
-    partitions: usize,
-) -> Result<CubeBatch, EvalError> {
-    let keys = batch.keys();
-    let measures = batch.measures();
-    let chunk = keys.len().div_ceil(partitions).max(1);
-    let governor = exl_fault::govern::governor();
-    let locals: Vec<Result<FxHashMap<IKey, GroupAcc>, EvalError>> = std::thread::scope(|s| {
-        let governor = &governor;
-        let handles: Vec<_> = (0..partitions)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(keys.len())))
-            .filter(|(lo, hi)| lo < hi)
-            .map(|(lo, hi)| {
-                s.spawn(move || {
-                    worker_entry(governor)?;
-                    let mut local: FxHashMap<IKey, GroupAcc> = FxHashMap::default();
-                    let mut scratch: Vec<IDim> = Vec::with_capacity(parts.len());
-                    for ri in lo..hi {
-                        scratch.clear();
-                        for p in parts {
-                            scratch.push(part_idim(p, &keys[ri], pool)?);
-                        }
-                        let (ri, v) = (ri as u32, measures[ri]);
-                        match local.get_mut(scratch.as_slice()) {
-                            Some(acc) => acc.add(ri, v),
-                            None => {
-                                let mut acc = GroupAcc::init(agg);
-                                acc.add(ri, v);
-                                local.insert(scratch.as_slice().into(), acc);
-                            }
-                        }
-                    }
-                    Ok(local)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-
-    // merge partition states in ascending partition order (the canonical
-    // merge order of the state-machine contract)
-    let mut merged: FxHashMap<IKey, GroupAcc> = FxHashMap::default();
-    for local in locals {
-        for (gk, acc) in local? {
-            match merged.entry(gk) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(acc),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(acc);
-                }
+    // phase 4: canonical fold per segment, over ranges of about n /
+    // partitions rows each
+    let cuts: Vec<usize> = (0..=partitions)
+        .map(|p| offsets.partition_point(|&o| o < n * p / partitions))
+        .collect();
+    let group_ranges = cuts
+        .windows(2)
+        .map(|c| c[0]..c[1])
+        .filter(|r| !r.is_empty())
+        .collect();
+    let folded = fan_out(group_ranges, &|range: Range<usize>| {
+        let mut out_keys: Vec<IKey> = Vec::with_capacity(range.len());
+        let mut out_vals: Vec<f64> = Vec::with_capacity(range.len());
+        let mut order: Vec<usize> = Vec::new();
+        for g in range {
+            order.clear();
+            order.extend(offsets[g]..offsets[g + 1]);
+            if w > 0 {
+                let row = |i: usize| &seg_keys[i * w..(i + 1) * w];
+                order.sort_unstable_by(|&a, &b| pool.cmp_keys(row(a), row(b)));
+            }
+            let mut st = ExactState::init(agg);
+            for &i in &order {
+                st.accumulate(seg_vals[i]);
+            }
+            if let Some(v) = st.finish().filter(|v| v.is_finite()) {
+                out_keys.push(groups.key(g).into());
+                out_vals.push(v);
             }
         }
+        Ok((out_keys, out_vals))
+    })?;
+    let mut out_keys: Vec<IKey> = Vec::with_capacity(n_groups);
+    let mut out_vals: Vec<f64> = Vec::with_capacity(n_groups);
+    for (k, v) in folded {
+        out_keys.extend(k);
+        out_vals.extend(v);
     }
-
-    let mut out = CubeBatch::with_capacity(merged.len());
-    for (gk, acc) in merged {
-        let v = match acc {
-            GroupAcc::Direct(st) => st.finish(),
-            GroupAcc::Rows(mut rows) => {
-                // the canonical bag order: sorted by full input key,
-                // exactly as the serial kernel folds
-                rows.sort_unstable_by(|&a, &b| pool.cmp_keys(&keys[a as usize], &keys[b as usize]));
-                let mut st = ExactState::init(agg);
-                for &ri in &rows {
-                    st.accumulate(measures[ri as usize]);
-                }
-                st.finish()
-            }
-        };
-        if let Some(v) = v {
-            if v.is_finite() {
-                out.push(gk, v);
-            }
-        }
-    }
-    Ok(out)
+    Ok(CubeBatch::from_columns(out_keys, out_vals))
 }
 
 /// Group-by aggregation over cube data with an explicit partition count —
-/// the fold-then-merge kernel behind `Expr::Aggregate`, exposed so the
-/// differential suite can pin partition-count independence bit for bit.
-/// `partitions <= 1` runs the serial kernel; any larger count forces the
-/// partitioned path regardless of operand size.
+/// the kernel behind `Expr::Aggregate`, exposed so the differential suite
+/// can pin partition-count independence bit for bit. `partitions <= 1`
+/// runs every phase inline; any larger count fans the parallel phases out
+/// regardless of operand size.
 pub fn aggregate_data(
     data: &CubeData,
     dims: &[Dimension],
@@ -1214,29 +1193,16 @@ pub(crate) fn series_batch(
         return Ok(out);
     }
     let chunk = slice_list.len().div_ceil(threads);
-    let governor = exl_fault::govern::governor();
-    let parts: Vec<Result<Vec<(IKey, f64)>, EvalError>> = std::thread::scope(|s| {
-        let run_slice = &run_slice;
-        let governor = &governor;
-        let handles: Vec<_> = slice_list
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    worker_entry(governor)?;
-                    let mut part = Vec::new();
-                    for rows in c {
-                        part.extend(run_slice(rows));
-                    }
-                    Ok(part)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    for part in parts {
-        for (k, v) in part? {
-            out.push(k, v);
-        }
+    let parts = fan_out(slice_list.chunks(chunk).collect(), &|c: &[Vec<(
+        i64,
+        u32,
+    )>]| {
+        Ok(c.iter()
+            .flat_map(|rows| run_slice(rows))
+            .collect::<Vec<_>>())
+    })?;
+    for (k, v) in parts.into_iter().flatten() {
+        out.push(k, v);
     }
     Ok(out)
 }
@@ -1670,6 +1636,14 @@ mod tests {
 
     // ---- parallel kernels must be byte-identical to serial ones ----
 
+    /// A no-op fault plan. Every fanned-out worker passes the process-wide
+    /// `eval.worker` site, so a test that fans out without holding the
+    /// install lock could consume the one-shot fault of a test above;
+    /// holding this guard serializes it with them instead.
+    fn no_faults() -> exl_fault::FaultGuard {
+        exl_fault::install(FaultPlan::fail_once("eval.unused"))
+    }
+
     fn big_cube(n: i64) -> CubeData {
         let mut data = CubeData::with_capacity(n as usize);
         for i in 0..n {
@@ -1691,6 +1665,7 @@ mod tests {
 
     #[test]
     fn parallel_map_measures_matches_serial_bitwise() {
+        let _guard = no_faults();
         let data = big_cube((PAR_MIN_ROWS + 100) as i64);
         let mut pool = DimPool::new();
         let batch = CubeBatch::from_data(&data, &mut pool);
@@ -1702,6 +1677,7 @@ mod tests {
 
     #[test]
     fn parallel_probe_combine_matches_serial_bitwise() {
+        let _guard = no_faults();
         let data = big_cube((PAR_MIN_ROWS + 100) as i64);
         // a shifted partner so both the hit and the miss paths run
         let mut partner = CubeData::with_capacity(data.len());
@@ -1726,8 +1702,10 @@ mod tests {
 
     #[test]
     fn partitioned_aggregate_matches_serial_bitwise() {
+        let _guard = no_faults();
         // bags of ~740 floats per group: any fold-order difference between
-        // the serial and partitioned paths would show in the low bits
+        // inline and fanned-out phases would show in the low bits (with 17
+        // partitions there are more workers than groups)
         let data = big_cube((PAR_MIN_ROWS + 1073) as i64);
         let dims = vec![
             Dimension::new("k", exl_model::DimType::Int),
@@ -1742,6 +1720,27 @@ mod tests {
                 let many = aggregate_data(&data, &dims, &group_by, agg, partitions).unwrap();
                 assert_eq!(bits(&one), bits(&many), "{agg} x{partitions}");
             }
+        }
+    }
+
+    #[test]
+    fn mixed_arity_aggregation_operand_is_a_typed_error() {
+        let _guard = no_faults();
+        // unvalidated data (delta paths) can break the one-arity contract;
+        // the kernel copies fixed-width keys, so it refuses instead
+        let data = CubeData::from_tuples(vec![
+            (vec![DimValue::Int(1), DimValue::str("a")], 1.0),
+            (vec![DimValue::Int(2)], 2.0),
+        ])
+        .unwrap();
+        let dims = vec![
+            Dimension::new("k", exl_model::DimType::Int),
+            Dimension::new("g", exl_model::DimType::Str),
+        ];
+        let group_by = vec![GroupKey::Dim("k".into())];
+        for partitions in [1, 2] {
+            let err = aggregate_data(&data, &dims, &group_by, AggFn::Sum, partitions).unwrap_err();
+            assert!(matches!(err, EvalError::InvalidStatement { .. }), "{err}");
         }
     }
 }

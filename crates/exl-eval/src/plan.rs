@@ -972,29 +972,19 @@ pub(crate) fn run_stream(
         })?;
         return Ok(CubeBatch::from_columns(keys, measures));
     }
+    let parts = crate::eval::fan_out(
+        crate::eval::row_ranges(n, threads),
+        &|rows: std::ops::Range<usize>| {
+            let mut part = Vec::with_capacity(rows.len());
+            stream_rows(region, base, probes, pool, rows.start, rows.end, |k, v| {
+                part.push((k, v))
+            })?;
+            Ok(part)
+        },
+    )?;
     let mut out = CubeBatch::with_capacity(n);
-    let chunk = n.div_ceil(threads);
-    let governor = exl_fault::govern::governor();
-    let parts: Vec<Result<Vec<(IKey, f64)>, EvalError>> = std::thread::scope(|s| {
-        let governor = &governor;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-            .filter(|(lo, hi)| lo < hi)
-            .map(|(lo, hi)| {
-                s.spawn(move || {
-                    crate::eval::worker_entry(governor)?;
-                    let mut part = Vec::with_capacity(hi - lo);
-                    stream_rows(region, base, probes, pool, lo, hi, |k, v| part.push((k, v)))?;
-                    Ok(part)
-                })
-            })
-            .collect();
-        handles.into_iter().map(crate::eval::join_worker).collect()
-    });
-    for part in parts {
-        for (k, v) in part? {
-            out.push(k, v);
-        }
+    for (k, v) in parts.into_iter().flatten() {
+        out.push(k, v);
     }
     Ok(out)
 }

@@ -19,9 +19,9 @@
 //!   dimension as-is ([`GroupKey::Dim`]): every group is then wholly
 //!   contained in one shard. A `group by` that drops or coarsens it
 //!   crosses the shard key — a **merge barrier**, executed once over the
-//!   concatenated (ascending shard order) inputs, where the
-//!   order-insensitive fold-then-merge aggregation kernel keeps floats
-//!   bit-identical to the unsharded run;
+//!   concatenated (ascending shard order) inputs, where the aggregation
+//!   kernel's canonical full-key fold order keeps floats bit-identical
+//!   to the unsharded run;
 //! * series operators act per slice (one slice per combination of
 //!   non-time dimension values) — local whenever the shard dimension is
 //!   not a time dimension, because it is then one of the slicing keys.

@@ -22,4 +22,4 @@ pub use decompose::{decompose, Decomposition};
 pub use descriptive::AggFn;
 pub use regression::LinearFit;
 pub use seriesop::SeriesOp;
-pub use state::{AggState, ExactState, Welford};
+pub use state::{AggState, ExactState};

@@ -28,13 +28,6 @@
 //!   `finish` replays `AggFn::apply` on the concatenated sequence — so
 //!   `finish(merge(s₀, s₁, …))` is bit-identical to the single-threaded
 //!   fold for *every* partitioning of the same canonical sequence.
-//!
-//! [`Welford`] is the classical algebraic state for mean/variance
-//! (Welford's update, Chan et al.'s pairwise combine). It is the state
-//! to use where streams cannot be replayed (sharded or out-of-core
-//! ingestion); it is *not* used on the engine's bit-compatible path,
-//! because its running recurrence rounds differently from the two-pass
-//! `avg`/`stddev` folds the goldens pin.
 
 use crate::descriptive::AggFn;
 
@@ -172,91 +165,6 @@ impl AggState for ExactState {
     }
 }
 
-/// Welford's single-pass mean/variance state with Chan et al.'s parallel
-/// combine: the algebraic state machine for streams that cannot be
-/// replayed. Numerically stable, O(1), and partition-order independent up
-/// to rounding — but *not* bit-identical to the two-pass `avg`/`stddev`
-/// folds, which is why the engine's golden-pinned path replays
-/// [`ExactState`] instead (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty state.
-    pub fn new() -> Welford {
-        Welford::default()
-    }
-
-    /// Number of values folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean; NaN before the first value.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n−1 denominator); 0 for singletons, NaN empty.
-    pub fn variance_sample(&self) -> f64 {
-        match self.n {
-            0 => f64::NAN,
-            1 => 0.0,
-            n => self.m2 / (n as f64 - 1.0),
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev_sample(&self) -> f64 {
-        self.variance_sample().sqrt()
-    }
-
-    /// Population variance (n denominator); NaN empty.
-    pub fn variance_population(&self) -> f64 {
-        match self.n {
-            0 => f64::NAN,
-            n => self.m2 / n as f64,
-        }
-    }
-}
-
-impl AggState for Welford {
-    fn accumulate(&mut self, v: f64) {
-        self.n += 1;
-        let d = v - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (v - self.mean);
-    }
-
-    fn merge(&mut self, next: Self) {
-        if next.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = next;
-            return;
-        }
-        let (na, nb) = (self.n as f64, next.n as f64);
-        let d = next.mean - self.mean;
-        let n = na + nb;
-        self.mean += d * nb / n;
-        self.m2 += next.m2 + d * d * na * nb / n;
-        self.n += next.n;
-    }
-
-    fn finish(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,61 +246,6 @@ mod tests {
             assert!(ExactState::order_sensitive(agg));
         }
         assert!(!ExactState::order_sensitive(AggFn::Count));
-    }
-
-    #[test]
-    fn welford_tracks_two_pass_moments() {
-        let mut w = Welford::new();
-        for &v in &V {
-            w.accumulate(v);
-        }
-        assert_eq!(w.count(), V.len() as u64);
-        let mean = crate::descriptive::mean(&V);
-        let var = crate::descriptive::variance_sample(&V);
-        assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.variance_sample() - var).abs() < 1e-12);
-        assert!((w.stddev_sample() - var.sqrt()).abs() < 1e-12);
-        assert!(
-            (w.variance_population() - crate::descriptive::variance_population(&V)).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn welford_combine_matches_single_stream() {
-        let mut whole = Welford::new();
-        for &v in &V {
-            whole.accumulate(v);
-        }
-        for cut in 1..V.len() {
-            let mut a = Welford::new();
-            let mut b = Welford::new();
-            for &v in &V[..cut] {
-                a.accumulate(v);
-            }
-            for &v in &V[cut..] {
-                b.accumulate(v);
-            }
-            a.merge(b);
-            assert_eq!(a.count(), whole.count());
-            assert!((a.mean() - whole.mean()).abs() < 1e-12, "cut {cut}");
-            assert!(
-                (a.variance_sample() - whole.variance_sample()).abs() < 1e-12,
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn welford_merge_with_empty_sides() {
-        let mut w = Welford::new();
-        w.merge(Welford::new());
-        assert_eq!(w.finish(), None);
-        let mut filled = Welford::new();
-        filled.accumulate(2.0);
-        w.merge(filled);
-        assert_eq!(w.finish(), Some(2.0));
-        w.merge(Welford::new());
-        assert_eq!(w.count(), 1);
     }
 
     #[test]

@@ -15,9 +15,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier-1 =="
 cargo build --release && cargo test -q
 
-echo "== fold-then-merge determinism =="
-# partitioned aggregation over mergeable states must be bit-identical to
-# the single-threaded fold for every AggFn and any partition count
+echo "== crash bundles, repeated =="
+# the crash-bundle tests share the process-global flight ring; ten green
+# runs in a row guard the install-before-arm ordering that keeps them
+# deterministic under the parallel test harness
+for i in $(seq 1 10); do
+    cargo test -q -p exl-integration-tests --test crash_bundle || {
+        echo "crash_bundle failed on run $i"; exit 1; }
+done
+echo "crash_bundle: 10/10 green"
+
+echo "== aggregation determinism =="
+# the aggregation kernel must be bit-identical to a DimTuple-sorted
+# reference fold for every AggFn and any partition count
 cargo test -q -p exl-integration-tests --test interned_differential \
     fold_then_merge_is_bit_identical_for_any_partition_count
 

@@ -6,7 +6,10 @@
 //! Every test installs a fault plan through [`exl_fault::install`]
 //! (a no-op plan where no fault is wanted): the guard serializes chaos
 //! tests process-wide, which also keeps the process-global flight
-//! recorder state race-free under the parallel test runner.
+//! recorder state race-free under the parallel test runner. The guard
+//! must be taken *before* [`ExlEngine::set_bundle_dir`]: arming the
+//! bundle dir re-arms the flight ring, so a test that arms it while
+//! another still holds the guard would wipe that test's event tail.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -69,8 +72,8 @@ fn bundle_count(dir: &PathBuf) -> usize {
 fn panic_run_emits_a_bundle_naming_subgraph_and_site() {
     let dir = bundle_dir("panic");
     let mut e = gdp_engine(TargetKind::Native);
-    e.set_bundle_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::panic_once("exec.native"));
+    e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
     let path = e.last_bundle().expect("bundle path recorded").to_owned();
     assert!(path.starts_with(&dir));
@@ -109,8 +112,8 @@ fn deadline_run_emits_a_timeout_bundle() {
         subgraph_timeout: Some(Duration::from_millis(40)),
         ..DispatchPolicy::default()
     };
-    e.set_bundle_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::delay_once("exec.native", 10_000));
+    e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
     let bundle = read_single_bundle(&dir);
     assert_eq!(bundle.error.kind, "timeout");
@@ -137,8 +140,8 @@ fn budget_run_emits_a_budget_bundle_with_govern_state() {
     let dir = bundle_dir("budget");
     let mut e = gdp_engine(TargetKind::Native);
     e.govern.max_memory_bytes = Some(1);
-    e.set_bundle_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::fail_once("bundle.unused"));
+    e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
     let bundle = read_single_bundle(&dir);
     assert_eq!(bundle.error.kind, "budget-exceeded");
@@ -160,8 +163,8 @@ fn budget_run_emits_a_budget_bundle_with_govern_state() {
 fn cancelled_run_emits_a_cancel_bundle() {
     let dir = bundle_dir("cancel");
     let mut e = gdp_engine(TargetKind::Native);
-    e.set_bundle_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::cancel_once("exec.native"));
+    e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
     let bundle = read_single_bundle(&dir);
     assert_eq!(bundle.error.kind, "cancelled");
@@ -192,9 +195,6 @@ fn cache_corruption_run_emits_a_bundle_with_corrupt_events() {
         e.enable_disk_cache(&cache).unwrap();
         e.run_all().unwrap();
     }
-    let mut e = gdp_engine(TargetKind::Native);
-    e.enable_disk_cache(&cache).unwrap();
-    e.set_bundle_dir(&dir).unwrap();
     // every cache read is corrupt AND every recompute fails: the run
     // cannot degrade its way out
     let plan = FaultPlan::one("cache.read", 0, FaultAction::Error).and(
@@ -203,6 +203,9 @@ fn cache_corruption_run_emits_a_bundle_with_corrupt_events() {
         FaultAction::Error,
     );
     let _guard = exl_fault::install(plan);
+    let mut e = gdp_engine(TargetKind::Native);
+    e.enable_disk_cache(&cache).unwrap();
+    e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
     let bundle = read_single_bundle(&dir);
     assert_eq!(bundle.error.kind, "execution");
@@ -243,8 +246,8 @@ fn degraded_keep_going_run_writes_a_subgraph_failures_bundle() {
         .set_affinity(&"C".into(), Some(TargetKind::Sql))
         .unwrap();
     e.policy.keep_going = true;
-    e.set_bundle_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::fail_always("exec.sql"));
+    e.set_bundle_dir(&dir).unwrap();
     let report = e.run_all().unwrap();
     assert_eq!(report.failed, vec!["C".into()]);
     let bundle = read_single_bundle(&dir);
@@ -266,8 +269,8 @@ fn degraded_keep_going_run_writes_a_subgraph_failures_bundle() {
 fn successful_runs_write_no_bundle() {
     let dir = bundle_dir("ok");
     let mut e = gdp_engine(TargetKind::Native);
-    e.set_bundle_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::fail_once("bundle.unused"));
+    e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap();
     assert_eq!(bundle_count(&dir), 0);
     assert!(e.last_bundle().is_none());
@@ -318,8 +321,8 @@ fn sharded_panic_bundle_names_the_failing_shard() {
         e.load_elementary(&id, data.data(&id).unwrap().clone())
             .unwrap();
     }
-    e.set_bundle_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::panic_once("exec.native"));
+    e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
     let bundle = read_single_bundle(&dir);
     assert_eq!(bundle.error.kind, "panic");

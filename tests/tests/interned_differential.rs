@@ -6,14 +6,16 @@
 //! on hash-grouped kernels, so any divergence in interning, hashing, or
 //! fold order between the two shows up here as a reported diff.
 
+use std::collections::BTreeMap;
+
 use exl_chase::{chase, ChaseMode};
 use exl_lang::analyze::AnalyzedProgram;
 use exl_lang::ast::GroupKey;
 use exl_map::generate::{generate_mapping, GenMode};
 use exl_model::schema::Dimension;
-use exl_model::time::{Frequency, TimePoint};
+use exl_model::time::{Date, Frequency, TimePoint};
 use exl_model::value::{DimType, DimValue};
-use exl_model::{CubeData, Dataset};
+use exl_model::{CubeData, Dataset, DimTuple};
 use exl_stats::descriptive::AggFn;
 use exl_workload::{random_scenario, RandomConfig};
 use proptest::prelude::*;
@@ -77,52 +79,105 @@ fn assert_bit_identical(a: &CubeData, b: &CubeData, label: &str) -> Result<(), S
     Ok(())
 }
 
-/// Fold-then-merge determinism: partitioned aggregation over worker-local
-/// mergeable states, combined in canonical partition order, must be
-/// bit-identical to the single-threaded fold for *any* partition count —
-/// for every aggregation function and for plain, coarsening, and
-/// collapsed group-bys alike.
+/// The oracle the aggregation kernel must reproduce, sharing nothing with
+/// it but `AggFn::apply`: each group's bag of `CubeData` rows, sorted by
+/// `DimTuple`'s `Ord` (the sorted-map evaluator's fold order), folded in
+/// that order; empty and non-finite results leave no tuple.
+fn reference_aggregate(
+    data: &CubeData,
+    dims: &[Dimension],
+    group_by: &[GroupKey],
+    agg: AggFn,
+) -> CubeData {
+    let pos = |name: &str| dims.iter().position(|d| d.name == name).unwrap();
+    let mut bags: BTreeMap<DimTuple, Vec<(DimTuple, f64)>> = BTreeMap::new();
+    for (k, v) in data.iter() {
+        let group: DimTuple = group_by
+            .iter()
+            .map(|g| match g {
+                GroupKey::Dim(name) => k[pos(name)].clone(),
+                GroupKey::TimeMap { target, dim, .. } => {
+                    let t = k[pos(dim)].as_time().unwrap();
+                    DimValue::Time(t.convert(*target).unwrap())
+                }
+            })
+            .collect();
+        bags.entry(group).or_default().push((k.clone(), v));
+    }
+    let mut out = CubeData::new();
+    for (group, mut bag) in bags {
+        bag.sort_by(|a, b| a.0.cmp(&b.0));
+        let values: Vec<f64> = bag.iter().map(|(_, v)| *v).collect();
+        if let Some(v) = agg.apply(&values).filter(|v| v.is_finite()) {
+            out.insert_overwrite(group, v);
+        }
+    }
+    out
+}
+
+/// Aggregation determinism: the kernel must be bit-identical to the
+/// sorted-bag reference for every aggregation function and any partition
+/// count (1, 2, the machine's core count, and an awkward 17), for plain,
+/// coarsening, and collapsed group-bys alike. Two operand shapes: a
+/// quarterly (text, time) cube grouped to years, and the paper's GDP
+/// shape — a daily (time, text) cube grouped by `quarter(d)`.
 fn merge_determinism(rows: Vec<(usize, usize, f64)>) -> Result<(), String> {
-    let dims = vec![
+    let quarterly_dims = vec![
         Dimension::new("r", DimType::Str),
         Dimension::new("d", DimType::Time(Frequency::Quarterly)),
     ];
-    let mut data = CubeData::new();
-    for (r, q, v) in rows {
-        let key = vec![
-            DimValue::Str(format!("r{r}").into()),
-            DimValue::Time(TimePoint::Quarter {
-                year: 2000 + (q / 4) as i32,
-                quarter: (q % 4) as u32 + 1,
-            }),
-        ];
-        data.insert_overwrite(key, v);
+    let daily_dims = vec![
+        Dimension::new("d", DimType::Time(Frequency::Daily)),
+        Dimension::new("r", DimType::Str),
+    ];
+    let mut quarterly = CubeData::new();
+    let mut daily = CubeData::new();
+    for (r, t, v) in rows {
+        let region = DimValue::Str(format!("r{r}").into());
+        let quarter = TimePoint::Quarter {
+            year: 2000 + (t / 4) as i32,
+            quarter: (t % 4) as u32 + 1,
+        };
+        quarterly.insert_overwrite(vec![region.clone(), DimValue::Time(quarter)], v);
+        // 17-day steps from 2000-01-01 spread 24 steps over five quarters
+        let day = TimePoint::Day(Date::from_epoch_days(10_957 + 17 * t as i32));
+        daily.insert_overwrite(vec![DimValue::Time(day), region], v);
     }
-    let year = GroupKey::TimeMap {
-        target: Frequency::Yearly,
+    let to = |target: Frequency, alias: &str| GroupKey::TimeMap {
+        target,
         dim: "d".into(),
-        alias: "year".into(),
+        alias: alias.into(),
     };
-    let groupings: [&[GroupKey]; 3] = [
-        &[GroupKey::Dim("r".into())],
-        std::slice::from_ref(&year),
-        &[GroupKey::Dim("r".into()), year.clone()],
+    let r = || GroupKey::Dim("r".into());
+    let cases: [(&CubeData, &[Dimension], Vec<GroupKey>); 4] = [
+        (&quarterly, &quarterly_dims, vec![r()]),
+        (
+            &quarterly,
+            &quarterly_dims,
+            vec![to(Frequency::Yearly, "year")],
+        ),
+        (
+            &quarterly,
+            &quarterly_dims,
+            vec![r(), to(Frequency::Yearly, "year")],
+        ),
+        (
+            &daily,
+            &daily_dims,
+            vec![to(Frequency::Quarterly, "q"), r()],
+        ),
     ];
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for group_by in groupings {
+    for (data, dims, group_by) in &cases {
         for agg in AggFn::ALL {
-            let serial = exl_eval::aggregate_data(&data, &dims, group_by, agg, 1)
-                .map_err(|e| format!("{agg:?}: {e}"))?;
-            for partitions in [2, nproc, 17] {
-                let merged = exl_eval::aggregate_data(&data, &dims, group_by, agg, partitions)
+            let reference = reference_aggregate(data, dims, group_by, agg);
+            for partitions in [1, 2, nproc, 17] {
+                let got = exl_eval::aggregate_data(data, dims, group_by, agg, partitions)
                     .map_err(|e| format!("{agg:?}/{partitions}: {e}"))?;
                 assert_bit_identical(
-                    &serial,
-                    &merged,
-                    &format!(
-                        "{agg:?} x {partitions} partitions ({} keys)",
-                        group_by.len()
-                    ),
+                    &reference,
+                    &got,
+                    &format!("{agg:?} x {partitions} partitions, group by {group_by:?}"),
                 )?;
             }
         }
@@ -158,9 +213,8 @@ proptest! {
         })?;
     }
 
-    /// Partitioned fold-then-merge aggregation is bit-identical to the
-    /// single-threaded fold for every aggregation function and any
-    /// partition count (2, the machine's core count, and an awkward 17).
+    /// The aggregation kernel is bit-identical to the sorted-bag reference
+    /// for every aggregation function and any partition count.
     #[test]
     fn fold_then_merge_is_bit_identical_for_any_partition_count(
         rows in proptest::collection::vec(
