@@ -738,7 +738,7 @@ fn do_run(
         let output = if let Some(policy) = &globals.policy {
             // fault-handling flags were given: run under the dispatch
             // supervisor (which records the subgraph span per attempt)
-            let (output, attempts) = exl_engine::run_on_target_supervised_opts(
+            let (output, attempts) = exl_engine::run_on_target_supervised(
                 &analyzed,
                 &input,
                 target,

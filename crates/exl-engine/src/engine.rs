@@ -9,9 +9,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Instant;
 
-use exl_model::schema::{CubeId, CubeKind};
-use exl_model::CubeData;
+use exl_lang::ast::Statement;
+use exl_model::schema::{CubeId, CubeKind, CubeSchema};
+use exl_model::{CubeData, Dataset};
+use exl_obs::flight::{self, FlightKind};
 use exl_obs::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
 
 use crate::cache::{CacheStats, RunCache, StmtCacheCounts};
@@ -20,7 +23,7 @@ use crate::determination::{GlobalGraph, Subgraph};
 use crate::error::EngineError;
 use crate::govern::GovernConfig;
 use crate::shard::{dispatch_sharded, ShardReport};
-use crate::supervise::{run_supervised_opts, Attempt, DispatchPolicy, SubgraphStatus};
+use crate::supervise::{run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
 use crate::target::{
     dataset_rows, input_schemas, subprogram, translate, ExecOpts, TargetCode, TargetKind,
 };
@@ -219,40 +222,250 @@ fn join_ids(ids: &[CubeId]) -> String {
         .join(",")
 }
 
-/// Stamp a finished subgraph span with its outcome: `status`, `attempts`,
-/// total `rows_out`, and one `rows_out.<CUBE>` attribute per produced cube
-/// (the lineage report reads these).
-fn finish_subgraph_span(
-    span: &exl_obs::Span,
-    result: &Result<exl_model::Dataset, EngineError>,
-    attempts: &[Attempt],
-    wanted: &[CubeId],
-) {
-    if !span.is_enabled() {
-        return;
+/// Nanoseconds elapsed since `started`, saturating.
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A run-level cancel (SIGINT, external token) outside any subgraph is
+/// fatal under every policy: count the rollback and abort, so the staged
+/// results never commit.
+fn run_checkpoint(recorder: &dyn Recorder) -> Result<(), EngineError> {
+    match crate::govern::governor().and_then(|g| g.token().cancellation()) {
+        Some(err) => {
+            recorder.incr_counter("engine.rollbacks", 1);
+            Err(err.into())
+        }
+        None => Ok(()),
     }
-    span.set_attr("attempts", attempts.len() as u64);
-    match result {
-        Ok(ds) => {
-            span.set_attr("status", "computed");
-            span.set_attr("rows_out", dataset_rows(ds));
-            for id in wanted {
-                if let Some(data) = ds.data(id) {
-                    span.set_attr(&format!("rows_out.{id}"), data.len() as u64);
+}
+
+/// One subgraph of a run with every fact dispatch needs, computed once
+/// at planning time (offline: no data is touched).
+#[derive(Debug, Clone)]
+pub struct PlannedSubgraph {
+    /// The determination subgraph: statement indices and the requested
+    /// target.
+    pub sub: Subgraph,
+    /// The subgraph's statements, in execution order.
+    pub statements: Vec<Statement>,
+    /// Cubes the subgraph computes (its statement targets).
+    pub cubes: Vec<CubeId>,
+    /// Schemas of the external cubes it reads, as base data.
+    pub inputs: Vec<CubeSchema>,
+    /// Executable code for [`PlannedSubgraph::target`].
+    pub code: TargetCode,
+    /// Native code for the runtime fallback chain (`None` unless the
+    /// policy enables it and `code` is not native already).
+    pub native: Option<TargetCode>,
+    /// The target that executes: the requested one, or the native engine
+    /// when translation declined it.
+    pub target: TargetKind,
+    /// True when translation declined the requested target (unsupported
+    /// operator) and the subgraph falls back to the native engine.
+    pub fallback: bool,
+}
+
+/// How one subgraph of a run ended. Every path produces one — skipped on
+/// a poisoned input, input staging failed, sharded, served from the run
+/// cache, or dispatched — and [`RunState::finish_subgraph`] consumes it.
+struct SubgraphOutcome {
+    /// Index of the subgraph in the run's plan.
+    si: usize,
+    /// The produced cubes or the error; `None` when the subgraph was
+    /// skipped because an input is poisoned.
+    result: Option<Result<Vec<(CubeId, CubeData)>, EngineError>>,
+    cache: StmtCacheCounts,
+    attempts: Vec<Attempt>,
+    shards: Vec<ShardReport>,
+    wall_nanos: u64,
+    /// The subgraph's span, closed once the outcome is finished.
+    span: exl_obs::Span,
+}
+
+impl SubgraphOutcome {
+    fn new(
+        si: usize,
+        span: exl_obs::Span,
+        result: Option<Result<Vec<(CubeId, CubeData)>, EngineError>>,
+    ) -> SubgraphOutcome {
+        SubgraphOutcome {
+            si,
+            result,
+            cache: StmtCacheCounts::default(),
+            attempts: Vec::new(),
+            shards: Vec::new(),
+            wall_nanos: 0,
+            span,
+        }
+    }
+}
+
+/// A subgraph waiting for a supervised backend run, with its staged
+/// inputs.
+struct Job {
+    si: usize,
+    input: Dataset,
+    span: exl_obs::Span,
+}
+
+/// What starting a subgraph led to.
+enum Start {
+    /// The subgraph already ended: skipped, inputs unavailable, sharded,
+    /// or served from the run cache.
+    Ended(SubgraphOutcome),
+    /// The subgraph needs a supervised backend run.
+    Dispatch(Job),
+}
+
+/// The dispatch state of one run: the transaction's staging area plus
+/// what the observability sinks collect per subgraph.
+struct RunState<'a> {
+    planned: &'a [PlannedSubgraph],
+    recorder: &'a dyn Recorder,
+    progress: Option<&'a ProgressSink>,
+    keep_going: bool,
+    obs: &'a mut RunObservation,
+    report: RunReport,
+    /// Per-subgraph reports, indexed by dispatch order.
+    reports: Vec<Option<SubgraphReport>>,
+    /// The run's transaction: results live here, not in the catalog,
+    /// until the end-of-run atomic commit.
+    staged: BTreeMap<CubeId, CubeData>,
+    /// Cubes of failed or skipped subgraphs: anything reading them is
+    /// skipped in turn (keep_going degradation).
+    poisoned: BTreeSet<CubeId>,
+    done: usize,
+}
+
+impl RunState<'_> {
+    /// The one handler of a subgraph outcome: derive its status, stamp
+    /// the span, bump the counters, record the flight events, stage its
+    /// cubes (or poison them), report it to the observation and the
+    /// progress sink, and decide between keep-going and rollback. An
+    /// `Err` return means the run must roll back.
+    fn finish_subgraph(&mut self, outcome: SubgraphOutcome) -> Result<(), EngineError> {
+        let SubgraphOutcome {
+            si,
+            result,
+            cache,
+            attempts,
+            shards,
+            wall_nanos,
+            span,
+        } = outcome;
+        let p = &self.planned[si];
+        // a subgraph that commits nothing resolved nothing from the cache
+        let nothing = StmtCacheCounts::default();
+        let (status, items, error, cache) = match result {
+            None => (SubgraphStatus::Skipped, Vec::new(), None, nothing),
+            Some(Err(e)) => {
+                let status = match e {
+                    EngineError::Cancelled { .. } => SubgraphStatus::Cancelled,
+                    EngineError::BudgetExceeded { .. } => SubgraphStatus::BudgetExceeded,
+                    _ => SubgraphStatus::Failed,
+                };
+                (status, Vec::new(), Some(e), nothing)
+            }
+            // a subgraph with inline-evaluated dirty statements still
+            // computed something: only a fully cache-served one is Cached
+            Some(Ok(items)) if cache.misses == 0 && cache.hits + cache.delta_hits > 0 => {
+                (SubgraphStatus::Cached, items, None, cache)
+            }
+            Some(Ok(items)) => (SubgraphStatus::Computed, items, None, cache),
+        };
+        let rows_out: u64 = items.iter().map(|(_, d)| d.len() as u64).sum();
+        let cubes = join_ids(&p.cubes);
+
+        span.set_attr("status", status.name());
+        span.set_attr("attempts", attempts.len() as u64);
+        span.set_attr("cache_hit", status == SubgraphStatus::Cached);
+        if matches!(status, SubgraphStatus::Computed | SubgraphStatus::Cached) {
+            span.set_attr("rows_out", rows_out);
+            for (id, data) in &items {
+                span.set_attr(&format!("rows_out.{id}"), data.len() as u64);
+            }
+        }
+        if let Some(e) = &error {
+            span.add_event(e.to_string());
+        }
+        for (counter, kind, n) in [
+            ("cache.hits", FlightKind::CacheHit, cache.hits),
+            ("cache.delta_hits", FlightKind::CacheDelta, cache.delta_hits),
+            ("cache.misses", FlightKind::CacheMiss, cache.misses),
+        ] {
+            if n > 0 {
+                self.recorder.incr_counter(counter, n);
+                flight::record_with(kind, &cubes, || format!("{n} statement(s)"));
+            }
+        }
+        self.report.cache.hits += cache.hits;
+        self.report.cache.delta_hits += cache.delta_hits;
+        self.report.cache.misses += cache.misses;
+        flight::record_with(FlightKind::Subgraph, p.target.name(), || match &error {
+            Some(e) => format!("{cubes}: {} ({e})", status.name()),
+            None => format!("{cubes}: {}", status.name()),
+        });
+        let report = SubgraphReport {
+            target: p.target,
+            fallback: p.fallback,
+            cubes: p.cubes.clone(),
+            status,
+            attempts,
+            error: error.as_ref().map(|e| e.to_string()),
+            cache,
+            wall_nanos,
+            rows_out,
+            shards,
+        };
+        // the failing subgraph's report reaches the crash bundle even
+        // when the run aborts right here
+        self.obs.subgraphs.push(report.clone());
+
+        match (status, error) {
+            (SubgraphStatus::Skipped, _) => {
+                self.recorder.incr_counter("engine.subgraphs_skipped", 1);
+                self.poisoned.extend(p.cubes.iter().cloned());
+                self.report.skipped.extend(p.cubes.iter().cloned());
+            }
+            (_, Some(e)) => {
+                // a cancelled *run* token (SIGINT, external cancel)
+                // aborts even under keep_going: no later subgraph could
+                // execute anyway. A subgraph-local cancel or a tripped
+                // run budget degrades like any failure — the report then
+                // shows the typed status.
+                let run_cancelled =
+                    crate::govern::governor().is_some_and(|g| g.token().is_cancelled());
+                if !self.keep_going || (e.is_governance() && run_cancelled) {
+                    self.recorder.incr_counter("engine.rollbacks", 1);
+                    return Err(e);
+                }
+                self.recorder.incr_counter("engine.subgraphs_failed", 1);
+                self.poisoned.extend(p.cubes.iter().cloned());
+                self.report.failed.extend(p.cubes.iter().cloned());
+            }
+            (status, None) => {
+                if status == SubgraphStatus::Cached {
+                    self.recorder.incr_counter("engine.subgraphs_cached", 1);
+                }
+                for (id, data) in items {
+                    self.staged.insert(id.clone(), data);
+                    self.report.computed.push(id);
                 }
             }
         }
-        Err(e) => {
-            span.set_attr(
-                "status",
-                match e {
-                    EngineError::Cancelled { .. } => "cancelled",
-                    EngineError::BudgetExceeded { .. } => "budget-exceeded",
-                    _ => "failed",
-                },
-            );
-            span.add_event(e.to_string());
+        self.reports[si] = Some(report);
+        self.done += 1;
+        if let Some(sink) = self.progress {
+            sink.emit(&ProgressEvent {
+                done: self.done,
+                total: self.planned.len(),
+                cubes: p.cubes.clone(),
+                target: p.target,
+                status,
+            });
         }
+        Ok(())
     }
 }
 
@@ -558,22 +771,22 @@ impl ExlEngine {
     }
 
     /// The offline half of a run: determine and translate, touching no
-    /// data. Returns each subgraph with its executable code (B1 measures
-    /// exactly this step).
+    /// data. Returns each subgraph with its executable code and the other
+    /// facts dispatch needs (B1 measures exactly this step).
     pub fn plan_and_translate(
         &self,
         changed: &[CubeId],
-    ) -> Result<Vec<(Subgraph, TargetCode, bool)>, EngineError> {
+    ) -> Result<Vec<PlannedSubgraph>, EngineError> {
         let plan = self.graph.determine(changed);
-        let subgraphs = self.graph.partition(&plan, &|id| self.affinity_of(id));
-        let mut out = Vec::with_capacity(subgraphs.len());
-        for sub in subgraphs {
-            let statements: Vec<_> = sub
+        let schema_of = |id: &CubeId| self.catalog.schema(id).cloned();
+        let mut out = Vec::new();
+        for sub in self.graph.partition(&plan, &|id| self.affinity_of(id)) {
+            let statements: Vec<Statement> = sub
                 .statements
                 .iter()
                 .map(|&i| self.graph.statements()[i].clone())
                 .collect();
-            let inputs = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
+            let inputs = input_schemas(&statements, &schema_of)?;
             let analyzed = subprogram(&statements, &inputs)?;
             let (code, fallback) = match translate(&analyzed, sub.target) {
                 Ok(code) => (code, false),
@@ -585,7 +798,24 @@ impl ExlEngine {
                 }
                 Err(other) => return Err(other),
             };
-            out.push((sub, code, fallback));
+            let target = code.target_kind();
+            // the runtime fallback chain re-runs a failing subgraph on
+            // the native engine: translate that variant up front too
+            let native = if self.policy.runtime_fallback && target != TargetKind::Native {
+                Some(translate(&analyzed, TargetKind::Native)?)
+            } else {
+                None
+            };
+            out.push(PlannedSubgraph {
+                cubes: statements.iter().map(|s| s.target.clone()).collect(),
+                sub,
+                statements,
+                inputs,
+                code,
+                native,
+                target,
+                fallback,
+            });
         }
         Ok(out)
     }
@@ -625,7 +855,20 @@ impl ExlEngine {
             run_span.set_attr("changed", changed.len() as u64);
             let result = {
                 let _governor = crate::govern::set_governor(run_governor.clone());
-                self.recompute_recorded(changed, registry.as_ref(), recorder, &run_span, &mut obs)
+                // move the cache out of `self` for the duration of the run
+                // so the dispatcher can consult it mutably while borrowing
+                // the catalog
+                let mut cache = self.cache.take();
+                let result = self.recompute_inner(
+                    changed,
+                    registry.as_ref(),
+                    recorder,
+                    &run_span,
+                    &mut cache,
+                    &mut obs,
+                );
+                self.cache = cache;
+                result
             };
             // governance observability: peak accounted memory, whether
             // the run was cancelled, and why
@@ -717,22 +960,11 @@ impl ExlEngine {
         }
     }
 
-    fn recompute_recorded(
-        &mut self,
-        changed: &[CubeId],
-        registry: Option<&Arc<MetricsRegistry>>,
-        recorder: &dyn Recorder,
-        run_span: &exl_obs::Span,
-        obs: &mut RunObservation,
-    ) -> Result<RunReport, EngineError> {
-        // move the cache out of `self` for the duration of the run so the
-        // dispatcher can consult it mutably while borrowing the catalog
-        let mut cache = self.cache.take();
-        let result = self.recompute_inner(changed, registry, recorder, run_span, &mut cache, obs);
-        self.cache = cache;
-        result
-    }
-
+    /// Plan the run, then dispatch it stage by stage: every subgraph
+    /// either ends when it starts (skipped, inputs unavailable, sharded,
+    /// cache-served) or runs as a supervised job, and each outcome goes
+    /// through [`RunState::finish_subgraph`]. Commits the staged cubes
+    /// when no outcome asked for a rollback.
     fn recompute_inner(
         &mut self,
         changed: &[CubeId],
@@ -743,556 +975,69 @@ impl ExlEngine {
         obs: &mut RunObservation,
     ) -> Result<RunReport, EngineError> {
         let cache_io_start = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-        let translated = {
+        let planned = {
             let _span = exl_obs::span(recorder, "engine.plan_and_translate");
             let plan_span = run_span.child("plan");
-            let translated = self.plan_and_translate(changed)?;
-            plan_span.set_attr("subgraphs", translated.len() as u64);
-            translated
+            let planned = self.plan_and_translate(changed)?;
+            plan_span.set_attr("subgraphs", planned.len() as u64);
+            planned
         };
-        if translated.is_empty() {
+        if planned.is_empty() {
             return Ok(RunReport::default());
         }
-        recorder.incr_counter("engine.subgraphs", translated.len() as u64);
+        recorder.incr_counter("engine.subgraphs", planned.len() as u64);
         recorder.incr_counter(
             "engine.fallbacks",
-            translated.iter().filter(|(_, _, f)| *f).count() as u64,
+            planned.iter().filter(|p| p.fallback).count() as u64,
         );
-        // the runtime fallback chain re-runs a failing subgraph on the
-        // native engine: translate the native variant up front (offline,
-        // like all translation)
-        let natives: Vec<Option<TargetCode>> = if self.policy.runtime_fallback {
-            translated
-                .iter()
-                .map(|(sub, code, _)| {
-                    if code.target_kind() == TargetKind::Native {
-                        Ok(None)
-                    } else {
-                        self.native_code_for(sub).map(Some)
-                    }
-                })
-                .collect::<Result<_, EngineError>>()?
-        } else {
-            vec![None; translated.len()]
-        };
-        let subgraphs: Vec<Subgraph> = translated.iter().map(|(s, _, _)| s.clone()).collect();
+        let subgraphs: Vec<Subgraph> = planned.iter().map(|p| p.sub.clone()).collect();
         let stages = self.graph.stages(&subgraphs);
         recorder.incr_counter("engine.stages", stages.len() as u64);
         obs.stages = stages.len();
+        let shards = self.effective_shards();
 
-        let mut report = RunReport {
-            stages: stages.len(),
-            ..RunReport::default()
+        let mut run = RunState {
+            planned: &planned,
+            recorder,
+            progress: self.progress.as_ref(),
+            keep_going: self.policy.keep_going,
+            obs,
+            report: RunReport {
+                stages: stages.len(),
+                ..RunReport::default()
+            },
+            reports: vec![None; planned.len()],
+            staged: BTreeMap::new(),
+            poisoned: BTreeSet::new(),
+            done: 0,
         };
-        // keep per-subgraph reports in dispatch order
-        let mut sub_reports: Vec<Option<SubgraphReport>> = vec![None; translated.len()];
-        // the run's transaction: results live here, not in the catalog,
-        // until the end-of-run atomic commit
-        let mut staged: BTreeMap<CubeId, CubeData> = BTreeMap::new();
-        let mut commit_order: Vec<CubeId> = Vec::new();
-        // cubes produced by failed or skipped subgraphs: anything reading
-        // them is skipped in turn (keep_going degradation)
-        let mut poisoned: BTreeSet<CubeId> = BTreeSet::new();
-        let policy = self.policy.clone();
-        let exec = self.exec;
-        let shard_count = self.effective_shards();
-        let total_subgraphs = translated.len();
-        let mut done_subgraphs = 0usize;
-
         for (stage_no, stage) in stages.iter().enumerate() {
-            // a run-level cancel (SIGINT, external token) between stages
-            // aborts before any more work is dispatched — fatal under
-            // every policy, so the staged results roll back. Budget
-            // verdicts are deliberately not checked here: they surface
-            // per subgraph, where keep_going can degrade around them.
-            if let Some(g) = crate::govern::governor() {
-                if let Some(err) = g.token().cancellation() {
-                    recorder.incr_counter("engine.rollbacks", 1);
-                    return Err(err.into());
-                }
-            }
+            // a run-level cancel between stages aborts before any more
+            // work is dispatched. Budget verdicts are deliberately not
+            // checked here: they surface per subgraph, where keep_going
+            // can degrade around them.
+            run_checkpoint(recorder)?;
             let stage_span = run_span.child("stage");
             stage_span.set_attr("index", stage_no as u64);
             stage_span.set_attr("subgraphs", stage.len() as u64);
             // each subgraph's inputs are satisfied by earlier stages
-            // (subgraph index, outcome, attempts, wall nanos)
-            type JobResult = (
-                usize,
-                Result<exl_model::Dataset, EngineError>,
-                Vec<Attempt>,
-                u64,
-            );
-            let mut results: Vec<JobResult> = Vec::with_capacity(stage.len());
-            let mut jobs: Vec<(usize, exl_model::Dataset, Vec<CubeId>, exl_obs::Span)> = Vec::new();
+            let mut jobs = Vec::new();
             for &si in stage {
-                let (sub, code, fallback) = &translated[si];
-                let wanted = self.targets_of(sub);
-                let span = stage_span.child("subgraph");
-                span.set_attr("cubes", join_ids(&wanted));
-                span.set_attr("target", code.target_name());
-                span.set_attr("fallback", *fallback);
-                let input_ids = self.input_ids_of(sub)?;
-                if input_ids.iter().any(|id| poisoned.contains(id)) {
-                    span.set_attr("status", "skipped");
-                    recorder.incr_counter("engine.subgraphs_skipped", 1);
-                    poisoned.extend(wanted.iter().cloned());
-                    report.skipped.extend(wanted.iter().cloned());
-                    let r = self.make_report(
-                        si,
-                        &translated,
-                        SubgraphStatus::Skipped,
-                        Vec::new(),
-                        None,
-                        StmtCacheCounts::default(),
-                        0,
-                        0,
-                    );
-                    obs.subgraphs.push(r.clone());
-                    sub_reports[si] = Some(r);
-                    self.emit_progress(
-                        &mut done_subgraphs,
-                        total_subgraphs,
-                        si,
-                        &translated,
-                        SubgraphStatus::Skipped,
-                    );
-                    continue;
-                }
-                match self.prepare_inputs_staged(sub, &staged) {
-                    Ok(prepared) => {
-                        span.set_attr("rows_in", dataset_rows(&prepared));
-                        // sharded dispatch: a native subgraph whose
-                        // statements admit a shard plan runs data-parallel
-                        // right here, inline — per-shard cache entries
-                        // replace the subgraph-level consult below, and the
-                        // shard fan-out replaces stage-level parallelism
-                        // for this subgraph (it never enters `jobs`)
-                        let effective = if *fallback {
-                            TargetKind::Native
-                        } else {
-                            sub.target
-                        };
-                        if shard_count >= 2 && effective == TargetKind::Native {
-                            let stmts = self.statements_of(sub);
-                            if let Some(shard_plan) = exl_eval::plan_shards(&stmts, &|id| {
-                                self.catalog.schema(id).cloned()
-                            }) {
-                                span.set_attr("shards", shard_count as u64);
-                                span.set_attr("shard_dim", shard_plan.dim.as_str());
-                                let started = std::time::Instant::now();
-                                let (result, outcome) = dispatch_sharded(
-                                    &stmts,
-                                    &shard_plan,
-                                    shard_count,
-                                    &prepared,
-                                    &|id| self.catalog.schema(id).cloned(),
-                                    &policy,
-                                    registry,
-                                    &span,
-                                    cache,
-                                    exec,
-                                );
-                                let wall_nanos =
-                                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                                match result {
-                                    Ok(items) => {
-                                        let counts = outcome.counts;
-                                        let status = if counts.misses == 0 {
-                                            SubgraphStatus::Cached
-                                        } else {
-                                            SubgraphStatus::Computed
-                                        };
-                                        span.set_attr("status", status.name());
-                                        if counts.misses == 0 {
-                                            recorder.incr_counter("engine.subgraphs_cached", 1);
-                                        }
-                                        recorder.incr_counter("cache.hits", counts.hits);
-                                        recorder
-                                            .incr_counter("cache.delta_hits", counts.delta_hits);
-                                        recorder.incr_counter("cache.misses", counts.misses);
-                                        report.cache.hits += counts.hits;
-                                        report.cache.delta_hits += counts.delta_hits;
-                                        report.cache.misses += counts.misses;
-                                        let rows_out: u64 =
-                                            items.iter().map(|(_, d)| d.len() as u64).sum();
-                                        for (id, data) in items {
-                                            staged.insert(id.clone(), data);
-                                            commit_order.push(id.clone());
-                                            report.computed.push(id);
-                                        }
-                                        let mut r = self.make_report(
-                                            si,
-                                            &translated,
-                                            status,
-                                            outcome.attempts,
-                                            None,
-                                            counts,
-                                            wall_nanos,
-                                            rows_out,
-                                        );
-                                        r.shards = outcome.reports;
-                                        obs.subgraphs.push(r.clone());
-                                        sub_reports[si] = Some(r);
-                                        self.emit_progress(
-                                            &mut done_subgraphs,
-                                            total_subgraphs,
-                                            si,
-                                            &translated,
-                                            status,
-                                        );
-                                    }
-                                    Err(e) => {
-                                        span.set_attr("status", "failed");
-                                        span.add_event(e.to_string());
-                                        let run_cancelled = crate::govern::governor()
-                                            .is_some_and(|g| g.token().is_cancelled());
-                                        let status = match &e {
-                                            EngineError::Cancelled { .. } => {
-                                                SubgraphStatus::Cancelled
-                                            }
-                                            EngineError::BudgetExceeded { .. } => {
-                                                SubgraphStatus::BudgetExceeded
-                                            }
-                                            _ => SubgraphStatus::Failed,
-                                        };
-                                        let mut r = self.make_report(
-                                            si,
-                                            &translated,
-                                            status,
-                                            outcome.attempts,
-                                            Some(e.to_string()),
-                                            StmtCacheCounts::default(),
-                                            wall_nanos,
-                                            0,
-                                        );
-                                        r.shards = outcome.reports;
-                                        obs.subgraphs.push(r.clone());
-                                        if !policy.keep_going
-                                            || (e.is_governance() && run_cancelled)
-                                        {
-                                            recorder.incr_counter("engine.rollbacks", 1);
-                                            return Err(e);
-                                        }
-                                        recorder.incr_counter("engine.subgraphs_failed", 1);
-                                        poisoned.extend(wanted.iter().cloned());
-                                        report.failed.extend(wanted.iter().cloned());
-                                        sub_reports[si] = Some(r);
-                                        self.emit_progress(
-                                            &mut done_subgraphs,
-                                            total_subgraphs,
-                                            si,
-                                            &translated,
-                                            status,
-                                        );
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                        // consult the run cache: if every statement of the
-                        // subgraph resolves (exact content hit or delta
-                        // patch), stage the cached outputs and never spawn
-                        if let Some(c) = cache.as_mut() {
-                            let stmts = self.statements_of(sub);
-                            let resolve_started = std::time::Instant::now();
-                            if let Some((outputs, counts)) =
-                                c.resolve_statements(&stmts, effective, &prepared, &|id| {
-                                    self.catalog.schema(id).cloned()
-                                })
-                            {
-                                let wall_nanos =
-                                    u64::try_from(resolve_started.elapsed().as_nanos())
-                                        .unwrap_or(u64::MAX);
-                                let rows_out: u64 =
-                                    outputs.iter().map(|(_, d)| d.len() as u64).sum();
-                                // a subgraph with inline-evaluated dirty
-                                // statements still computed something: only
-                                // a fully cache-served one reports Cached
-                                let status = if counts.misses == 0 {
-                                    SubgraphStatus::Cached
-                                } else {
-                                    SubgraphStatus::Computed
-                                };
-                                span.set_attr("cache_hit", counts.misses == 0);
-                                span.set_attr(
-                                    "status",
-                                    if counts.misses == 0 {
-                                        "cached"
-                                    } else {
-                                        "computed"
-                                    },
-                                );
-                                recorder.incr_counter("engine.subgraphs_cached", 1);
-                                recorder.incr_counter("cache.hits", counts.hits);
-                                recorder.incr_counter("cache.delta_hits", counts.delta_hits);
-                                recorder.incr_counter("cache.misses", counts.misses);
-                                if exl_obs::flight::is_armed() {
-                                    let site = join_ids(&wanted);
-                                    for (kind, n) in [
-                                        (exl_obs::flight::FlightKind::CacheHit, counts.hits),
-                                        (
-                                            exl_obs::flight::FlightKind::CacheDelta,
-                                            counts.delta_hits,
-                                        ),
-                                        (exl_obs::flight::FlightKind::CacheMiss, counts.misses),
-                                    ] {
-                                        if n > 0 {
-                                            exl_obs::flight::record(
-                                                kind,
-                                                &site,
-                                                format!("{n} statement(s)"),
-                                            );
-                                        }
-                                    }
-                                }
-                                report.cache.hits += counts.hits;
-                                report.cache.delta_hits += counts.delta_hits;
-                                report.cache.misses += counts.misses;
-                                for (id, data) in outputs {
-                                    staged.insert(id.clone(), data);
-                                    commit_order.push(id.clone());
-                                    report.computed.push(id);
-                                }
-                                let r = self.make_report(
-                                    si,
-                                    &translated,
-                                    status,
-                                    Vec::new(),
-                                    None,
-                                    counts,
-                                    wall_nanos,
-                                    rows_out,
-                                );
-                                obs.subgraphs.push(r.clone());
-                                sub_reports[si] = Some(r);
-                                self.emit_progress(
-                                    &mut done_subgraphs,
-                                    total_subgraphs,
-                                    si,
-                                    &translated,
-                                    status,
-                                );
-                                continue;
-                            }
-                        }
-                        jobs.push((si, prepared, wanted, span));
-                    }
-                    // a missing input is a deterministic failure of this
-                    // subgraph, not of the whole run
-                    Err(e) => {
-                        span.set_attr("status", "failed");
-                        span.add_event(e.to_string());
-                        results.push((si, Err(e), Vec::new(), 0));
-                    }
+                match self.start_subgraph(si, &stage_span, &run, registry, cache, shards) {
+                    Start::Ended(outcome) => run.finish_subgraph(outcome)?,
+                    Start::Dispatch(job) => jobs.push(job),
                 }
             }
-            if self.parallel_dispatch && jobs.len() > 1 {
-                // dispatch workers can't see this thread's ambient
-                // governor: hand each one a per-subgraph child of it
-                let ambient = crate::govern::governor();
-                let ambient = &ambient;
-                let outputs = std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
-                        .into_iter()
-                        .map(|(si, input, wanted, span)| {
-                            let (_, code, _) = &translated[si];
-                            let native = natives[si].as_ref();
-                            let policy = &policy;
-                            scope.spawn(move || {
-                                let _governor = ambient
-                                    .as_ref()
-                                    .map(|g| crate::govern::set_governor(g.child()));
-                                let job_started = std::time::Instant::now();
-                                let (r, attempts) = run_supervised_opts(
-                                    code, native, &input, &wanted, policy, registry, &span, exec,
-                                );
-                                let wall = u64::try_from(job_started.elapsed().as_nanos())
-                                    .unwrap_or(u64::MAX);
-                                finish_subgraph_span(&span, &r, &attempts, &wanted);
-                                (si, r, attempts, wall)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|payload| {
-                                // the supervisor catches backend panics;
-                                // this guards the dispatcher itself
-                                let message = crate::supervise::panic_message(payload);
-                                (
-                                    usize::MAX,
-                                    Err(EngineError::Panic {
-                                        target: "dispatcher".to_string(),
-                                        message,
-                                    }),
-                                    Vec::new(),
-                                    0,
-                                )
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                });
-                results.extend(outputs);
-            } else {
-                for (si, input, wanted, span) in jobs {
-                    let (_, code, _) = &translated[si];
-                    // a per-subgraph child governor scopes injected
-                    // cancels and subgraph deadlines to this subgraph
-                    let _governor =
-                        crate::govern::governor().map(|g| crate::govern::set_governor(g.child()));
-                    let job_started = std::time::Instant::now();
-                    let (r, attempts) = run_supervised_opts(
-                        code,
-                        natives[si].as_ref(),
-                        &input,
-                        &wanted,
-                        &policy,
-                        registry,
-                        &span,
-                        exec,
-                    );
-                    let wall = u64::try_from(job_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    finish_subgraph_span(&span, &r, &attempts, &wanted);
-                    results.push((si, r, attempts, wall));
-                }
-            }
-            // stage the results (dispatch order) — nothing touches the
-            // catalog yet
-            results.sort_by_key(|(si, _, _, _)| *si);
-            for (si, outcome, attempts, wall_nanos) in results {
-                if si == usize::MAX {
-                    // dispatcher-side panic: not attributable to a
-                    // subgraph, always fatal
-                    recorder.incr_counter("engine.rollbacks", 1);
-                    return outcome.map(|_| RunReport::default());
-                }
-                let (sub, _, _) = &translated[si];
-                let wanted = self.targets_of(sub);
-                let staging = outcome.and_then(|ds| {
-                    let mut out = Vec::with_capacity(wanted.len());
-                    for id in &wanted {
-                        let data = ds.data(id).ok_or_else(|| {
-                            EngineError::Execution(format!("target produced no data for {id}"))
-                        })?;
-                        out.push((id.clone(), data.clone()));
-                    }
-                    Ok(out)
-                });
-                match staging {
-                    Ok(items) => {
-                        let mut counts = StmtCacheCounts::default();
-                        if let Some(c) = cache.as_mut() {
-                            let (sub, _, fallback) = &translated[si];
-                            let effective = if *fallback {
-                                TargetKind::Native
-                            } else {
-                                sub.target
-                            };
-                            counts.misses = items.len() as u64;
-                            report.cache.misses += counts.misses;
-                            recorder.incr_counter("cache.misses", counts.misses);
-                            exl_obs::flight::record_with(
-                                exl_obs::flight::FlightKind::CacheMiss,
-                                &join_ids(&wanted),
-                                || format!("{} statement(s) executed in full", counts.misses),
-                            );
-                            // record the results for future runs — but only
-                            // when the effective target actually produced
-                            // them (a runtime-fallback result under another
-                            // target's key would replay the wrong engine)
-                            let executed_effective = attempts
-                                .last()
-                                .map(|a| a.target == effective)
-                                .unwrap_or(false);
-                            if executed_effective {
-                                // same-stage subgraphs never feed each other,
-                                // so re-preparing against the current staging
-                                // area reproduces this subgraph's inputs
-                                if let Ok(prepared) = self.prepare_inputs_staged(sub, &staged) {
-                                    let stmts = self.statements_of(sub);
-                                    c.store_statements(
-                                        &stmts,
-                                        effective,
-                                        &prepared,
-                                        &items,
-                                        &|id| self.catalog.schema(id).cloned(),
-                                    );
-                                }
-                            }
-                        }
-                        let rows_out: u64 = items.iter().map(|(_, d)| d.len() as u64).sum();
-                        for (id, data) in items {
-                            staged.insert(id.clone(), data);
-                            commit_order.push(id.clone());
-                            report.computed.push(id);
-                        }
-                        let r = self.make_report(
-                            si,
-                            &translated,
-                            SubgraphStatus::Computed,
-                            attempts,
-                            None,
-                            counts,
-                            wall_nanos,
-                            rows_out,
-                        );
-                        obs.subgraphs.push(r.clone());
-                        sub_reports[si] = Some(r);
-                        self.emit_progress(
-                            &mut done_subgraphs,
-                            total_subgraphs,
-                            si,
-                            &translated,
-                            SubgraphStatus::Computed,
-                        );
-                    }
-                    Err(e) => {
-                        // a cancelled *run* token (SIGINT, external
-                        // cancel) aborts even under keep_going: no later
-                        // subgraph could execute anyway, so the staged
-                        // results roll back. A subgraph-local cancel or a
-                        // tripped run budget degrades like any failure —
-                        // the report then shows the typed status.
-                        let run_cancelled =
-                            crate::govern::governor().is_some_and(|g| g.token().is_cancelled());
-                        let status = match &e {
-                            EngineError::Cancelled { .. } => SubgraphStatus::Cancelled,
-                            EngineError::BudgetExceeded { .. } => SubgraphStatus::BudgetExceeded,
-                            _ => SubgraphStatus::Failed,
-                        };
-                        let r = self.make_report(
-                            si,
-                            &translated,
-                            status,
-                            attempts,
-                            Some(e.to_string()),
-                            StmtCacheCounts::default(),
-                            wall_nanos,
-                            0,
-                        );
-                        // the failing subgraph's report reaches the crash
-                        // bundle even when the run aborts right here
-                        obs.subgraphs.push(r.clone());
-                        if !policy.keep_going || (e.is_governance() && run_cancelled) {
-                            recorder.incr_counter("engine.rollbacks", 1);
-                            return Err(e);
-                        }
-                        recorder.incr_counter("engine.subgraphs_failed", 1);
-                        poisoned.extend(wanted.iter().cloned());
-                        report.failed.extend(wanted.iter().cloned());
-                        sub_reports[si] = Some(r);
-                        self.emit_progress(
-                            &mut done_subgraphs,
-                            total_subgraphs,
-                            si,
-                            &translated,
-                            status,
-                        );
-                    }
-                }
+            for outcome in self.dispatch(jobs, &planned, registry, cache) {
+                run.finish_subgraph(outcome)?;
             }
         }
+        let RunState {
+            mut report,
+            reports,
+            mut staged,
+            ..
+        } = run;
         // fold the cache store's I/O activity of this run into the report
         if let Some(c) = cache.as_ref() {
             let io = c.stats().since(&cache_io_start);
@@ -1306,91 +1051,185 @@ impl ExlEngine {
         // last checkpoint before the point of no return: a run-level
         // cancel that raced the final stage (a SIGINT during the cache
         // flush, say) must roll back, not commit
-        if let Some(g) = crate::govern::governor() {
-            if let Some(err) = g.token().cancellation() {
-                recorder.incr_counter("engine.rollbacks", 1);
-                return Err(err.into());
-            }
-        }
+        run_checkpoint(recorder)?;
         // the transactional commit: all-or-nothing, in dispatch order
-        let items: Vec<(CubeId, CubeData)> = commit_order
-            .into_iter()
-            .map(|id| {
-                let data = staged.get(&id).cloned().expect("staged all commits");
-                (id, data)
-            })
+        let items: Vec<(CubeId, CubeData)> = report
+            .computed
+            .iter()
+            .map(|id| (id.clone(), staged.remove(id).expect("staged every commit")))
             .collect();
         self.catalog.commit_versions(items)?;
-        report.subgraphs = sub_reports.into_iter().flatten().collect();
+        report.subgraphs = reports.into_iter().flatten().collect();
         Ok(report)
     }
 
-    /// Count a finished subgraph and notify the progress sink, if any.
-    fn emit_progress(
+    /// Start one subgraph. It ends right here when an input is poisoned,
+    /// its inputs cannot be staged, it runs sharded, or the run cache
+    /// serves it; otherwise it becomes a job for supervised dispatch.
+    fn start_subgraph(
         &self,
-        done: &mut usize,
-        total: usize,
         si: usize,
-        translated: &[(Subgraph, TargetCode, bool)],
-        status: SubgraphStatus,
-    ) {
-        *done += 1;
-        if let Some(sink) = &self.progress {
-            let (sub, _, fallback) = &translated[si];
-            sink.emit(&ProgressEvent {
-                done: *done,
-                total,
-                cubes: self.targets_of(sub),
-                target: if *fallback {
-                    TargetKind::Native
-                } else {
-                    sub.target
-                },
-                status,
+        stage_span: &exl_obs::Span,
+        run: &RunState,
+        registry: Option<&Arc<MetricsRegistry>>,
+        cache: &mut Option<RunCache>,
+        shards: usize,
+    ) -> Start {
+        let p = &run.planned[si];
+        let span = stage_span.child("subgraph");
+        span.set_attr("cubes", join_ids(&p.cubes));
+        span.set_attr("target", p.code.target_name());
+        span.set_attr("fallback", p.fallback);
+        if p.inputs.iter().any(|s| run.poisoned.contains(&s.id)) {
+            return Start::Ended(SubgraphOutcome::new(si, span, None));
+        }
+        let input = match self.prepare_inputs_staged(&p.inputs, &run.staged) {
+            Ok(input) => input,
+            // a missing input is a deterministic failure of this
+            // subgraph, not of the whole run
+            Err(e) => return Start::Ended(SubgraphOutcome::new(si, span, Some(Err(e)))),
+        };
+        span.set_attr("rows_in", dataset_rows(&input));
+        let schema_of = |id: &CubeId| self.catalog.schema(id).cloned();
+        let started = Instant::now();
+        // sharded dispatch: a native subgraph whose statements admit a
+        // shard plan runs data-parallel right here, inline — per-shard
+        // cache entries replace the subgraph-level consult below, and the
+        // shard fan-out replaces stage-level parallelism for it
+        let shard_plan = (shards >= 2 && p.target == TargetKind::Native)
+            .then(|| exl_eval::plan_shards(&p.statements, &schema_of))
+            .flatten();
+        if let Some(plan) = shard_plan {
+            span.set_attr("shards", shards as u64);
+            span.set_attr("shard_dim", plan.dim.as_str());
+            let (result, shard) = dispatch_sharded(
+                &p.statements,
+                &plan,
+                shards,
+                &input,
+                &schema_of,
+                &self.policy,
+                registry,
+                &span,
+                cache,
+                self.exec,
+            );
+            return Start::Ended(SubgraphOutcome {
+                cache: shard.counts,
+                attempts: shard.attempts,
+                shards: shard.reports,
+                wall_nanos: nanos_since(started),
+                ..SubgraphOutcome::new(si, span, Some(result))
             });
+        }
+        // consult the run cache: if every statement of the subgraph
+        // resolves (exact content hit, delta patch, or inline evaluation
+        // of a dirty remainder), stage the cached outputs and never spawn
+        let resolved = cache
+            .as_mut()
+            .and_then(|c| c.resolve_statements(&p.statements, p.target, &input, &schema_of));
+        match resolved {
+            Some((items, counts)) => Start::Ended(SubgraphOutcome {
+                cache: counts,
+                wall_nanos: nanos_since(started),
+                ..SubgraphOutcome::new(si, span, Some(Ok(items)))
+            }),
+            None => Start::Dispatch(Job { si, input, span }),
         }
     }
 
-    /// Build one subgraph's report entry. Called exactly once per
-    /// subgraph outcome, so it doubles as the flight recorder's
-    /// subgraph-completion hook.
-    #[allow(clippy::too_many_arguments)]
-    fn make_report(
+    /// Run a stage's jobs under the dispatch supervisor — on separate
+    /// threads with [`ExlEngine::parallel_dispatch`], one after another
+    /// otherwise — and turn each result into its outcome, recording fresh
+    /// results in the run cache.
+    fn dispatch(
         &self,
-        si: usize,
-        translated: &[(Subgraph, TargetCode, bool)],
-        status: SubgraphStatus,
-        attempts: Vec<Attempt>,
-        error: Option<String>,
-        cache: StmtCacheCounts,
-        wall_nanos: u64,
-        rows_out: u64,
-    ) -> SubgraphReport {
-        let (sub, _, fallback) = &translated[si];
-        let target = if *fallback {
-            TargetKind::Native
-        } else {
-            sub.target
+        jobs: Vec<Job>,
+        planned: &[PlannedSubgraph],
+        registry: Option<&Arc<MetricsRegistry>>,
+        cache: &mut Option<RunCache>,
+    ) -> Vec<SubgraphOutcome> {
+        // every job runs under its own child of the dispatching thread's
+        // governor, which scopes injected cancels and subgraph deadlines
+        // to that subgraph (workers cannot see the ambient governor)
+        let ambient = crate::govern::governor();
+        let (policy, exec) = (&self.policy, self.exec);
+        let run = |job: &Job| {
+            let p = &planned[job.si];
+            let _governor = ambient
+                .as_ref()
+                .map(|g| crate::govern::set_governor(g.child()));
+            let started = Instant::now();
+            let (result, attempts) = run_supervised(
+                &p.code,
+                p.native.as_ref(),
+                &job.input,
+                &p.cubes,
+                policy,
+                registry,
+                &job.span,
+                exec,
+            );
+            (result, attempts, nanos_since(started))
         };
-        let cubes = self.targets_of(sub);
-        exl_obs::flight::record_with(exl_obs::flight::FlightKind::Subgraph, target.name(), || {
-            match &error {
-                Some(e) => format!("{}: {} ({e})", join_ids(&cubes), status.name()),
-                None => format!("{}: {}", join_ids(&cubes), status.name()),
-            }
-        });
-        SubgraphReport {
-            target,
-            fallback: *fallback,
-            cubes,
-            status,
-            attempts,
-            error,
-            cache,
-            wall_nanos,
-            rows_out,
-            shards: Vec::new(),
-        }
+        let results: Vec<_> = if self.parallel_dispatch && jobs.len() > 1 {
+            let run = &run;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = jobs
+                    .iter()
+                    .map(|job| scope.spawn(move || run(job)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|payload| {
+                            // the supervisor catches backend panics; this
+                            // guards the dispatcher itself
+                            let message = crate::supervise::panic_message(payload);
+                            let target = "dispatcher".to_string();
+                            (Err(EngineError::Panic { target, message }), Vec::new(), 0)
+                        })
+                    })
+                    .collect()
+            })
+        } else {
+            jobs.iter().map(run).collect()
+        };
+        let schema_of = |id: &CubeId| self.catalog.schema(id).cloned();
+        jobs.into_iter()
+            .zip(results)
+            .map(|(job, (result, attempts, wall_nanos))| {
+                let p = &planned[job.si];
+                let result = result.and_then(|ds| {
+                    p.cubes
+                        .iter()
+                        .map(|id| match ds.data(id) {
+                            Some(data) => Ok((id.clone(), data.clone())),
+                            None => Err(EngineError::Execution(format!(
+                                "target produced no data for {id}"
+                            ))),
+                        })
+                        .collect::<Result<Vec<_>, _>>()
+                });
+                let mut counts = StmtCacheCounts::default();
+                if let (Ok(items), Some(c)) = (&result, cache.as_mut()) {
+                    counts.misses = items.len() as u64;
+                    // record the results for future runs — but only when
+                    // the effective target actually produced them (a
+                    // runtime-fallback result under another target's key
+                    // would replay the wrong engine)
+                    if attempts.last().is_some_and(|a| a.target == p.target) {
+                        c.store_statements(&p.statements, p.target, &job.input, items, &schema_of);
+                    }
+                }
+                SubgraphOutcome {
+                    cache: counts,
+                    attempts,
+                    wall_nanos,
+                    ..SubgraphOutcome::new(job.si, job.span, Some(result))
+                }
+            })
+            .collect()
     }
 
     /// The shard count a run of this engine would use: 1 when sharding
@@ -1406,27 +1245,6 @@ impl ExlEngine {
         }
     }
 
-    /// The statements of a subgraph, in execution order.
-    fn statements_of(&self, sub: &Subgraph) -> Vec<exl_lang::ast::Statement> {
-        sub.statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].clone())
-            .collect()
-    }
-
-    /// Translate a subgraph for the native engine (the runtime fallback
-    /// chain's last resort).
-    fn native_code_for(&self, sub: &Subgraph) -> Result<TargetCode, EngineError> {
-        let statements: Vec<_> = sub
-            .statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].clone())
-            .collect();
-        let inputs = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
-        let analyzed = subprogram(&statements, &inputs)?;
-        translate(&analyzed, TargetKind::Native)
-    }
-
     /// Compiled-plan introspection for every native subgraph a full run
     /// would dispatch: the subgraph's derived cubes paired with the plan
     /// description (fusion regions, CSE reuses, materialization points).
@@ -1439,11 +1257,11 @@ impl ExlEngine {
     ) -> Result<Vec<(Vec<CubeId>, exl_eval::PlanDescription)>, EngineError> {
         let changed: Vec<CubeId> = self.catalog.elementary_ids();
         let mut out = Vec::new();
-        for (sub, code, _) in self.plan_and_translate(&changed)? {
-            if let TargetCode::Native { analyzed } = &code {
+        for p in self.plan_and_translate(&changed)? {
+            if let TargetCode::Native { analyzed } = &p.code {
                 let desc = exl_eval::plan_description(analyzed)
                     .map_err(|e| EngineError::Execution(e.to_string()))?;
-                out.push((self.targets_of(&sub), desc));
+                out.push((p.cubes, desc));
             }
         }
         Ok(out)
@@ -1460,24 +1278,6 @@ impl ExlEngine {
         self.recompute(&changed)
     }
 
-    fn targets_of(&self, sub: &Subgraph) -> Vec<CubeId> {
-        sub.statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].target.clone())
-            .collect()
-    }
-
-    /// Ids of the external cubes a subgraph reads.
-    fn input_ids_of(&self, sub: &Subgraph) -> Result<Vec<CubeId>, EngineError> {
-        let statements: Vec<_> = sub
-            .statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].clone())
-            .collect();
-        let schemas = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
-        Ok(schemas.into_iter().map(|s| s.id).collect())
-    }
-
     /// Snapshot the inputs a subgraph reads (cross-engine data movement:
     /// the dispatcher "can provide them with the data they have to operate
     /// on", §6). Results of earlier subgraphs in the same run come from
@@ -1485,24 +1285,18 @@ impl ExlEngine {
     /// end-of-run commit.
     fn prepare_inputs_staged(
         &self,
-        sub: &Subgraph,
+        inputs: &[CubeSchema],
         staged: &BTreeMap<CubeId, CubeData>,
-    ) -> Result<exl_model::Dataset, EngineError> {
-        let statements: Vec<_> = sub
-            .statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].clone())
-            .collect();
-        let schemas = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
+    ) -> Result<Dataset, EngineError> {
         // the executors treat subgraph inputs as base data
-        let mut fixed = exl_model::Dataset::new();
-        for schema in schemas {
+        let mut fixed = Dataset::new();
+        for schema in inputs {
             let data = staged
                 .get(&schema.id)
                 .or_else(|| self.catalog.current(&schema.id))
                 .ok_or_else(|| EngineError::Catalog(format!("cube {} has no data yet", schema.id)))?
                 .clone();
-            fixed.put(exl_model::Cube::new(schema, data));
+            fixed.put(exl_model::Cube::new(schema.clone(), data));
         }
         Ok(fixed)
     }

@@ -59,21 +59,21 @@ pub use bundle::{BundleEvent, BundleSubgraph, CrashBundle, BUNDLE_VERSION};
 pub use cache::{CacheStats, RunCache, StmtCacheCounts};
 pub use catalog::{Catalog, CubeMeta, CubeVersion};
 pub use determination::{GlobalGraph, Subgraph};
-pub use engine::{ExlEngine, ProgressEvent, ProgressSink, RunReport, SubgraphReport};
+pub use engine::{
+    ExlEngine, PlannedSubgraph, ProgressEvent, ProgressSink, RunReport, SubgraphReport,
+};
 pub use error::EngineError;
 pub use govern::{CancelToken, GovernConfig, GovernError, Governor, RunBudget};
 pub use ledger::{Baseline, LedgerRecord, LedgerStatement, SentinelConfig, LEDGER_VERSION};
 pub use lineage::{LineageReport, LineageStep};
 pub use shard::{dispatch_sharded, ShardOutcome, ShardReport};
 pub use supervise::{
-    run_on_target_supervised, run_on_target_supervised_opts, run_on_target_supervised_traced,
-    run_supervised, run_supervised_opts, run_supervised_traced, Attempt, AttemptOutcome,
-    DispatchPolicy, SubgraphStatus,
+    run_on_target_supervised, run_supervised, Attempt, AttemptOutcome, DispatchPolicy,
+    SubgraphStatus,
 };
 pub use target::{
-    execute, execute_in_context, execute_in_context_opts, execute_recorded, execute_traced,
-    run_on_target, run_on_target_opts, run_on_target_recorded, translate, ExecOpts, TargetCode,
-    TargetKind,
+    execute, execute_in_context, run_on_target, run_on_target_opts, translate, ExecOpts,
+    TargetCode, TargetKind,
 };
 
 #[cfg(test)]

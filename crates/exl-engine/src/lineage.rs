@@ -242,6 +242,30 @@ mod tests {
         assert!(a.inputs.is_empty());
     }
 
+    /// Sharded and cache-served subgraphs carry the same run facts as
+    /// dispatched ones, so their lineage steps show attempts and rows.
+    #[test]
+    fn sharded_and_cached_subgraphs_have_rows_in_lineage() {
+        let mut e = diamond_engine();
+        e.shards = Some(2);
+        e.enable_cache();
+        let tracer = e.enable_tracing();
+        for (run, status, attempts) in [("cold", "computed", Some(2)), ("warm", "cached", Some(0))]
+        {
+            e.run_all().unwrap();
+            let snapshot = tracer.snapshot();
+            let sub = snapshot.spans_named("subgraph").pop().unwrap();
+            assert_eq!(sub.attr_u64("shards"), Some(2), "{run}: not sharded");
+            let report = LineageReport::from_trace(&snapshot, e.graph());
+            let d = report.step(&"D".into()).unwrap();
+            assert_eq!(d.status.as_deref(), Some(status), "{run}");
+            assert_eq!(d.attempts, attempts, "{run}");
+            assert_eq!(d.rows_out, Some(2), "{run}");
+            let text = report.chain_text(&"D".into());
+            assert!(text.contains("rows_out=2"), "{run}: {text}");
+        }
+    }
+
     #[test]
     fn chain_text_walks_to_elementary_leaves_without_repeats() {
         let mut e = diamond_engine();

@@ -42,7 +42,7 @@ use exl_obs::{MetricsRegistry, NoopRecorder, Recorder};
 
 use crate::cache::{RunCache, StmtCacheCounts};
 use crate::error::EngineError;
-use crate::supervise::{run_supervised_opts, Attempt, DispatchPolicy, SubgraphStatus};
+use crate::supervise::{run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
 use crate::target::{input_schemas, subprogram, translate, ExecOpts, TargetKind};
 
 /// Shared no-op recorder for metric-less dispatch.
@@ -261,7 +261,7 @@ fn run_segment_global(
     let restricted = env.restrict(&inputs);
     let span = trace.child("shard-barrier");
     span.set_attr("statements", seg.len() as u64);
-    let (result, attempts) = run_supervised_opts(
+    let (result, attempts) = run_supervised(
         &code,
         None,
         &restricted,
@@ -402,7 +402,7 @@ fn run_segment_local(
                             .as_ref()
                             .map(|g| crate::govern::set_governor(g.child()));
                         let started = Instant::now();
-                        let (r, attempts) = run_supervised_opts(
+                        let (r, attempts) = run_supervised(
                             code,
                             None,
                             &shard_inputs_ref[i],

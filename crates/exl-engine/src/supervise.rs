@@ -33,7 +33,7 @@ use exl_model::Dataset;
 use exl_obs::{MetricsRegistry, NoopRecorder, Recorder};
 
 use crate::error::EngineError;
-use crate::target::{execute_in_context_opts, ExecOpts, TargetCode, TargetKind};
+use crate::target::{execute_in_context, prepare_program, ExecOpts, TargetCode, TargetKind};
 
 /// Shared no-op recorder for metric-less supervision.
 static NOOP: NoopRecorder = NoopRecorder;
@@ -133,56 +133,15 @@ impl SubgraphStatus {
 /// Execute translated code under the full fault boundary: panic
 /// containment, deadline, retry with backoff, and the native fallback
 /// chain. Returns the result together with the per-attempt history.
-pub fn run_supervised(
-    code: &TargetCode,
-    native: Option<&TargetCode>,
-    input: &Dataset,
-    wanted: &[CubeId],
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
-    run_supervised_traced(
-        code,
-        native,
-        input,
-        wanted,
-        policy,
-        metrics,
-        &exl_obs::Span::disabled(),
-    )
-}
-
-/// [`run_supervised`] with hierarchical tracing: every execution attempt
-/// (retries and runtime-fallback attempts included) becomes an `attempt`
-/// child span of `trace`, siblings of each other, carrying `target`,
-/// `attempt` (ordinal) and `status` attributes.
-pub fn run_supervised_traced(
-    code: &TargetCode,
-    native: Option<&TargetCode>,
-    input: &Dataset,
-    wanted: &[CubeId],
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
-    run_supervised_opts(
-        code,
-        native,
-        input,
-        wanted,
-        policy,
-        metrics,
-        trace,
-        ExecOpts::default(),
-    )
-}
-
-/// [`run_supervised_traced`] with explicit [`ExecOpts`]: every attempt
-/// (retries and fallbacks included) executes with the given fusion /
-/// evaluator-thread settings. The sharded dispatcher runs each shard
-/// worker through this form with `eval_threads = Some(1)`.
+///
+/// Every execution attempt (retries and runtime-fallback attempts
+/// included) becomes an `attempt` child span of `trace`, siblings of each
+/// other, carrying `target`, `attempt` (ordinal) and `status` attributes;
+/// pass [`Span::disabled`](exl_obs::Span::disabled) to trace nothing.
+/// Every attempt executes with `opts` (the sharded dispatcher runs each
+/// shard worker with `eval_threads = Some(1)`).
 #[allow(clippy::too_many_arguments)]
-pub fn run_supervised_opts(
+pub fn run_supervised(
     code: &TargetCode,
     native: Option<&TargetCode>,
     input: &Dataset,
@@ -354,7 +313,7 @@ fn execute_guarded(
         };
         let _span = exl_obs::span(recorder, format!("engine.subgraph.{target}"));
         return catch_unwind(AssertUnwindSafe(|| {
-            execute_in_context_opts(code, input, wanted, recorder, &trace.context(), opts)
+            execute_in_context(code, input, wanted, recorder, &trace.context(), opts)
         }))
         .unwrap_or_else(|payload| {
             Err(EngineError::Panic {
@@ -389,7 +348,7 @@ fn execute_guarded(
             };
             let _span = exl_obs::span(recorder, format!("engine.subgraph.{}", code.target_name()));
             let result = catch_unwind(AssertUnwindSafe(|| {
-                execute_in_context_opts(&code, &input, &wanted, recorder, &ctx, opts)
+                execute_in_context(&code, &input, &wanted, recorder, &ctx, opts)
             }))
             .unwrap_or_else(|payload| {
                 Err(EngineError::Panic {
@@ -430,51 +389,10 @@ fn execute_guarded(
 
 /// Run a whole analyzed program on one target under the supervisor —
 /// the supervised counterpart of
-/// [`run_on_target_recorded`](crate::target::run_on_target_recorded),
-/// used by `exlc run` when retry/timeout flags are set.
+/// [`run_on_target_opts`](crate::target::run_on_target_opts), used by
+/// `exlc run` when retry/timeout flags are set. Attempts are traced under
+/// `trace` and executed with `opts`, as in [`run_supervised`].
 pub fn run_on_target_supervised(
-    analyzed: &exl_lang::analyze::AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-) -> Result<(Dataset, Vec<Attempt>), EngineError> {
-    run_on_target_supervised_traced(
-        analyzed,
-        input,
-        target,
-        policy,
-        metrics,
-        &exl_obs::Span::disabled(),
-    )
-}
-
-/// [`run_on_target_supervised`] with every attempt traced under `trace`
-/// (see [`run_supervised_traced`]).
-pub fn run_on_target_supervised_traced(
-    analyzed: &exl_lang::analyze::AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-) -> Result<(Dataset, Vec<Attempt>), EngineError> {
-    run_on_target_supervised_opts(
-        analyzed,
-        input,
-        target,
-        policy,
-        metrics,
-        trace,
-        ExecOpts::default(),
-    )
-}
-
-/// [`run_on_target_supervised_traced`] with explicit [`ExecOpts`] — how
-/// `exlc` threads its env-derived defaults (`EXL_NO_FUSION`) into a
-/// supervised whole-program run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_on_target_supervised_opts(
     analyzed: &exl_lang::analyze::AnalyzedProgram,
     input: &Dataset,
     target: TargetKind,
@@ -487,26 +405,13 @@ pub fn run_on_target_supervised_opts(
         Some(m) => m.as_ref(),
         None => &NOOP,
     };
-    let code = {
-        let _span = exl_obs::span(recorder, "engine.translate");
-        crate::target::translate(analyzed, target)?
-    };
+    let (code, wanted, restricted) = prepare_program(analyzed, input, target, recorder)?;
     let native = if policy.runtime_fallback && target != TargetKind::Native {
         Some(crate::target::translate(analyzed, TargetKind::Native)?)
     } else {
         None
     };
-    let wanted = analyzed.program.derived_ids();
-    let inputs: Vec<CubeId> = analyzed.elementary_inputs();
-    let restricted = input.restrict(&inputs);
-    for id in &inputs {
-        if !restricted.contains(id) {
-            return Err(EngineError::Execution(format!(
-                "elementary cube {id} is missing from the input dataset"
-            )));
-        }
-    }
-    let (result, attempts) = run_supervised_opts(
+    let (result, attempts) = run_supervised(
         &code,
         native.as_ref(),
         &restricted,
@@ -543,10 +448,24 @@ mod tests {
         (code, input.restrict(&analyzed.elementary_inputs()), wanted)
     }
 
+    /// [`run_supervised`] untraced, with default execution options.
+    fn supervise(
+        code: &TargetCode,
+        native: Option<&TargetCode>,
+        input: &Dataset,
+        wanted: &[CubeId],
+        policy: &DispatchPolicy,
+        metrics: Option<&Arc<MetricsRegistry>>,
+    ) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
+        let trace = exl_obs::Span::disabled();
+        let opts = ExecOpts::default();
+        run_supervised(code, native, input, wanted, policy, metrics, &trace, opts)
+    }
+
     #[test]
     fn clean_run_is_one_successful_attempt() {
         let (code, input, wanted) = native_setup();
-        let (result, attempts) = run_supervised(
+        let (result, attempts) = supervise(
             &code,
             None,
             &input,
@@ -602,7 +521,7 @@ mod tests {
             subgraph_timeout: Some(Duration::from_millis(20)),
             ..DispatchPolicy::default()
         };
-        let (result, attempts) = run_supervised(&code, None, &input, &wanted, &policy, None);
+        let (result, attempts) = supervise(&code, None, &input, &wanted, &policy, None);
         assert!(
             matches!(result, Err(EngineError::Timeout { .. })),
             "{result:?}"
@@ -625,7 +544,7 @@ mod tests {
         let before = live_threads();
         for _ in 0..8 {
             let _guard = exl_fault::install(exl_fault::FaultPlan::delay_once("exec.native", 500));
-            let (result, _) = run_supervised(&code, None, &input, &wanted, &policy, None);
+            let (result, _) = supervise(&code, None, &input, &wanted, &policy, None);
             assert!(
                 matches!(result, Err(EngineError::Timeout { .. })),
                 "{result:?}"
@@ -650,8 +569,7 @@ mod tests {
             ..DispatchPolicy::default()
         };
         let registry = Arc::new(MetricsRegistry::new());
-        let (result, attempts) =
-            run_supervised(&code, None, &input, &wanted, &policy, Some(&registry));
+        let (result, attempts) = supervise(&code, None, &input, &wanted, &policy, Some(&registry));
         assert!(result.is_ok(), "{result:?}");
         assert_eq!(attempts.len(), 2);
         assert!(matches!(attempts[0].outcome, AttemptOutcome::Panicked(_)));
@@ -675,7 +593,7 @@ mod tests {
         };
         let registry = Arc::new(MetricsRegistry::new());
         let input = input.restrict(&analyzed.elementary_inputs());
-        let (result, attempts) = run_supervised(
+        let (result, attempts) = supervise(
             &sql,
             Some(&native),
             &input,
@@ -704,8 +622,7 @@ mod tests {
             ..DispatchPolicy::default()
         };
         let registry = Arc::new(MetricsRegistry::new());
-        let (result, attempts) =
-            run_supervised(&code, None, &input, &wanted, &policy, Some(&registry));
+        let (result, attempts) = supervise(&code, None, &input, &wanted, &policy, Some(&registry));
         // native restrict() just yields an empty dataset for unknown ids,
         // so this run can succeed; the property under test is only that
         // retryable classification drives the attempt count

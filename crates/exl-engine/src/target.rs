@@ -295,53 +295,26 @@ pub fn execute(
     input: &Dataset,
     wanted: &[CubeId],
 ) -> Result<Dataset, EngineError> {
-    execute_recorded(code, input, wanted, &exl_obs::NoopRecorder)
+    execute_in_context(
+        code,
+        input,
+        wanted,
+        &exl_obs::NoopRecorder,
+        &exl_obs::Span::disabled().context(),
+        ExecOpts::default(),
+    )
 }
 
-/// [`execute`] with per-backend timing: the whole call runs under the
-/// `target.execute.<name>` span, and the chase / parallel-ETL backends
-/// additionally emit their own counters to `recorder`.
-pub fn execute_recorded(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<Dataset, EngineError> {
-    execute_traced(code, input, wanted, recorder, &exl_obs::Span::disabled())
-}
-
-/// [`execute_recorded`] with hierarchical tracing: the whole backend call
-/// runs under an `execute.<target>` child span of `trace`, and each
-/// backend records its internal steps as grandchildren (`chase.tgd`,
-/// `sql.stmt`, `rmini.stmt`, `matmini.stmt`, `etl.flow`, …).
-pub fn execute_traced(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    trace: &exl_obs::Span,
-) -> Result<Dataset, EngineError> {
-    execute_in_context(code, input, wanted, recorder, &trace.context())
-}
-
-/// [`execute_traced`] parented via a [`SpanContext`](exl_obs::SpanContext)
-/// instead of a live [`Span`](exl_obs::Span) handle — the form the
-/// supervisor uses to keep the span tree connected across its worker
-/// threads.
+/// [`execute`] instrumented and parameterized: the whole call runs under
+/// the `target.execute.<name>` metrics span and an `execute.<target>`
+/// child span of `ctx` (a [`SpanContext`](exl_obs::SpanContext), so the
+/// supervisor keeps the span tree connected across its worker threads);
+/// each backend records its internal steps as grandchildren
+/// (`chase.tgd`, `sql.stmt`, `rmini.stmt`, `matmini.stmt`, `etl.flow`, …)
+/// and the chase / parallel-ETL backends emit their own counters to
+/// `recorder`. `opts` controls fusion and evaluator parallelism per run
+/// instead of via process-global environment state.
 pub fn execute_in_context(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    ctx: &exl_obs::SpanContext,
-) -> Result<Dataset, EngineError> {
-    execute_in_context_opts(code, input, wanted, recorder, ctx, ExecOpts::default())
-}
-
-/// [`execute_in_context`] with explicit [`ExecOpts`] — the form the
-/// engine and the sharded dispatcher use to control fusion and evaluator
-/// parallelism per run instead of via process-global environment state.
-pub fn execute_in_context_opts(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
@@ -570,23 +543,19 @@ pub fn run_on_target(
     input: &Dataset,
     target: TargetKind,
 ) -> Result<Dataset, EngineError> {
-    run_on_target_recorded(analyzed, input, target, &exl_obs::NoopRecorder)
+    run_on_target_opts(
+        analyzed,
+        input,
+        target,
+        &exl_obs::NoopRecorder,
+        ExecOpts::default(),
+    )
 }
 
-/// [`run_on_target`] with translation timed under `engine.translate` and
-/// execution instrumented via [`execute_recorded`].
-pub fn run_on_target_recorded(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<Dataset, EngineError> {
-    run_on_target_opts(analyzed, input, target, recorder, ExecOpts::default())
-}
-
-/// [`run_on_target_recorded`] with explicit [`ExecOpts`] — used by `exlc`
-/// to apply its CLI-level fusion/thread defaults without mutating
-/// process-global environment state.
+/// [`run_on_target`] with translation timed under `engine.translate`,
+/// execution instrumented via [`execute_in_context`], and explicit
+/// [`ExecOpts`] — used by `exlc` to apply its CLI-level fusion/thread
+/// defaults without mutating process-global environment state.
 pub fn run_on_target_opts(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
@@ -594,22 +563,8 @@ pub fn run_on_target_opts(
     recorder: &dyn exl_obs::Recorder,
     opts: ExecOpts,
 ) -> Result<Dataset, EngineError> {
-    let code = {
-        let _span = exl_obs::span(recorder, "engine.translate");
-        translate(analyzed, target)?
-    };
-    let wanted = analyzed.program.derived_ids();
-    // the executors read only the cubes the program needs
-    let inputs: Vec<CubeId> = analyzed.elementary_inputs();
-    let restricted = input.restrict(&inputs);
-    for id in &inputs {
-        if !restricted.contains(id) {
-            return Err(EngineError::Execution(format!(
-                "elementary cube {id} is missing from the input dataset"
-            )));
-        }
-    }
-    execute_in_context_opts(
+    let (code, wanted, restricted) = prepare_program(analyzed, input, target, recorder)?;
+    execute_in_context(
         &code,
         &restricted,
         &wanted,
@@ -617,6 +572,31 @@ pub fn run_on_target_opts(
         &exl_obs::Span::disabled().context(),
         opts,
     )
+}
+
+/// The shared prologue of a whole-program run: translate for `target`
+/// (timed under `engine.translate`) and narrow `input` to the elementary
+/// cubes the program reads, failing when one is missing. Returns the
+/// code, the derived cubes to extract, and the narrowed input.
+pub(crate) fn prepare_program(
+    analyzed: &AnalyzedProgram,
+    input: &Dataset,
+    target: TargetKind,
+    recorder: &dyn exl_obs::Recorder,
+) -> Result<(TargetCode, Vec<CubeId>, Dataset), EngineError> {
+    let code = {
+        let _span = exl_obs::span(recorder, "engine.translate");
+        translate(analyzed, target)?
+    };
+    // the executors read only the cubes the program needs
+    let inputs: Vec<CubeId> = analyzed.elementary_inputs();
+    let restricted = input.restrict(&inputs);
+    if let Some(id) = inputs.iter().find(|id| !restricted.contains(id)) {
+        return Err(EngineError::Execution(format!(
+            "elementary cube {id} is missing from the input dataset"
+        )));
+    }
+    Ok((code, analyzed.program.derived_ids(), restricted))
 }
 
 /// Schemas for a statement subset's *external inputs*: every cube the

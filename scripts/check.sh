@@ -15,6 +15,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier-1 =="
 cargo build --release && cargo test -q
 
+echo "== benchmark package =="
+# the benchmark is its own workspace calling the engine API directly:
+# its smoke and stats tests catch engine changes that break it
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== crash bundles, repeated =="
 # the crash-bundle tests share the process-global flight ring; ten green
 # runs in a row guard the install-before-arm ordering that keeps them
@@ -82,6 +87,31 @@ progress = [l for l in open(sys.argv[2])
             if "computed" in l or "failed" in l or "skipped" in l]
 assert len(subs) >= len(progress) >= 1, (len(subs), len(progress))
 print(f"trace ok: {len(subs)} subgraph span(s), {len(progress)} progress line(s)")
+PY
+# the same program sharded with a run cache, cold then warm: every
+# outcome path (sharded, cache-served) stamps the same subgraph
+# attributes, and the warm re-run is served entirely from the cache
+for run in cold warm; do
+    cargo run -q --release -p exl-engine --bin exlc -- \
+        --trace "$tmp/trace-$run.json" --shards 2 --cache-dir "$tmp/cache" \
+        run "$tmp/prog.exl" "$tmp/data.json" > "$tmp/out-$run.json" 2> /dev/null
+done
+cmp "$tmp/out.json" "$tmp/out-warm.json" || {
+    echo "sharded warm output diverged from the traced run"; exit 1; }
+python3 - "$tmp/trace-cold.json" "$tmp/trace-warm.json" <<'PY'
+import json, sys
+vocabulary = {"computed", "cached", "failed", "skipped", "cancelled", "budget-exceeded"}
+for path, want in zip(sys.argv[1:], ("computed", "cached")):
+    subs = [e for e in json.load(open(path))["traceEvents"] if e["name"] == "subgraph"]
+    assert subs, f"{path}: no subgraph spans"
+    for s in subs:
+        args = s["args"]
+        assert args.get("status") in vocabulary, f"{path}: bad status {args}"
+        assert "rows_out" in args and "attempts" in args, f"{path}: {args}"
+    assert any("shards" in s["args"] for s in subs), f"{path}: nothing sharded"
+    statuses = {s["args"]["status"] for s in subs}
+    assert statuses == {want}, f"{path}: {statuses}, expected {want}"
+print("sharded cache trace ok: cold computed, warm cached, rows_out on every span")
 PY
 
 echo "== observability =="

@@ -1104,3 +1104,41 @@ fn keep_going_contains_shard_failure_to_its_subgraph() {
         "report error does not name the failing shard: {msg}"
     );
 }
+
+/// A sharded subgraph stopped by a shard-local cancel or a tripped
+/// budget degrades under `keep_going` with the typed status — and its
+/// trace span names the same status as its report, not a bare `failed`.
+#[test]
+fn sharded_governance_stops_carry_typed_span_status() {
+    for (label, want) in [
+        ("cancel", SubgraphStatus::Cancelled),
+        ("budget", SubgraphStatus::BudgetExceeded),
+    ] {
+        let mut e = wide_sharded_engine(4);
+        e.policy.keep_going = true;
+        let tracer = e.enable_tracing();
+        let plan = if label == "cancel" {
+            FaultPlan::cancel_once("exec.native")
+        } else {
+            e.govern.max_memory_bytes = Some(1);
+            FaultPlan::new()
+        };
+        let _guard = exl_fault::install(plan);
+        let report = e.run_all().unwrap();
+        assert_eq!(report.subgraphs.len(), 1, "{label}");
+        assert_eq!(report.subgraphs[0].status, want, "{label}");
+        assert!(
+            !report.subgraphs[0].shards.is_empty(),
+            "{label}: not sharded"
+        );
+        let snapshot = tracer.snapshot();
+        let spans = snapshot.spans_named("subgraph");
+        assert_eq!(spans.len(), 1, "{label}");
+        assert_eq!(spans[0].attr_str("status"), Some(want.name()), "{label}");
+        assert_eq!(
+            spans[0].attr_u64("attempts"),
+            Some(report.subgraphs[0].attempts.len() as u64),
+            "{label}"
+        );
+    }
+}

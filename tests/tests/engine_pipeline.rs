@@ -95,9 +95,8 @@ fn f2_translation_is_offline() {
         .plan_and_translate(&["PDR".into(), "RGDPPC".into()])
         .unwrap();
     assert_eq!(translated.len(), 1); // one subgraph, default target
-    let (_, code, fallback) = &translated[0];
-    assert!(!fallback);
-    assert!(!code.listing().is_empty());
+    assert!(!translated[0].fallback);
+    assert!(!translated[0].code.listing().is_empty());
 }
 
 #[test]
