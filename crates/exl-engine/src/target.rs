@@ -446,16 +446,13 @@ fn execute_traced_inner(
             statements,
             schemas,
         } => {
+            // staged inputs go in as typed rows, in storage order
             let mut engine = exl_sqlengine::Engine::new();
             for (_, cube) in input.iter() {
                 engine
-                    .execute_script(&exl_sqlgen::create_table_sql(&cube.schema))
-                    .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
-                for stmt in exl_sqlgen::insert_data_sql(cube, 256) {
-                    engine
-                        .execute_script(&stmt)
-                        .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
-                }
+                    .db
+                    .create_table(exl_sqlengine::Table::from_cube(cube))
+                    .map_err(|e| EngineError::Execution(e.to_string()))?;
             }
             for stmt in statements {
                 engine.execute_traced(stmt, trace).map_err(|e| {

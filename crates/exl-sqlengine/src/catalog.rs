@@ -81,6 +81,11 @@ impl Table {
 
     /// Build a table holding a cube: one column per dimension plus the
     /// measure (DOUBLE) last — the paper's `(n+1)-tuple` representation.
+    ///
+    /// Rows follow the cube's storage order ([`CubeData::iter`]), the
+    /// order `exl_sqlgen::insert_data_sql` writes them in. So the table is
+    /// row for row what loading that SQL text gives, and aggregates over
+    /// it fold in the same order.
     pub fn from_cube(cube: &Cube) -> Table {
         let mut columns: Vec<Column> = cube
             .schema
@@ -96,7 +101,8 @@ impl Table {
             ty: SqlType::Double,
         });
         let mut t = Table::new(cube.schema.id.to_string(), columns);
-        for (k, v) in cube.data.iter_sorted() {
+        t.rows.reserve(cube.data.len());
+        for (k, v) in cube.data.iter() {
             let mut row: Vec<SqlValue> = k.iter().map(SqlValue::from_dim).collect();
             row.push(SqlValue::Double(v));
             t.rows.push(row);

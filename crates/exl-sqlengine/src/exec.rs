@@ -1,16 +1,50 @@
 //! Query execution: joins, filters, grouping, projection, ordering.
+//!
+//! [`Engine::run_select`] compiles a SELECT once, then runs it:
+//!
+//! 1. **Compile.** Base tables in FROM are borrowed; views and tabular
+//!    functions are materialized. Their columns, concatenated, form the
+//!    joined schema. The WHERE conjunction is split into equi-join keys
+//!    for each join step and residual filters. Every column reference in
+//!    keys, filters, select items and GROUP BY resolves to a
+//!    `(source, column)` slot. Unknown or ambiguous columns fail here,
+//!    before any row is read.
+//! 2. **Run.** A row of the joined relation is a tuple of base-row ids,
+//!    one per source. Expressions read values from the tables in place;
+//!    only the result rows are copied out. Hash joins and GROUP BY hash
+//!    typed `Key`s whose equality is exactly SQL `=`.
+//!
+//! Output order is fixed, so results are bit-identical run to run when
+//! the inputs are loaded in the same order:
+//! - a join emits left rows in order, each followed by its matches in
+//!   right-row order;
+//! - groups come out in first-seen order;
+//! - aggregates fold their values in row order.
+//!
+//! Still row at a time: each compiled expression is a tree walked once
+//! per row, and every result row is an owned `Vec<SqlValue>`.
+//!
+//! Long row loops pass a governance checkpoint every
+//! `CHECKPOINT_ROWS` rows, and `INSERT … SELECT` charges the rows it
+//! inserts against the run budget.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
-use exl_model::time::Frequency;
+use exl_model::time::{Frequency, TimePoint};
+use exl_model::FxHashMap;
 use exl_stats::descriptive::AggFn;
 
 use crate::catalog::{Column, Database, Table};
 use crate::error::SqlError;
-use crate::parser::{parse_script, FromItem, Select, SqlExpr, SqlStmt};
+use crate::parser::{parse_script, FromItem, Select, SqlExpr, SqlStmt, TableFnArg};
 use crate::tablefn;
 use crate::value::{SqlType, SqlValue};
+
+/// Rows between two governance checkpoints inside one statement's row
+/// loops: a cancel or an exhausted budget stops a long join or GROUP BY
+/// without waiting for the next statement.
+const CHECKPOINT_ROWS: usize = 4096;
 
 /// The SQL engine: a database plus the statement dispatcher.
 #[derive(Debug, Clone, Default)]
@@ -97,6 +131,7 @@ impl Engine {
                 rows,
             } => {
                 let reorder = self.insert_column_map(&table, &columns)?;
+                let target = self.db.table_mut(&table).expect("checked above");
                 for row in rows {
                     if row.len() != columns.len() {
                         return Err(SqlError::Execution(format!(
@@ -105,11 +140,7 @@ impl Engine {
                             row.len()
                         )));
                     }
-                    let full = apply_column_map(&reorder, row);
-                    self.db
-                        .table_mut(&table)
-                        .expect("checked above")
-                        .push_row(full)?;
+                    target.push_row(apply_column_map(&reorder, row))?;
                 }
                 Ok(None)
             }
@@ -127,18 +158,24 @@ impl Engine {
                         result.columns.len()
                     )));
                 }
+                let target = self.db.table_mut(&table).expect("checked above");
+                let mut inserted = 0u64;
                 for row in result.rows {
                     // dropped-tuple semantics: a NULL anywhere means the
                     // operator was undefined on this point
                     if row.iter().any(|v| v.is_null()) {
                         continue;
                     }
-                    let full = apply_column_map(&reorder, row);
-                    self.db
-                        .table_mut(&table)
-                        .expect("checked above")
-                        .push_row(full)?;
+                    target.push_row(apply_column_map(&reorder, row))?;
+                    inserted += 1;
                 }
+                // the inserted rows are this statement's materialized
+                // output: the next checkpoint sees them against the budget
+                let dims = target.columns.len().saturating_sub(1) as u64;
+                exl_fault::govern::charge(
+                    inserted,
+                    exl_fault::govern::approx_cube_bytes(inserted, dims),
+                );
                 Ok(None)
             }
             SqlStmt::Select(select) => Ok(Some(self.run_select(&select)?)),
@@ -168,115 +205,98 @@ impl Engine {
 
     /// Run a SELECT, producing a result table.
     pub fn run_select(&self, select: &Select) -> Result<Table, SqlError> {
-        // 1. materialize sources
-        let mut sources = Vec::with_capacity(select.from.len());
+        // 1. sources and the joined schema
+        let mut tables = Vec::with_capacity(select.from.len());
+        let mut schema = Vec::new();
+        let mut starts = Vec::with_capacity(select.from.len() + 1);
         for item in &select.from {
-            sources.push(self.materialize(item)?);
+            let (table, qualifier) = self.source(item)?;
+            let src = tables.len();
+            starts.push(schema.len());
+            schema.extend(table.columns.iter().enumerate().map(|(col, c)| QualCol {
+                qualifier: qualifier.to_string(),
+                name: c.name.clone(),
+                src,
+                col,
+            }));
+            tables.push(table);
         }
-        if sources.is_empty() {
+        if tables.is_empty() {
             return Err(SqlError::Execution("SELECT needs a FROM clause".into()));
         }
+        starts.push(schema.len());
 
-        // 2. flatten the WHERE conjunction
+        // 2. compile: equi-join keys per join step (left to right), then
+        // the residual filters, select items and GROUP BY against the
+        // joined schema
         let mut conjuncts = Vec::new();
         if let Some(w) = &select.where_ {
             flatten_and(w, &mut conjuncts);
         }
-
-        // 3. join sources left to right, consuming equi-join conjuncts
-        let mut acc = sources.remove(0);
-        for src in sources {
-            acc = join(acc, src, &mut conjuncts)?;
-        }
-
-        // 4. validate every column reference against the joined schema —
-        // even when there are no rows to evaluate on
-        for c in &conjuncts {
-            validate_expr(c, &acc.schema)?;
-        }
-        for item in &select.items {
-            validate_expr(&item.expr, &acc.schema)?;
-        }
-        for g in &select.group_by {
-            validate_expr(g, &acc.schema)?;
-        }
-
-        // residual filter
-        let rows: Vec<Vec<SqlValue>> = acc
-            .rows
-            .iter()
-            .filter(|row| {
-                conjuncts
-                    .iter()
-                    .all(|c| truthy(&eval(c, &acc.schema, row).unwrap_or(SqlValue::Null)))
+        let joins = (1..tables.len())
+            .map(|k| {
+                JoinKeys::plan(
+                    &schema[..starts[k]],
+                    &schema[starts[k]..starts[k + 1]],
+                    &mut conjuncts,
+                )
             })
-            .cloned()
-            .collect();
-        // surface resolution errors hidden by the filter closure
-        if let Some(row) = acc.rows.first() {
-            for c in &conjuncts {
-                eval(c, &acc.schema, row)?;
-            }
+            .collect::<Result<Vec<_>, _>>()?;
+        let filters = conjuncts
+            .iter()
+            .map(|c| compile(c, &schema))
+            .collect::<Result<Vec<_>, _>>()?;
+        let output = Output::compile(select, &schema)?;
+
+        // 3. run
+        let mut rows = Rows::scan(tables[0].len());
+        for (k, keys) in joins.iter().enumerate() {
+            rows = keys.join(&tables, &rows, k + 1)?;
         }
-        let acc = Relation {
-            schema: acc.schema,
-            rows,
-        };
-
-        // 5. group / project
-        let needs_group =
-            !select.group_by.is_empty() || select.items.iter().any(|i| i.expr.has_aggregate());
-        let mut out = if needs_group {
-            group_and_project(&acc, select)?
-        } else {
-            project(&acc, select)?
-        };
-
-        // 6. order
+        filter(&tables, &mut rows, &filters)?;
+        let mut out = Table::new("result", result_columns(select));
+        out.rows = output.run(&tables, &rows)?;
         if !select.order_by.is_empty() {
             order_rows(&mut out, &select.order_by)?;
         }
         Ok(out)
     }
 
-    fn materialize(&self, item: &FromItem) -> Result<Relation, SqlError> {
+    /// One FROM item and the qualifier its columns answer to.
+    fn source<'e, 's>(&'e self, item: &'s FromItem) -> Result<(Cow<'e, Table>, &'s str), SqlError> {
         match item {
             FromItem::Table { name, alias } => {
-                let t = self.resolve_table(name)?;
-                Ok(Relation::from_table(
-                    &t,
-                    alias.clone().unwrap_or_else(|| name.clone()),
-                ))
+                Ok((self.resolve_table(name)?, alias.as_deref().unwrap_or(name)))
             }
             FromItem::TableFn { func, args, alias } => {
                 // table arguments may themselves be views: resolve them
                 // into a scratch database first
                 let mut scratch = Database::new();
                 for a in args {
-                    if let crate::parser::TableFnArg::Table(t) = a {
-                        scratch.put_table(self.resolve_table(t)?);
+                    if let TableFnArg::Table(t) = a {
+                        scratch.put_table(self.resolve_table(t)?.into_owned());
                     }
                 }
                 let t = tablefn::apply(&scratch, func, args)?;
-                let q = alias.clone().unwrap_or_else(|| func.clone());
-                Ok(Relation::from_table(&t, q))
+                Ok((Cow::Owned(t), alias.as_deref().unwrap_or(func)))
             }
         }
     }
 
-    /// A named table, or a view materialized by running its defining query
-    /// (recursively, for views over views). Column types of materialized
-    /// views are inferred from their values so downstream consumers
-    /// (tabular functions, cube extraction) see temporal columns.
-    pub fn resolve_table(&self, name: &str) -> Result<Table, SqlError> {
+    /// A named table (borrowed), or a view materialized by running its
+    /// defining query (recursively, for views over views). Column types
+    /// of materialized views are inferred from their values so downstream
+    /// consumers (tabular functions, cube extraction) see temporal
+    /// columns.
+    pub fn resolve_table(&self, name: &str) -> Result<Cow<'_, Table>, SqlError> {
         if let Some(t) = self.db.table(name) {
-            return Ok(t.clone());
+            return Ok(Cow::Borrowed(t));
         }
         if let Some(view) = self.db.view(name) {
-            let mut t = self.run_select(&view.clone())?;
+            let mut t = self.run_select(view)?;
             t.name = name.to_string();
             infer_column_types(&mut t);
-            return Ok(t);
+            return Ok(Cow::Owned(t));
         }
         Err(SqlError::Execution(format!("unknown table or view {name}")))
     }
@@ -336,62 +356,50 @@ fn stmt_table(stmt: &SqlStmt) -> Option<&str> {
     }
 }
 
-fn apply_column_map(map: &[Option<usize>], row: Vec<SqlValue>) -> Vec<SqlValue> {
+/// Reorder a value row into table column order (each value is used at
+/// most once, so it is moved, not cloned).
+fn apply_column_map(map: &[Option<usize>], mut row: Vec<SqlValue>) -> Vec<SqlValue> {
     map.iter()
         .map(|slot| match slot {
-            Some(vi) => row[*vi].clone(),
+            Some(vi) => std::mem::replace(&mut row[*vi], SqlValue::Null),
             None => SqlValue::Null,
         })
         .collect()
 }
 
-/// An intermediate relation: qualified column schema plus rows.
-struct Relation {
-    schema: Vec<QualCol>,
-    rows: Vec<Vec<SqlValue>>,
+/// Pass a governance checkpoint on every [`CHECKPOINT_ROWS`]-th row.
+fn checkpoint_every(i: usize) -> Result<(), SqlError> {
+    if i.is_multiple_of(CHECKPOINT_ROWS) {
+        exl_fault::govern::checkpoint()?;
+    }
+    Ok(())
 }
 
+/// A column of the joined schema: the names a reference resolves by and
+/// the slot its values live in.
 #[derive(Debug, Clone)]
 struct QualCol {
     qualifier: String,
     name: String,
-    #[allow(dead_code)]
-    ty: SqlType,
-}
-
-impl Relation {
-    fn from_table(t: &Table, qualifier: String) -> Relation {
-        Relation {
-            schema: t
-                .columns
-                .iter()
-                .map(|c| QualCol {
-                    qualifier: qualifier.clone(),
-                    name: c.name.clone(),
-                    ty: c.ty,
-                })
-                .collect(),
-            rows: t.rows.clone(),
-        }
-    }
+    /// Index of the FROM source.
+    src: usize,
+    /// Column index within that source's table.
+    col: usize,
 }
 
 /// Resolve a column reference against a qualified schema.
-fn resolve(schema: &[QualCol], qualifier: Option<&str>, name: &str) -> Result<usize, SqlError> {
-    let matches: Vec<usize> = schema
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            c.name.eq_ignore_ascii_case(name)
-                && qualifier
-                    .map(|q| c.qualifier.eq_ignore_ascii_case(q))
-                    .unwrap_or(true)
-        })
-        .map(|(i, _)| i)
-        .collect();
-    match matches.as_slice() {
-        [one] => Ok(*one),
-        [] => Err(SqlError::Execution(format!(
+fn resolve<'s>(
+    schema: &'s [QualCol],
+    qualifier: Option<&str>,
+    name: &str,
+) -> Result<&'s QualCol, SqlError> {
+    let mut hits = schema.iter().filter(|c| {
+        c.name.eq_ignore_ascii_case(name)
+            && qualifier.is_none_or(|q| c.qualifier.eq_ignore_ascii_case(q))
+    });
+    match (hits.next(), hits.next()) {
+        (Some(c), None) => Ok(c),
+        (None, _) => Err(SqlError::Execution(format!(
             "unknown column {}{name}",
             qualifier.map(|q| format!("{q}.")).unwrap_or_default()
         ))),
@@ -399,48 +407,159 @@ fn resolve(schema: &[QualCol], qualifier: Option<&str>, name: &str) -> Result<us
     }
 }
 
-/// Evaluate a scalar expression on one row.
-fn eval(expr: &SqlExpr, schema: &[QualCol], row: &[SqlValue]) -> Result<SqlValue, SqlError> {
+/// True when every column reference in the expression resolves against the
+/// schema.
+fn expr_resolves(expr: &SqlExpr, schema: &[QualCol]) -> bool {
     match expr {
-        SqlExpr::Literal(v) => Ok(v.clone()),
-        SqlExpr::Column { qualifier, name } => {
-            let i = resolve(schema, qualifier.as_deref(), name)?;
-            Ok(row[i].clone())
-        }
-        SqlExpr::Binary { op, l, r } => {
-            let a = eval(l, schema, row)?;
-            let b = eval(r, schema, row)?;
-            eval_binary(op, a, b)
-        }
-        SqlExpr::Func { name, args } => {
-            let vals: Vec<SqlValue> = args
-                .iter()
-                .map(|a| eval(a, schema, row))
-                .collect::<Result<_, _>>()?;
-            eval_func(name, &vals)
-        }
-        SqlExpr::Agg { .. } => Err(SqlError::Execution(
-            "aggregate used outside GROUP BY context".into(),
-        )),
+        SqlExpr::Column { qualifier, name } => resolve(schema, qualifier.as_deref(), name).is_ok(),
+        SqlExpr::Literal(_) => true,
+        SqlExpr::Binary { l, r, .. } => expr_resolves(l, schema) && expr_resolves(r, schema),
+        SqlExpr::Func { args, .. } => args.iter().all(|a| expr_resolves(a, schema)),
+        SqlExpr::Agg { arg, .. } => expr_resolves(arg, schema),
     }
 }
 
-fn eval_binary(op: &str, a: SqlValue, b: SqlValue) -> Result<SqlValue, SqlError> {
+/// A scalar expression compiled against a schema: column references are
+/// `(source, column)` slots.
+#[derive(Debug)]
+enum Expr {
+    Col { src: usize, col: usize },
+    Lit(SqlValue),
+    Binary(&'static str, Box<Expr>, Box<Expr>),
+    Func(String, Vec<Expr>),
+    Agg(AggFn, Box<Expr>),
+}
+
+/// Compile an expression, resolving every column reference.
+fn compile(expr: &SqlExpr, schema: &[QualCol]) -> Result<Expr, SqlError> {
+    Ok(match expr {
+        SqlExpr::Column { qualifier, name } => {
+            let c = resolve(schema, qualifier.as_deref(), name)?;
+            Expr::Col {
+                src: c.src,
+                col: c.col,
+            }
+        }
+        SqlExpr::Literal(v) => Expr::Lit(v.clone()),
+        SqlExpr::Binary { op, l, r } => Expr::Binary(
+            op,
+            Box::new(compile(l, schema)?),
+            Box::new(compile(r, schema)?),
+        ),
+        SqlExpr::Func { name, args } => Expr::Func(
+            name.clone(),
+            args.iter()
+                .map(|a| compile(a, schema))
+                .collect::<Result<_, _>>()?,
+        ),
+        SqlExpr::Agg { func, arg } => Expr::Agg(*func, Box::new(compile(arg, schema)?)),
+    })
+}
+
+/// One row of a (joined) relation: the tables plus one base-row id per
+/// source. Values borrow from the tables (`'t`), not from the ids.
+#[derive(Clone, Copy)]
+struct Row<'t, 'i> {
+    tables: &'t [Cow<'t, Table>],
+    ids: &'i [usize],
+}
+
+impl<'t> Row<'t, '_> {
+    fn get(self, src: usize, col: usize) -> &'t SqlValue {
+        &self.tables[src].rows[self.ids[src]][col]
+    }
+}
+
+impl Expr {
+    /// Evaluate on one row. Column and literal values are borrowed.
+    fn eval<'t>(&'t self, row: Row<'t, '_>) -> Result<Cow<'t, SqlValue>, SqlError> {
+        Ok(match self {
+            Expr::Col { src, col } => Cow::Borrowed(row.get(*src, *col)),
+            Expr::Lit(v) => Cow::Borrowed(v),
+            Expr::Binary(op, l, r) => {
+                let a = l.eval(row)?;
+                let b = r.eval(row)?;
+                Cow::Owned(eval_binary(op, &a, &b)?)
+            }
+            Expr::Func(f, args) => Cow::Owned(match args.as_slice() {
+                // one argument, the common case, needs no buffer
+                [a] => eval_func(f, &[&*a.eval(row)?])?,
+                _ => {
+                    let vals = args
+                        .iter()
+                        .map(|a| a.eval(row))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    eval_func(f, &vals.iter().map(|v| &**v).collect::<Vec<_>>())?
+                }
+            }),
+            Expr::Agg(..) => {
+                return Err(SqlError::Execution(
+                    "aggregate used outside GROUP BY context".into(),
+                ))
+            }
+        })
+    }
+
+    /// Evaluate an expression containing aggregates over one group
+    /// (`members` are row indices of `rows`, ascending). `scratch` is the
+    /// reused value buffer of the aggregates.
+    fn eval_group(
+        &self,
+        tables: &[Cow<'_, Table>],
+        rows: &Rows,
+        members: &[usize],
+        scratch: &mut Vec<f64>,
+    ) -> Result<SqlValue, SqlError> {
+        match self {
+            Expr::Agg(func, arg) => {
+                scratch.clear();
+                for &r in members {
+                    let row = Row {
+                        tables,
+                        ids: rows.get(r),
+                    };
+                    if let Some(x) = arg.eval(row)?.as_f64() {
+                        scratch.push(x); // NULLs skipped, standard SQL semantics
+                    }
+                }
+                Ok(func.apply(scratch).map_or(SqlValue::Null, SqlValue::double))
+            }
+            Expr::Binary(op, l, r) => {
+                let a = l.eval_group(tables, rows, members, scratch)?;
+                let b = r.eval_group(tables, rows, members, scratch)?;
+                eval_binary(op, &a, &b)
+            }
+            Expr::Func(f, args) => {
+                let vals = args
+                    .iter()
+                    .map(|a| a.eval_group(tables, rows, members, scratch))
+                    .collect::<Result<Vec<_>, _>>()?;
+                eval_func(f, &vals.iter().collect::<Vec<_>>())
+            }
+            Expr::Lit(v) => Ok(v.clone()),
+            Expr::Col { .. } => Err(SqlError::Execution(
+                "bare column mixed with aggregates must be in GROUP BY".into(),
+            )),
+        }
+    }
+}
+
+fn eval_binary(op: &str, a: &SqlValue, b: &SqlValue) -> Result<SqlValue, SqlError> {
     match op {
-        "AND" => Ok(SqlValue::Int((truthy(&a) && truthy(&b)) as i64)),
+        "AND" => Ok(SqlValue::Int((truthy(a) && truthy(b)) as i64)),
         "=" | "<>" | "<" | "<=" | ">" | ">=" => {
             if a.is_null() || b.is_null() {
                 return Ok(SqlValue::Null);
             }
-            let ord = match (&a, &b) {
+            let ord = match (a, b) {
                 (SqlValue::Time(x), SqlValue::Time(y)) => x.cmp(y),
                 (SqlValue::Text(x), SqlValue::Text(y)) => x.cmp(y),
-                _ => {
-                    let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
-                        return Ok(SqlValue::Int((op == "<>") as i64));
-                    };
-                    x.partial_cmp(&y).unwrap_or(Ordering::Equal)
-                }
+                _ => match a.num_cmp(b) {
+                    Some(ord) => ord,
+                    // a NaN operand
+                    None if a.as_f64().is_some() && b.as_f64().is_some() => Ordering::Equal,
+                    None => return Ok(SqlValue::Int((op == "<>") as i64)),
+                },
             };
             let result = match op {
                 "=" => ord == Ordering::Equal,
@@ -457,7 +576,7 @@ fn eval_binary(op: &str, a: SqlValue, b: SqlValue) -> Result<SqlValue, SqlError>
                 return Ok(SqlValue::Null);
             }
             // temporal shift: time ± int (the SQL face of the EXL shift)
-            if let (SqlValue::Time(t), SqlValue::Int(n)) = (&a, &b) {
+            if let (SqlValue::Time(t), SqlValue::Int(n)) = (a, b) {
                 return match op {
                     "+" => Ok(SqlValue::Time(t.shift(*n))),
                     "-" => Ok(SqlValue::Time(t.shift(-*n))),
@@ -469,7 +588,7 @@ fn eval_binary(op: &str, a: SqlValue, b: SqlValue) -> Result<SqlValue, SqlError>
                     "arithmetic on non-numeric values {a} {op} {b}"
                 )));
             };
-            if let (SqlValue::Int(xi), SqlValue::Int(yi), "+" | "-" | "*") = (&a, &b, op) {
+            if let (SqlValue::Int(xi), SqlValue::Int(yi), "+" | "-" | "*") = (a, b, op) {
                 let r = match op {
                     "+" => xi.checked_add(*yi),
                     "-" => xi.checked_sub(*yi),
@@ -490,7 +609,7 @@ fn eval_binary(op: &str, a: SqlValue, b: SqlValue) -> Result<SqlValue, SqlError>
     }
 }
 
-fn eval_func(name: &str, args: &[SqlValue]) -> Result<SqlValue, SqlError> {
+fn eval_func(name: &str, args: &[&SqlValue]) -> Result<SqlValue, SqlError> {
     let arity = |n: usize| -> Result<(), SqlError> {
         if args.len() == n {
             Ok(())
@@ -544,7 +663,7 @@ fn eval_func(name: &str, args: &[SqlValue]) -> Result<SqlValue, SqlError> {
                     "SHIFT_TIME offset must be an integer".into(),
                 ));
             };
-            Ok(SqlValue::Time(t.shift(n)))
+            Ok(SqlValue::Time(t.shift(*n)))
         }
         "LN" => unary_math(f64::ln),
         "EXP" => unary_math(f64::exp),
@@ -574,300 +693,402 @@ fn truthy(v: &SqlValue) -> bool {
     }
 }
 
-fn flatten_and(expr: &SqlExpr, out: &mut Vec<SqlExpr>) {
+fn flatten_and<'s>(expr: &'s SqlExpr, out: &mut Vec<&'s SqlExpr>) {
     match expr {
         SqlExpr::Binary { op: "AND", l, r } => {
             flatten_and(l, out);
             flatten_and(r, out);
         }
-        other => out.push(other.clone()),
+        other => out.push(other),
     }
 }
 
-/// Join two relations, consuming applicable equi-join conjuncts (hash
-/// join); with no applicable conjunct the join degrades to a cross
-/// product, which later filters may cut down.
-fn join(
-    left: Relation,
-    right: Relation,
-    conjuncts: &mut Vec<SqlExpr>,
-) -> Result<Relation, SqlError> {
-    // find conjuncts of the form col = col with one side on each relation
-    let mut left_keys = Vec::new();
-    let mut right_keys = Vec::new();
-    let mut used = vec![false; conjuncts.len()];
-    for (ci, c) in conjuncts.iter().enumerate() {
-        if let SqlExpr::Binary { op: "=", l, r } = c {
-            let sides = [(l.as_ref(), r.as_ref()), (r.as_ref(), l.as_ref())];
-            for (a, b) in sides {
-                if let (
-                    SqlExpr::Column {
-                        qualifier: qa,
-                        name: na,
-                    },
-                    _,
-                ) = (a, b)
-                {
-                    if let Ok(li) = resolve(&left.schema, qa.as_deref(), na) {
-                        // the other side must evaluate on the right relation
-                        // (allow full expressions, e.g. G2.Q - 1)
-                        if expr_resolves(b, &right.schema) && !expr_resolves(b, &left.schema) {
-                            left_keys.push(LeftKey::Col(li));
-                            right_keys.push(b.clone());
-                            used[ci] = true;
-                            break;
-                        }
-                    }
-                    // symmetric: left side is an expression over `left`
-                }
+/// A hash key for one value. Two keys are equal exactly when SQL `=`
+/// holds between their values, so a hash join matches what the same
+/// predicate would keep as a filter. Numbers equal as reals share a key:
+/// an integral double keys as its `i64`, and `-0.0` as `0`. NULL has a
+/// key of its own: GROUP BY groups NULLs together, joins skip them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Key<'t> {
+    Null,
+    Int(i64),
+    Float(u64),
+    Text(Cow<'t, str>),
+    Time(TimePoint),
+}
+
+impl<'t> Key<'t> {
+    fn of(v: &Cow<'t, SqlValue>) -> Key<'t> {
+        // text read from a table is borrowed for the table's lifetime,
+        // not copied
+        if let Cow::Borrowed(borrowed) = v {
+            let borrowed: &'t SqlValue = borrowed;
+            if let SqlValue::Text(s) = borrowed {
+                return Key::Text(Cow::Borrowed(s));
             }
-            if !used[ci] {
-                // general case: expression-vs-expression split across sides
-                if expr_resolves(l, &left.schema)
-                    && !expr_resolves(l, &right.schema)
-                    && expr_resolves(r, &right.schema)
-                    && !expr_resolves(r, &left.schema)
-                {
-                    left_keys.push(LeftKey::Expr((**l).clone()));
-                    right_keys.push((**r).clone());
-                    used[ci] = true;
-                } else if expr_resolves(r, &left.schema)
-                    && !expr_resolves(r, &right.schema)
-                    && expr_resolves(l, &right.schema)
-                    && !expr_resolves(l, &left.schema)
-                {
-                    left_keys.push(LeftKey::Expr((**r).clone()));
-                    right_keys.push((**l).clone());
-                    used[ci] = true;
-                }
-            }
+        }
+        match v.as_ref() {
+            SqlValue::Null => Key::Null,
+            SqlValue::Int(i) => Key::Int(*i),
+            SqlValue::Double(d) => Key::double(*d),
+            SqlValue::Text(s) => Key::Text(Cow::Owned(s.clone())),
+            SqlValue::Time(t) => Key::Time(*t),
         }
     }
-    let remaining: Vec<SqlExpr> = conjuncts
-        .iter()
-        .zip(&used)
-        .filter(|(_, u)| !**u)
-        .map(|(c, _)| c.clone())
-        .collect();
-    *conjuncts = remaining;
 
-    let mut schema = left.schema;
-    schema.extend(right.schema.iter().cloned());
+    fn double(d: f64) -> Key<'t> {
+        // [-2^63, 2^63): the doubles an i64 holds exactly when integral
+        if d.fract() == 0.0
+            && (-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&d)
+        {
+            Key::Int(d as i64) // -0.0 lands on 0
+        } else {
+            Key::Float(d.to_bits())
+        }
+    }
+}
 
-    let mut rows = Vec::new();
-    if left_keys.is_empty() {
-        for lr in &left.rows {
-            for rr in &right.rows {
-                let mut row = lr.clone();
-                row.extend(rr.iter().cloned());
-                rows.push(row);
-            }
+/// Evaluate `exprs` into `key`; false when a value is NULL (the row has
+/// no join partner).
+fn join_key<'t>(
+    exprs: &'t [Expr],
+    row: Row<'t, '_>,
+    key: &mut Vec<Key<'t>>,
+) -> Result<bool, SqlError> {
+    key.clear();
+    for e in exprs {
+        let v = e.eval(row)?;
+        if v.is_null() {
+            return Ok(false);
         }
-    } else {
-        // hash the right side on its key expressions
-        let right_schema: Vec<QualCol> = schema[schema.len() - right.schema.len()..].to_vec();
-        let mut index: HashMap<String, Vec<usize>> = HashMap::with_capacity(right.rows.len());
-        for (ri, rr) in right.rows.iter().enumerate() {
-            let mut key = String::new();
-            let mut ok = true;
-            for k in &right_keys {
-                let v = eval(k, &right_schema, rr)?;
-                if v.is_null() {
-                    ok = false;
-                    break;
-                }
-                key.push_str(&canonical_key(&v));
-                key.push('\u{1}');
-            }
-            if ok {
-                index.entry(key).or_default().push(ri);
-            }
+        key.push(Key::of(&v));
+    }
+    Ok(true)
+}
+
+/// Row-id tuples over the FROM sources: row `r` is base row
+/// `ids[r * width + s]` of source `s`. Nothing is copied out of the
+/// tables until projection.
+struct Rows {
+    width: usize,
+    ids: Vec<usize>,
+}
+
+impl Rows {
+    /// Every row of one table.
+    fn scan(n: usize) -> Rows {
+        Rows {
+            width: 1,
+            ids: (0..n).collect(),
         }
-        let left_schema: Vec<QualCol> = schema[..schema.len() - right.schema.len()].to_vec();
-        for lr in &left.rows {
-            let mut key = String::new();
-            let mut ok = true;
-            for k in &left_keys {
-                let v = match k {
-                    LeftKey::Col(i) => lr[*i].clone(),
-                    LeftKey::Expr(e) => eval(e, &left_schema, lr)?,
-                };
-                if v.is_null() {
-                    ok = false;
-                    break;
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len() / self.width
+    }
+
+    fn get(&self, r: usize) -> &[usize] {
+        &self.ids[r * self.width..(r + 1) * self.width]
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
+        self.ids.chunks_exact(self.width)
+    }
+}
+
+/// The equi-join keys of one join step: `left[i] = right[i]` for every
+/// `i`, the left side compiled against the sources joined so far, the
+/// right side against the joining source alone (as source 0).
+struct JoinKeys {
+    left: Vec<Expr>,
+    right: Vec<Expr>,
+}
+
+impl JoinKeys {
+    /// Take from `conjuncts` every `=` whose sides split across `left` and
+    /// `right` (a column on one side, any expression over the other; or
+    /// expression against expression). With none, the step is a cross
+    /// product that later filters may cut down.
+    fn plan(
+        left: &[QualCol],
+        right: &[QualCol],
+        conjuncts: &mut Vec<&SqlExpr>,
+    ) -> Result<JoinKeys, SqlError> {
+        let on_left = |e: &SqlExpr| expr_resolves(e, left);
+        let on_right = |e: &SqlExpr| expr_resolves(e, right);
+        let mut pairs = Vec::new();
+        conjuncts.retain(|&c| {
+            let SqlExpr::Binary { op: "=", l, r } = c else {
+                return true;
+            };
+            let (l, r) = (l.as_ref(), r.as_ref());
+            // a column of the left relation against an expression that
+            // only the right one evaluates (e.g. G1.Q = G2.Q - 1)
+            let col_pair = [(l, r), (r, l)].into_iter().find(|(a, b)| {
+                matches!(a, SqlExpr::Column { .. }) && on_left(a) && on_right(b) && !on_left(b)
+            });
+            // general case: expression against expression
+            let split =
+                |a: &SqlExpr, b: &SqlExpr| on_left(a) && !on_right(a) && on_right(b) && !on_left(b);
+            let pair = col_pair.or_else(|| [(l, r), (r, l)].into_iter().find(|(a, b)| split(a, b)));
+            match pair {
+                Some(p) => {
+                    pairs.push(p);
+                    false
                 }
-                key.push_str(&canonical_key(&v));
-                key.push('\u{1}');
+                None => true,
             }
-            if !ok {
+        });
+        let right_alone: Vec<QualCol> = right
+            .iter()
+            .map(|c| QualCol {
+                src: 0,
+                ..c.clone()
+            })
+            .collect();
+        let mut keys = JoinKeys {
+            left: Vec::with_capacity(pairs.len()),
+            right: Vec::with_capacity(pairs.len()),
+        };
+        for (a, b) in pairs {
+            keys.left.push(compile(a, left)?);
+            keys.right.push(compile(b, &right_alone)?);
+        }
+        Ok(keys)
+    }
+
+    /// Join `left` (rows over sources `0..k`) with every row of source
+    /// `k`: a hash join on the keys, or a cross product without any.
+    fn join(&self, tables: &[Cow<'_, Table>], left: &Rows, k: usize) -> Result<Rows, SqlError> {
+        let right_len = tables[k].len();
+        let mut out = Rows {
+            width: k + 1,
+            ids: Vec::new(),
+        };
+        let mut emit = |l: &[usize], ri: usize| {
+            out.ids.extend_from_slice(l);
+            out.ids.push(ri);
+        };
+        if self.left.is_empty() {
+            for (i, l) in left.iter().enumerate() {
+                checkpoint_every(i)?;
+                (0..right_len).for_each(|ri| emit(l, ri));
+            }
+            return Ok(out);
+        }
+        let (left_tables, right_table) = (&tables[..k], &tables[k..=k]);
+        let mut key = Vec::with_capacity(self.left.len());
+        let mut index: FxHashMap<Vec<Key<'_>>, Vec<usize>> = FxHashMap::default();
+        for ri in 0..right_len {
+            checkpoint_every(ri)?;
+            let row = Row {
+                tables: right_table,
+                ids: &[ri],
+            };
+            if !join_key(&self.right, row, &mut key)? {
                 continue;
             }
-            if let Some(matches) = index.get(&key) {
-                for &ri in matches {
-                    let mut row = lr.clone();
-                    row.extend(right.rows[ri].iter().cloned());
-                    rows.push(row);
+            match index.get_mut(key.as_slice()) {
+                Some(matches) => matches.push(ri),
+                None => {
+                    index.insert(key.clone(), vec![ri]);
                 }
             }
         }
-    }
-    Ok(Relation { schema, rows })
-}
-
-enum LeftKey {
-    Col(usize),
-    Expr(SqlExpr),
-}
-
-/// Check that every column reference in the expression resolves, returning
-/// the first resolution error.
-fn validate_expr(expr: &SqlExpr, schema: &[QualCol]) -> Result<(), SqlError> {
-    match expr {
-        SqlExpr::Column { qualifier, name } => {
-            resolve(schema, qualifier.as_deref(), name).map(|_| ())
-        }
-        SqlExpr::Literal(_) => Ok(()),
-        SqlExpr::Binary { l, r, .. } => {
-            validate_expr(l, schema)?;
-            validate_expr(r, schema)
-        }
-        SqlExpr::Func { args, .. } => args.iter().try_for_each(|a| validate_expr(a, schema)),
-        SqlExpr::Agg { arg, .. } => validate_expr(arg, schema),
-    }
-}
-
-/// True when every column reference in the expression resolves against the
-/// schema.
-fn expr_resolves(expr: &SqlExpr, schema: &[QualCol]) -> bool {
-    match expr {
-        SqlExpr::Column { qualifier, name } => resolve(schema, qualifier.as_deref(), name).is_ok(),
-        SqlExpr::Literal(_) => true,
-        SqlExpr::Binary { l, r, .. } => expr_resolves(l, schema) && expr_resolves(r, schema),
-        SqlExpr::Func { args, .. } => args.iter().all(|a| expr_resolves(a, schema)),
-        SqlExpr::Agg { arg, .. } => expr_resolves(arg, schema),
-    }
-}
-
-/// Canonical string key for join/group hashing — numeric values collapse
-/// ints and doubles.
-fn canonical_key(v: &SqlValue) -> String {
-    match v {
-        SqlValue::Int(i) => format!("n{}", *i as f64),
-        SqlValue::Double(d) => format!("n{d}"),
-        SqlValue::Text(s) => format!("t{s}"),
-        SqlValue::Time(t) => format!("T{t}"),
-        SqlValue::Null => "∅".to_string(),
-    }
-}
-
-fn project(rel: &Relation, select: &Select) -> Result<Table, SqlError> {
-    let columns = result_columns(select);
-    let mut out = Table::new("result", columns);
-    for row in &rel.rows {
-        let mut new_row = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            new_row.push(eval(&item.expr, &rel.schema, row)?);
-        }
-        out.rows.push(new_row);
-    }
-    Ok(out)
-}
-
-fn group_and_project(rel: &Relation, select: &Select) -> Result<Table, SqlError> {
-    // validate: non-aggregate items must appear in GROUP BY (structural)
-    for item in &select.items {
-        if !item.expr.has_aggregate() && !select.group_by.contains(&item.expr) {
-            return Err(SqlError::Execution(format!(
-                "non-aggregated select item must appear in GROUP BY: {:?}",
-                item.expr
-            )));
-        }
-    }
-    // group rows on the key expressions
-    let mut groups: Vec<(String, Vec<SqlValue>, Vec<usize>)> = Vec::new();
-    let mut lookup: HashMap<String, usize> = HashMap::new();
-    for (ri, row) in rel.rows.iter().enumerate() {
-        let mut key_vals = Vec::with_capacity(select.group_by.len());
-        let mut key = String::new();
-        for g in &select.group_by {
-            let v = eval(g, &rel.schema, row)?;
-            key.push_str(&canonical_key(&v));
-            key.push('\u{1}');
-            key_vals.push(v);
-        }
-        match lookup.get(&key) {
-            Some(&gi) => groups[gi].2.push(ri),
-            None => {
-                lookup.insert(key.clone(), groups.len());
-                groups.push((key, key_vals, vec![ri]));
+        for (i, l) in left.iter().enumerate() {
+            checkpoint_every(i)?;
+            let row = Row {
+                tables: left_tables,
+                ids: l,
+            };
+            if !join_key(&self.left, row, &mut key)? {
+                continue;
+            }
+            if let Some(matches) = index.get(key.as_slice()) {
+                matches.iter().for_each(|&ri| emit(l, ri));
             }
         }
+        Ok(out)
     }
-    // a global aggregate without GROUP BY runs over all rows, but an empty
-    // input yields no groups — matching EXL's "no tuple for an empty bag"
-    if select.group_by.is_empty() && !rel.rows.is_empty() {
-        // groups already holds one entry with the empty key
-    }
+}
 
-    let columns = result_columns(select);
-    let mut out = Table::new("result", columns);
-    for (_, key_vals, row_ids) in &groups {
-        let mut new_row = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            if item.expr.has_aggregate() {
-                new_row.push(eval_agg(&item.expr, rel, row_ids)?);
-            } else {
-                // the item equals one of the grouping expressions
-                let gi = select
+/// Keep the rows on which every residual conjunct is true.
+fn filter(tables: &[Cow<'_, Table>], rows: &mut Rows, filters: &[Expr]) -> Result<(), SqlError> {
+    if filters.is_empty() {
+        return Ok(());
+    }
+    let width = rows.width;
+    let mut kept = 0;
+    for r in 0..rows.len() {
+        checkpoint_every(r)?;
+        let row = Row {
+            tables,
+            ids: rows.get(r),
+        };
+        let mut keep = true;
+        for f in filters {
+            if !truthy(&*f.eval(row)?) {
+                keep = false;
+                break;
+            }
+        }
+        if keep {
+            rows.ids
+                .copy_within(r * width..(r + 1) * width, kept * width);
+            kept += 1;
+        }
+    }
+    rows.ids.truncate(kept * width);
+    Ok(())
+}
+
+/// The compiled SELECT list.
+enum Output {
+    /// One result row per input row.
+    Project(Vec<Expr>),
+    /// One result row per group of equal GROUP BY keys (a single group
+    /// without GROUP BY, none over an empty input).
+    Group {
+        keys: Vec<Expr>,
+        items: Vec<GroupItem>,
+    },
+}
+
+enum GroupItem {
+    /// The value of the i-th GROUP BY expression.
+    Key(usize),
+    /// An expression over aggregates.
+    Agg(Expr),
+}
+
+impl Output {
+    fn compile(select: &Select, schema: &[QualCol]) -> Result<Output, SqlError> {
+        let items = select
+            .items
+            .iter()
+            .map(|i| compile(&i.expr, schema))
+            .collect::<Result<Vec<_>, _>>()?;
+        let keys = select
+            .group_by
+            .iter()
+            .map(|g| compile(g, schema))
+            .collect::<Result<Vec<_>, _>>()?;
+        let needs_group =
+            !select.group_by.is_empty() || select.items.iter().any(|i| i.expr.has_aggregate());
+        if !needs_group {
+            return Ok(Output::Project(items));
+        }
+        // non-aggregate items must appear in GROUP BY (structurally)
+        let items = select
+            .items
+            .iter()
+            .zip(items)
+            .map(|(item, expr)| {
+                if item.expr.has_aggregate() {
+                    return Ok(GroupItem::Agg(expr));
+                }
+                select
                     .group_by
                     .iter()
                     .position(|g| *g == item.expr)
-                    .expect("validated above");
-                new_row.push(key_vals[gi].clone());
+                    .map(GroupItem::Key)
+                    .ok_or_else(|| {
+                        SqlError::Execution(format!(
+                            "non-aggregated select item must appear in GROUP BY: {:?}",
+                            item.expr
+                        ))
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Output::Group { keys, items })
+    }
+
+    fn run(&self, tables: &[Cow<'_, Table>], rows: &Rows) -> Result<Vec<Vec<SqlValue>>, SqlError> {
+        match self {
+            Output::Project(items) => {
+                let mut out = Vec::with_capacity(rows.len());
+                for (r, ids) in rows.iter().enumerate() {
+                    checkpoint_every(r)?;
+                    let row = Row { tables, ids };
+                    out.push(
+                        items
+                            .iter()
+                            .map(|e| e.eval(row).map(Cow::into_owned))
+                            .collect::<Result<_, _>>()?,
+                    );
+                }
+                Ok(out)
             }
+            Output::Group { keys, items } => group(tables, rows, keys, items),
         }
-        out.rows.push(new_row);
+    }
+}
+
+/// GROUP BY: number the groups in first-seen order, lay each group's rows
+/// out contiguously in row order (a counting sort), then evaluate the
+/// items once per group.
+fn group(
+    tables: &[Cow<'_, Table>],
+    rows: &Rows,
+    keys: &[Expr],
+    items: &[GroupItem],
+) -> Result<Vec<Vec<SqlValue>>, SqlError> {
+    let mut lookup: FxHashMap<Vec<Key<'_>>, usize> = FxHashMap::default();
+    let mut group_of = Vec::with_capacity(rows.len());
+    let mut key = Vec::with_capacity(keys.len());
+    for (r, ids) in rows.iter().enumerate() {
+        checkpoint_every(r)?;
+        key.clear();
+        for e in keys {
+            key.push(Key::of(&e.eval(Row { tables, ids })?));
+        }
+        let g = match lookup.get(key.as_slice()) {
+            Some(&g) => g,
+            None => {
+                let g = lookup.len();
+                lookup.insert(key.clone(), g);
+                g
+            }
+        };
+        group_of.push(g);
+    }
+    let groups = lookup.len();
+    drop(lookup);
+
+    let mut start = vec![0usize; groups + 1];
+    for &g in &group_of {
+        start[g + 1] += 1;
+    }
+    for g in 0..groups {
+        start[g + 1] += start[g];
+    }
+    let mut next = start.clone();
+    let mut members = vec![0usize; group_of.len()];
+    for (r, &g) in group_of.iter().enumerate() {
+        members[next[g]] = r;
+        next[g] += 1;
+    }
+
+    let mut scratch = Vec::new();
+    let mut out = Vec::with_capacity(groups);
+    for g in 0..groups {
+        checkpoint_every(g)?;
+        let group = &members[start[g]..start[g + 1]];
+        // the group's first row, whose key values the group reports
+        let first = Row {
+            tables,
+            ids: rows.get(group[0]),
+        };
+        let mut new_row = Vec::with_capacity(items.len());
+        for item in items {
+            new_row.push(match item {
+                GroupItem::Key(i) => keys[*i].eval(first)?.into_owned(),
+                GroupItem::Agg(e) => e.eval_group(tables, rows, group, &mut scratch)?,
+            });
+        }
+        out.push(new_row);
     }
     Ok(out)
-}
-
-/// Evaluate an expression containing aggregates over a group of rows.
-fn eval_agg(expr: &SqlExpr, rel: &Relation, row_ids: &[usize]) -> Result<SqlValue, SqlError> {
-    match expr {
-        SqlExpr::Agg { func, arg } => {
-            let mut vals = Vec::with_capacity(row_ids.len());
-            for &ri in row_ids {
-                let v = eval(arg, &rel.schema, &rel.rows[ri])?;
-                if let Some(x) = v.as_f64() {
-                    vals.push(x); // NULLs skipped, standard SQL semantics
-                }
-            }
-            match aggregate(*func, &vals) {
-                Some(v) => Ok(SqlValue::double(v)),
-                None => Ok(SqlValue::Null),
-            }
-        }
-        SqlExpr::Binary { op, l, r } => {
-            let a = eval_agg(l, rel, row_ids)?;
-            let b = eval_agg(r, rel, row_ids)?;
-            eval_binary(op, a, b)
-        }
-        SqlExpr::Func { name, args } => {
-            let vals: Vec<SqlValue> = args
-                .iter()
-                .map(|a| eval_agg(a, rel, row_ids))
-                .collect::<Result<_, _>>()?;
-            eval_func(name, &vals)
-        }
-        SqlExpr::Literal(v) => Ok(v.clone()),
-        SqlExpr::Column { .. } => Err(SqlError::Execution(
-            "bare column mixed with aggregates must be in GROUP BY".into(),
-        )),
-    }
-}
-
-fn aggregate(func: AggFn, vals: &[f64]) -> Option<f64> {
-    func.apply(vals)
 }
 
 fn result_columns(select: &Select) -> Vec<Column> {
@@ -886,32 +1107,53 @@ fn result_columns(select: &Select) -> Vec<Column> {
         .collect()
 }
 
+/// ORDER BY: a stable sort on keys evaluated against the result columns.
 fn order_rows(out: &mut Table, order_by: &[SqlExpr]) -> Result<(), SqlError> {
     let schema: Vec<QualCol> = out
         .columns
         .iter()
-        .map(|c| QualCol {
+        .enumerate()
+        .map(|(col, c)| QualCol {
             qualifier: out.name.clone(),
             name: c.name.clone(),
-            ty: c.ty,
+            src: 0,
+            col,
         })
         .collect();
-    // pre-compute keys (so errors surface before sorting)
-    let mut keyed: Vec<(Vec<SqlValue>, Vec<SqlValue>)> = Vec::with_capacity(out.rows.len());
-    for row in &out.rows {
-        let mut key = Vec::with_capacity(order_by.len());
-        for e in order_by {
-            key.push(eval(e, &schema, row)?);
+    let exprs = order_by
+        .iter()
+        .map(|e| compile(e, &schema))
+        .collect::<Result<Vec<_>, _>>()?;
+    // keys first, so errors surface before sorting
+    let mut keys: Vec<Vec<SqlValue>> = Vec::with_capacity(out.rows.len());
+    {
+        let tables = [Cow::Borrowed(&*out)];
+        for r in 0..out.rows.len() {
+            let row = Row {
+                tables: &tables,
+                ids: &[r],
+            };
+            keys.push(
+                exprs
+                    .iter()
+                    .map(|e| e.eval(row).map(Cow::into_owned))
+                    .collect::<Result<_, _>>()?,
+            );
         }
-        keyed.push((key, row.clone()));
     }
-    keyed.sort_by(|(ka, _), (kb, _)| {
-        ka.iter()
-            .zip(kb.iter())
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| {
+        keys[a]
+            .iter()
+            .zip(&keys[b])
             .map(|(x, y)| x.total_cmp(y))
             .find(|o| !o.is_eq())
             .unwrap_or(Ordering::Equal)
     });
-    out.rows = keyed.into_iter().map(|(_, r)| r).collect();
+    let mut rows = std::mem::take(&mut out.rows);
+    out.rows = order
+        .into_iter()
+        .map(|r| std::mem::take(&mut rows[r]))
+        .collect();
     Ok(())
 }

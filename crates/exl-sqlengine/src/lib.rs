@@ -337,6 +337,97 @@ mod tests {
         assert_eq!(t.rows[1][1].as_f64(), Some(42.0));
     }
 
+    /// Two BIGINTs compare as `i64`: 2^53 + 1 is not 2^53, although both
+    /// round to the same double.
+    #[test]
+    fn bigint_comparison_is_exact() {
+        let mut e = Engine::new();
+        e.execute_script(
+            "CREATE TABLE A (K BIGINT, V DOUBLE); CREATE TABLE B (K BIGINT, W DOUBLE);
+             INSERT INTO A (K, V) VALUES (9007199254740993, 1.0);
+             INSERT INTO B (K, W) VALUES (9007199254740992, 2.0);",
+        )
+        .unwrap();
+        assert_eq!(
+            e.db.table("A").unwrap().rows[0][0],
+            SqlValue::Int(9007199254740993)
+        );
+        // hash join, residual filter, and the comparison operators
+        let joined = e
+            .execute("SELECT A.K, V, W FROM A, B WHERE A.K = B.K")
+            .unwrap()
+            .unwrap();
+        assert_eq!(joined.len(), 0);
+        let filtered = e
+            .execute("SELECT A.K, V, W FROM A, B WHERE A.K + 0 = B.K + 0 AND V < W")
+            .unwrap()
+            .unwrap();
+        assert_eq!(filtered.len(), 0);
+        for (op, want) in [("<>", 1), (">", 1), (">=", 1), ("<", 0), ("<=", 0)] {
+            let t = e
+                .execute(&format!("SELECT A.K FROM A, B WHERE A.K {op} B.K"))
+                .unwrap()
+                .unwrap();
+            assert_eq!(t.len(), want, "A.K {op} B.K");
+        }
+        // grouping keeps the two keys apart too
+        e.execute_script("INSERT INTO A (K, V) VALUES (9007199254740992, 3.0)")
+            .unwrap();
+        let g = e
+            .execute("SELECT K, SUM(V) AS S FROM A GROUP BY K")
+            .unwrap()
+            .unwrap();
+        assert_eq!(g.len(), 2);
+        // an int against a double compares exact values as well
+        assert!(!SqlValue::Int(9007199254740993).sql_eq(&SqlValue::Double(9007199254740992.0)));
+        assert!(SqlValue::Int(-4).sql_eq(&SqlValue::Double(-4.0)));
+        assert_eq!(
+            SqlValue::Int(i64::MAX).total_cmp(&SqlValue::Double(9223372036854775808.0)),
+            std::cmp::Ordering::Less
+        );
+    }
+
+    /// A hash join keeps every pair `=` keeps: `-0.0 = 0.0`, so the hash
+    /// join and the same predicate as a filter agree.
+    #[test]
+    fn hash_join_keys_agree_with_equality() {
+        let mut e = Engine::new();
+        e.execute_script(
+            "CREATE TABLE A (K DOUBLE, V DOUBLE); CREATE TABLE B (K DOUBLE, W DOUBLE);
+             INSERT INTO A (K, V) VALUES (0.0, 1.0), (2.0, 2.0);
+             INSERT INTO B (K, W) VALUES (1.0, 10.0), (-1.0, 20.0), (3.0, 30.0);",
+        )
+        .unwrap();
+        // A.K * -1 is -0.0 for K = 0.0; B.K - 1 is 0.0 for K = 1.0
+        let hashed = e
+            .execute("SELECT V, W FROM A, B WHERE A.K * -1 = B.K - 1 ORDER BY V, W")
+            .unwrap()
+            .unwrap();
+        // the same predicate, kept out of the join by a second source-side term
+        let filtered = e
+            .execute("SELECT V, W FROM A, B WHERE A.K * -1 + 0 * B.K = B.K - 1 ORDER BY V, W")
+            .unwrap()
+            .unwrap();
+        assert_eq!(hashed.rows, filtered.rows);
+        let pairs: Vec<(f64, f64)> = hashed
+            .rows
+            .iter()
+            .map(|r| (r[0].as_f64().unwrap(), r[1].as_f64().unwrap()))
+            .collect();
+        assert_eq!(pairs, vec![(1.0, 10.0), (2.0, 20.0)]);
+        // an integral double and an int share a group, as `=` says
+        e.execute_script(
+            "CREATE TABLE M (K DOUBLE, V DOUBLE); INSERT INTO M (K, V) VALUES (-0.0, 1.0), (0.0, 2.0);",
+        )
+        .unwrap();
+        let g = e
+            .execute("SELECT K, SUM(V) AS S FROM M GROUP BY K")
+            .unwrap()
+            .unwrap();
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.rows[0][1].as_f64(), Some(3.0));
+    }
+
     #[test]
     fn drop_and_recreate() {
         let mut e = Engine::new();

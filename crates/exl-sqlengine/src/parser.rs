@@ -28,7 +28,9 @@ use crate::value::{SqlType, SqlValue};
 pub enum SqlTok {
     /// Identifier or keyword (uppercased for comparison, original kept).
     Ident(String),
-    /// Numeric literal.
+    /// Integer literal (digits only, within `i64`).
+    Int(i64),
+    /// Other numeric literal.
     Number(f64),
     /// String literal.
     Str(String),
@@ -92,26 +94,25 @@ pub fn lex_sql(src: &str) -> Result<Vec<SqlTok>, SqlError> {
                 }
             }
             '\'' => {
+                // copy whole segments between quotes, so multi-byte UTF-8
+                // text survives; `''` is an escaped quote
                 let mut j = i + 1;
                 let mut s = String::new();
                 loop {
-                    if j >= b.len() {
+                    let Some(k) = src[j..].find('\'') else {
                         return Err(SqlError::Parse("unterminated string literal".into()));
-                    }
-                    if b[j] == b'\'' {
-                        if j + 1 < b.len() && b[j + 1] == b'\'' {
-                            s.push('\'');
-                            j += 2;
-                        } else {
-                            break;
-                        }
-                    } else {
-                        s.push(b[j] as char);
+                    };
+                    s.push_str(&src[j..j + k]);
+                    j += k + 1;
+                    if b.get(j) == Some(&b'\'') {
+                        s.push('\'');
                         j += 1;
+                    } else {
+                        break;
                     }
                 }
                 out.push(SqlTok::Str(s));
-                i = j + 1;
+                i = j;
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -132,6 +133,12 @@ pub fn lex_sql(src: &str) -> Result<Vec<SqlTok>, SqlError> {
                     }
                 }
                 let text = &src[start..i];
+                // digits only (no `.` or exponent): an exact integer,
+                // unless it overflows i64
+                if let Ok(n) = text.parse::<i64>() {
+                    out.push(SqlTok::Int(n));
+                    continue;
+                }
                 let n: f64 = text
                     .parse()
                     .map_err(|_| SqlError::Parse(format!("bad number `{text}`")))?;
@@ -481,13 +488,19 @@ impl P {
     fn literal(&mut self) -> Result<SqlValue, SqlError> {
         let neg = self.eat_sym("-");
         match self.bump() {
-            SqlTok::Number(n) => Ok(if n.fract() == 0.0 && !neg && n.abs() < 9e15 {
-                SqlValue::Int(n as i64)
-            } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                SqlValue::Int(-(n as i64))
-            } else {
-                SqlValue::Double(if neg { -n } else { n })
-            }),
+            SqlTok::Int(i) => Ok(SqlValue::Int(if neg { -i } else { i })),
+            SqlTok::Number(n) => {
+                let v = if neg { -n } else { n };
+                // integral decimals read as ints, except -0.0: an int
+                // would drop its sign
+                Ok(
+                    if v.fract() == 0.0 && v.abs() < 9e15 && !(v == 0.0 && neg) {
+                        SqlValue::Int(v as i64)
+                    } else {
+                        SqlValue::Double(v)
+                    },
+                )
+            }
             SqlTok::Str(s) => Ok(SqlValue::Text(s)),
             SqlTok::Ident(s) if s.eq_ignore_ascii_case("NULL") => Ok(SqlValue::Null),
             other => Err(SqlError::Parse(format!(
@@ -562,6 +575,7 @@ impl P {
                 loop {
                     match self.bump() {
                         SqlTok::Ident(t) => args.push(TableFnArg::Table(t)),
+                        SqlTok::Int(n) => args.push(TableFnArg::Number(n as f64)),
                         SqlTok::Number(n) => args.push(TableFnArg::Number(n)),
                         other => {
                             return Err(SqlError::Parse(format!(
@@ -697,6 +711,7 @@ impl P {
 
     fn primary(&mut self) -> Result<SqlExpr, SqlError> {
         match self.bump() {
+            SqlTok::Int(i) => Ok(SqlExpr::Literal(SqlValue::Int(i))),
             SqlTok::Number(n) => Ok(SqlExpr::Literal(if n.fract() == 0.0 && n.abs() < 9e15 {
                 SqlValue::Int(n as i64)
             } else {
@@ -775,8 +790,13 @@ fn parse_agg(name: &str) -> Option<AggFn> {
 pub fn parse_time_literal(s: &str, freq: Frequency) -> Option<TimePoint> {
     match freq {
         Frequency::Daily => {
-            let mut it = s.split('-');
-            let y: i32 = it.next()?.parse().ok()?;
+            // a leading `-` is the year's sign, not a separator
+            let (sign, ymd) = match s.strip_prefix('-') {
+                Some(rest) => (-1, rest),
+                None => (1, s),
+            };
+            let mut it = ymd.split('-');
+            let y: i32 = sign * it.next()?.parse::<i32>().ok()?;
             let m: u32 = it.next()?.parse().ok()?;
             let d: u32 = it.next()?.parse().ok()?;
             if it.next().is_some() {
@@ -903,6 +923,29 @@ mod tests {
         }
     }
 
+    /// Literals read back exactly what `SqlValue::to_literal` and `{:?}`
+    /// write: all of `i64`, the sign of `-0.0`, and UTF-8 text.
+    #[test]
+    fn literals_round_trip_exactly() {
+        let sql = "INSERT INTO T (A, B, C, D, E) VALUES \
+                   (9007199254740993, -9223372036854775808, -0.0, 'Zürich ''Ost''', 1.0)";
+        match parse_statement(sql).unwrap() {
+            SqlStmt::InsertValues { rows, .. } => {
+                assert_eq!(rows[0][0], SqlValue::Int(9007199254740993));
+                // i64::MIN overflows as a positive literal: it reads as a
+                // double that a BIGINT column converts back exactly
+                assert_eq!(rows[0][1], SqlValue::Double(-9223372036854775808.0));
+                match rows[0][2] {
+                    SqlValue::Double(z) => assert_eq!(z.to_bits(), (-0.0f64).to_bits()),
+                    ref other => panic!("{other:?}"),
+                }
+                assert_eq!(rows[0][3], SqlValue::Text("Zürich 'Ost'".into()));
+                assert_eq!(rows[0][4], SqlValue::Int(1));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn parse_time_literals() {
         assert_eq!(
@@ -921,6 +964,9 @@ mod tests {
             parse_time_literal("1999", Frequency::Yearly),
             Some(TimePoint::Year(1999))
         );
+        let bc = TimePoint::Day(Date::from_ymd(-44, 3, 15).unwrap());
+        assert_eq!(bc.to_string(), "-044-03-15");
+        assert_eq!(parse_time_literal("-044-03-15", Frequency::Daily), Some(bc));
         assert_eq!(parse_time_literal("2020-Q5", Frequency::Quarterly), None);
         assert_eq!(parse_time_literal("garbage", Frequency::Daily), None);
     }

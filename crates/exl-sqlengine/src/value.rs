@@ -157,16 +157,12 @@ impl SqlValue {
                 SqlValue::Time(_) => 4,
             }
         }
+        if let Some(ord) = self.num_cmp(other) {
+            return ord;
+        }
         match (self, other) {
-            (SqlValue::Int(a), SqlValue::Int(b)) => a.cmp(b),
-            (SqlValue::Double(a), SqlValue::Double(b)) => {
-                a.partial_cmp(b).unwrap_or(Ordering::Equal)
-            }
-            (SqlValue::Int(a), SqlValue::Double(b)) => {
-                (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal)
-            }
-            (SqlValue::Double(a), SqlValue::Int(b)) => {
-                a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal)
+            (SqlValue::Int(_) | SqlValue::Double(_), SqlValue::Int(_) | SqlValue::Double(_)) => {
+                Ordering::Equal // a NaN operand
             }
             (SqlValue::Text(a), SqlValue::Text(b)) => a.cmp(b),
             (SqlValue::Time(a), SqlValue::Time(b)) => a.cmp(b),
@@ -175,17 +171,44 @@ impl SqlValue {
     }
 
     /// SQL equality (`=`): NULL never equals anything; ints and doubles
-    /// compare numerically.
+    /// compare by exact numeric value (see [`num_cmp`](SqlValue::num_cmp)).
     pub fn sql_eq(&self, other: &SqlValue) -> bool {
         if self.is_null() || other.is_null() {
             return false;
         }
-        match (self, other) {
-            (SqlValue::Int(a), SqlValue::Double(b)) | (SqlValue::Double(b), SqlValue::Int(a)) => {
-                (*a as f64) == *b
-            }
-            (a, b) => a == b,
+        match self.num_cmp(other) {
+            Some(ord) => ord == Ordering::Equal,
+            None => self == other,
         }
+    }
+
+    /// Exact numeric comparison; `None` unless both values are numeric
+    /// (and neither is NaN). Two ints compare as `i64` and two doubles as
+    /// `f64`. A mixed pair compares the int's exact value against the
+    /// double's, without rounding the int to the nearest double first:
+    /// `9007199254740993` is greater than `9007199254740992.0`. So `=` is
+    /// an equivalence on numbers, and the executor's hash keys can agree
+    /// with it.
+    pub fn num_cmp(&self, other: &SqlValue) -> Option<Ordering> {
+        match (self, other) {
+            (SqlValue::Int(a), SqlValue::Int(b)) => Some(a.cmp(b)),
+            (SqlValue::Double(a), SqlValue::Double(b)) => a.partial_cmp(b),
+            (SqlValue::Int(a), SqlValue::Double(b)) => int_cmp_f64(*a, *b),
+            (SqlValue::Double(a), SqlValue::Int(b)) => int_cmp_f64(*b, *a).map(Ordering::reverse),
+            _ => None,
+        }
+    }
+}
+
+/// `i` against `d` by exact value. Rounding `i` to a double is monotone,
+/// so the rounded comparison is exact whenever it is not `Equal`; on a
+/// tie `d` is an integer in `[-2^63, 2^63]` and the comparison finishes
+/// in `i64` (`2^63` itself exceeds every `i64`).
+fn int_cmp_f64(i: i64, d: f64) -> Option<Ordering> {
+    match (i as f64).partial_cmp(&d)? {
+        Ordering::Equal if d >= 9_223_372_036_854_775_808.0 => Some(Ordering::Less),
+        Ordering::Equal => Some(i.cmp(&(d as i64))),
+        ord => Some(ord),
     }
 }
 

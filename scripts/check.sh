@@ -54,6 +54,15 @@ echo "== shard differential (fixed-seed matrix) =="
 # delta replays pinned by `shard.replayed` counters
 cargo test -q -p exl-integration-tests --test shard_differential
 
+echo "== sql backend =="
+# the SQL backend loads staged cubes as typed rows: the load must equal
+# the sqlgen text load row for row (seeded differential), SQL-target
+# outputs must keep their pinned fingerprints, and every backend must be
+# bit-deterministic run to run
+cargo test -q -p exl-sqlengine --test loader
+cargo test -q -p exl-integration-tests --test sql_fingerprints
+cargo test -q -p exl-integration-tests --test backends every_backend_is_bit_deterministic
+
 echo "== traced run =="
 # one end-to-end exlc run with tracing + progress on; the emitted Chrome
 # trace JSON must parse, be rooted, and hold one subgraph span (with

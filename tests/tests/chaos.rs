@@ -834,6 +834,28 @@ fn memory_budget_degrades_under_keep_going() {
     );
 }
 
+/// The SQL backend charges every `INSERT … SELECT`'s output against the
+/// run budget, like the native and ETL targets charge theirs: a one-row
+/// or one-byte ceiling stops the run with a typed `BudgetExceeded` and
+/// leaves the catalog byte-identical.
+#[test]
+fn sql_backend_honours_row_and_memory_budgets() {
+    for (label, max_rows, max_memory_bytes) in [("rows", Some(1), None), ("memory", None, Some(1))]
+    {
+        let mut e = gdp_engine(TargetKind::Sql);
+        e.govern.max_rows = max_rows;
+        e.govern.max_memory_bytes = max_memory_bytes;
+        let before = e.catalog.to_json().unwrap();
+        let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
+        let err = e.run_all().unwrap_err();
+        let EngineError::BudgetExceeded { what } = &err else {
+            panic!("{label}: expected a typed budget error, got {err}");
+        };
+        assert!(what.contains(label), "{label}: {what}");
+        assert_eq!(e.catalog.to_json().unwrap(), before, "{label}");
+    }
+}
+
 /// One seeded cancellation round (the `scripts/chaos.sh` storm): derive
 /// a cancel plan from the seed, run until it fires, and require a typed
 /// rollback followed by full recovery on a fault-free rerun.
