@@ -24,10 +24,33 @@
 //!
 //! Besides exact hits, the cache remembers each statement's *latest* run
 //! (input fingerprints + output). When a lookup misses on the native
-//! target, the dispatcher hands the previous inputs and output to
+//! target, the dispatcher hands the change set of every input against
+//! that run, plus the previous output, to
 //! [`exl_eval::delta::eval_statement_delta`], which patches only the keys
 //! or groups the input delta can reach — bit-identical to a cold run by
 //! construction, and pinned by the `incremental_differential` suite.
+//!
+//! **Incremental recompute in O(changed rows).** Within one
+//! [`RunCache::resolve_statements`] call, change sets ([`CubeDelta`]) are
+//! carried from statement to statement, so a vintage revision is diffed
+//! once and no derived cube is diffed at all:
+//!
+//! * an input version the cache has not seen yet (a revised elementary
+//!   cube) is diffed once against the base its statement's latest run
+//!   read, when that base is in memory. The one pass yields both its
+//!   change set and its fingerprint: the base's [`CubeDigest`] moved by
+//!   the delta, equal to [`Fingerprint::of_cube`] by construction;
+//! * a patched output comes back with its own delta, and its fingerprint
+//!   is the previous output's digest moved by that delta;
+//! * a statement uses a carried delta only when the delta's base
+//!   fingerprint equals the input fingerprint its latest run recorded.
+//!   An input whose fingerprint equals that base has an empty delta. Any
+//!   other input falls back to a full diff ([`changed_keys`]); the rows
+//!   such diffs compare are counted ([`RunCache::diff_rows`], the
+//!   `cache.diff_rows` counter).
+//!
+//! Fingerprint values do not depend on which way they were computed, so
+//! [`CACHE_VERSION`] and entries on disk are unaffected.
 //!
 //! **Interaction with plan compilation.** The cache consults and stores
 //! at *statement* granularity, and fusion (`exl_eval::plan`) respects
@@ -44,8 +67,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use exl_eval::delta::{changed_keys, diff_rows, eval_statement_delta};
 use exl_lang::ast::Statement;
-use exl_model::fingerprint::{Fingerprint, FingerprintBuilder};
+use exl_model::fingerprint::{CubeDelta, CubeDigest, Fingerprint, FingerprintBuilder};
 use exl_model::hash::FxHashMap;
 use exl_model::schema::{CubeId, CubeSchema};
 use exl_model::{Cube, CubeData, Dataset};
@@ -56,10 +80,6 @@ use crate::target::TargetKind;
 /// Version header of every on-disk entry. Bump on any format or
 /// fingerprint-recipe change: old entries then read as stale and miss.
 const CACHE_VERSION: &str = "exl-cache-v1";
-
-/// Statement fingerprint, full cache key, and per-input fingerprints in
-/// reference order — everything [`RunCache::statement_keys`] derives.
-type StatementKeys = (Fingerprint, Fingerprint, Vec<(CubeId, Fingerprint)>);
 
 /// Cache activity of one run (or cumulative, for the I/O fields).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -122,6 +142,16 @@ struct LatestEntry {
     output: Fingerprint,
 }
 
+impl LatestEntry {
+    /// Fingerprint of the version of `id` this run read.
+    fn input(&self, id: &CubeId) -> Option<Fingerprint> {
+        self.inputs
+            .iter()
+            .find(|(name, _)| name == id.as_str())
+            .map(|(_, fp)| *fp)
+    }
+}
+
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
 struct DiskCube {
     version: String,
@@ -156,7 +186,12 @@ pub struct RunCache {
     /// address cannot be recycled) and forces copy-on-write for any
     /// would-be mutator — so `ptr equal ⇒ contents equal` stays sound.
     memo: FxHashMap<usize, (CubeData, Fingerprint)>,
+    /// Cube fingerprint → the digest behind it, for every cube this cache
+    /// fingerprinted or loaded: the base a delta moves.
+    digests: FxHashMap<Fingerprint, CubeDigest>,
     stats: CacheStats,
+    /// Rows of the cube versions full diffs compared, cumulative.
+    diff_rows: u64,
 }
 
 impl RunCache {
@@ -192,15 +227,76 @@ impl RunCache {
         self.stats
     }
 
+    /// Rows of the cube versions full diffs compared, cumulative: the work
+    /// the delta path spends finding change sets it was not handed.
+    pub fn diff_rows(&self) -> u64 {
+        self.diff_rows
+    }
+
     /// Content fingerprint of a cube, memoized by storage address.
     pub fn fingerprint(&mut self, data: &CubeData) -> Fingerprint {
-        let ptr = data.storage_ptr();
-        if let Some((_, fp)) = self.memo.get(&ptr) {
+        if let Some((_, fp)) = self.memo.get(&data.storage_ptr()) {
             return *fp;
         }
-        let fp = Fingerprint::of_cube(data);
-        self.memo.insert(ptr, (data.clone(), fp));
+        self.remember(data, CubeDigest::of_cube(data))
+    }
+
+    /// Memoize `data` under the fingerprint `digest` finishes to.
+    fn remember(&mut self, data: &CubeData, digest: CubeDigest) -> Fingerprint {
+        let fp = digest.fingerprint();
+        debug_assert_eq!(
+            fp,
+            Fingerprint::of_cube(data),
+            "digest drifted from content"
+        );
+        self.memo.insert(data.storage_ptr(), (data.clone(), fp));
+        self.digests.insert(fp, digest);
         fp
+    }
+
+    /// Fingerprint of an input cube for a statement whose latest run read
+    /// the version `base`. A version not seen before is diffed against
+    /// `base` when that cube is in memory: the one pass gives both the
+    /// change set, kept in `deltas` for the delta path, and the
+    /// fingerprint, as the base digest moved by the delta. Otherwise the
+    /// cube is hashed in full.
+    fn input_fingerprint(
+        &mut self,
+        id: &CubeId,
+        data: &CubeData,
+        base: Option<Fingerprint>,
+        deltas: &mut FxHashMap<CubeId, CubeDelta>,
+    ) -> Fingerprint {
+        if let Some((_, fp)) = self.memo.get(&data.storage_ptr()) {
+            return *fp;
+        }
+        let known =
+            base.and_then(|b| Some((b, self.cubes.get(&b)?.clone(), *self.digests.get(&b)?)));
+        let Some((base, old, mut digest)) = known else {
+            return self.fingerprint(data);
+        };
+        let delta = self.diff(base, &old, data);
+        digest.apply(&delta);
+        deltas.insert(id.clone(), delta);
+        self.remember(data, digest)
+    }
+
+    /// A full diff of two versions of a cube, counted in
+    /// [`RunCache::diff_rows`].
+    fn diff(&mut self, base: Fingerprint, old: &CubeData, new: &CubeData) -> CubeDelta {
+        let delta = changed_keys(base, old, new);
+        self.diff_rows += diff_rows(old, new);
+        delta
+    }
+
+    /// The digest behind a stored cube's fingerprint.
+    fn digest_of(&mut self, fp: Fingerprint) -> Option<CubeDigest> {
+        if let Some(d) = self.digests.get(&fp) {
+            return Some(*d);
+        }
+        let digest = CubeDigest::of_cube(&self.cube(fp)?);
+        self.digests.insert(fp, digest);
+        Some(digest)
     }
 
     /// Resolve a whole subgraph from the cache, statement by statement:
@@ -243,23 +339,37 @@ impl RunCache {
         let mut env = inputs.clone();
         let mut outputs = Vec::with_capacity(stmts.len());
         let mut counts = StmtCacheCounts::default();
+        // change sets of this call's cubes, each against the version its
+        // `base` names: diffs of revised inputs and patched outputs
+        let mut deltas: FxHashMap<CubeId, CubeDelta> = FxHashMap::default();
         // one interned working set for the whole subgraph: statements
         // evaluated inline hand their result batches to later inline
         // statements directly, without re-interning at each boundary
         let mut session = exl_eval::EvalSession::new();
         for stmt in stmts {
-            let (stmt_fp, key_fp, input_fps) = self.statement_keys(stmt, target, &env, tag)?;
+            let stmt_fp = statement_fp(stmt, target, &env, tag)?;
+            let last = self.latest.get(&stmt_fp).cloned();
+            let mut input_fps = Vec::new();
+            for id in stmt.expr.cube_refs() {
+                let base = last.as_ref().and_then(|l| l.input(&id));
+                let fp = self.input_fingerprint(&id, &env.get(&id)?.data, base, &mut deltas);
+                input_fps.push((id, fp));
+            }
+            let key_fp = cache_key(stmt_fp, &input_fps);
             let data = if let Some(data) = self.lookup_output(key_fp) {
                 counts.hits += 1;
                 data
             } else if target != TargetKind::Native {
                 // other targets only replay their own prior bits
                 return None;
-            } else if let Some(data) = self.try_delta(stmt, &env, stmt_fp) {
+            } else if let Some((data, delta)) =
+                self.try_delta(stmt, &env, stmt_fp, &input_fps, &mut deltas)
+            {
                 counts.delta_hits += 1;
                 // remember the fresh result so the next identical run
                 // hits exactly instead of re-patching
                 self.store_result(stmt_fp, key_fp, &input_fps, &env, &data);
+                deltas.insert(stmt.target.clone(), delta);
                 data
             } else if counts.hits + counts.delta_hits > 0 {
                 // dirty statement in an otherwise-resolving subgraph:
@@ -318,81 +428,67 @@ impl RunCache {
         let mut env = inputs.clone();
         for (stmt, (id, data)) in stmts.iter().zip(outputs.iter()) {
             debug_assert_eq!(&stmt.target, id);
-            let Some((stmt_fp, key_fp, input_fps)) = self.statement_keys(stmt, target, &env, tag)
-            else {
+            let Some(stmt_fp) = statement_fp(stmt, target, &env, tag) else {
                 return;
             };
+            let mut input_fps = Vec::new();
+            for id in stmt.expr.cube_refs() {
+                let Some(cube) = env.get(&id) else { return };
+                let fp = self.fingerprint(&cube.data);
+                input_fps.push((id, fp));
+            }
+            let key_fp = cache_key(stmt_fp, &input_fps);
             self.store_result(stmt_fp, key_fp, &input_fps, &env, data);
             let Some(schema) = schema_of(id) else { return };
             env.put(Cube::new(schema, data.clone()));
         }
     }
 
-    /// Fingerprints of one statement against an environment: the
-    /// statement fingerprint, the full cache key, and the per-input
-    /// fingerprints in reference order. `None` when an input is missing
-    /// from the environment (the caller executes normally). A non-empty
-    /// `tag` (per-shard entries) is folded into the statement
-    /// fingerprint; the empty tag reproduces the untagged key space.
-    fn statement_keys(
-        &mut self,
-        stmt: &Statement,
-        target: TargetKind,
-        env: &Dataset,
-        tag: &str,
-    ) -> Option<StatementKeys> {
-        let refs = stmt.expr.cube_refs();
-        let mut sb = FingerprintBuilder::new("exl.stmt.v1");
-        sb.push_str(&exl_lang::pretty::statement_to_string(stmt));
-        sb.push_str(target.name());
-        if !tag.is_empty() {
-            sb.push_str("shard");
-            sb.push_str(tag);
-        }
-        let mut input_fps = Vec::with_capacity(refs.len());
-        for id in &refs {
-            let cube = env.get(id)?;
-            sb.push_str(id.as_str());
-            // dims only: `kind` flips between catalog and subgraph-input
-            // views of the same cube and must not perturb the key
-            sb.push_str(&serde_json::to_string(&cube.schema.dims).ok()?);
-            input_fps.push((id.clone(), self.fingerprint(&cube.data)));
-        }
-        let stmt_fp = sb.finish();
-        let mut kb = FingerprintBuilder::new("exl.key.v1");
-        kb.push(stmt_fp);
-        for (_, fp) in &input_fps {
-            kb.push(*fp);
-        }
-        Some((stmt_fp, kb.finish(), input_fps))
-    }
-
-    /// Attempt the delta path for one statement: previous run known, all
-    /// previous cubes retrievable, statement delta-eligible, and the
-    /// patch evaluation neither errs nor panics.
+    /// Attempt the delta path for one statement: previous run known,
+    /// every input's change set against it found (carried, empty, or
+    /// diffed in full), the previous output retrievable, the statement
+    /// delta-eligible, and the patch evaluation neither errs nor panics.
+    /// The patched output comes back with its delta, and is memoized
+    /// under the previous output's digest moved by that delta.
     fn try_delta(
         &mut self,
         stmt: &Statement,
         env: &Dataset,
         stmt_fp: Fingerprint,
-    ) -> Option<CubeData> {
+        input_fps: &[(CubeId, Fingerprint)],
+        deltas: &mut FxHashMap<CubeId, CubeDelta>,
+    ) -> Option<(CubeData, CubeDelta)> {
         let last = self.latest.get(&stmt_fp).cloned().or_else(|| {
             let e = self.read_latest(stmt_fp)?;
             self.latest.insert(stmt_fp, e.clone());
             Some(e)
         })?;
-        let mut prev_inputs: FxHashMap<CubeId, CubeData> = FxHashMap::default();
-        for (id, fp) in &last.inputs {
-            prev_inputs.insert(CubeId::new(id), self.cube(*fp)?);
+        for (id, fp) in input_fps {
+            let base = last.input(id)?;
+            if deltas.get(id).is_some_and(|d| d.base == base) {
+                continue;
+            }
+            let delta = if *fp == base {
+                CubeDelta::new(base)
+            } else {
+                let old = self.cube(base)?;
+                self.diff(base, &old, &env.get(id)?.data)
+            };
+            deltas.insert(id.clone(), delta);
         }
         let prev_output = self.cube(last.output)?;
         // the delta kernels must degrade, never take the engine down: a
         // panic (or error) here just means a cold execution
-        catch_unwind(AssertUnwindSafe(|| {
-            exl_eval::delta::eval_statement_delta(stmt, env, &prev_inputs, &prev_output)
+        let (out, delta) = catch_unwind(AssertUnwindSafe(|| {
+            eval_statement_delta(stmt, env, deltas, &prev_output, last.output)
         }))
         .ok()?
-        .ok()?
+        .ok()??;
+        if let Some(mut digest) = self.digest_of(last.output) {
+            digest.apply(&delta);
+            self.remember(&out, digest);
+        }
+        Some((out, delta))
     }
 
     /// Insert one statement result (memory, then disk).
@@ -477,10 +573,12 @@ impl RunCache {
         let disk: DiskCube = self.read_json("cubes", fp)?;
         // a stored cube must hash to its own name; anything else is a
         // truncated or tampered entry
-        if Fingerprint::of_cube(&disk.cube) != fp {
+        let digest = CubeDigest::of_cube(&disk.cube);
+        if digest.fingerprint() != fp {
             self.note_corrupt("cubes", fp, "content hash mismatch");
             return None;
         }
+        self.digests.insert(fp, digest);
         self.cubes.insert(fp, disk.cube.clone());
         Some(disk.cube)
     }
@@ -566,6 +664,45 @@ impl RunCache {
             self.stats.write_failures += 1;
         }
     }
+}
+
+/// Statement fingerprint of one statement against an environment: the
+/// canonical statement text, the target kind, and every input's name and
+/// dimensions. `None` when an input is missing from the environment (the
+/// caller executes normally). A non-empty `tag` (per-shard entries) is
+/// folded in; the empty tag reproduces the untagged key space.
+fn statement_fp(
+    stmt: &Statement,
+    target: TargetKind,
+    env: &Dataset,
+    tag: &str,
+) -> Option<Fingerprint> {
+    let mut sb = FingerprintBuilder::new("exl.stmt.v1");
+    sb.push_str(&exl_lang::pretty::statement_to_string(stmt));
+    sb.push_str(target.name());
+    if !tag.is_empty() {
+        sb.push_str("shard");
+        sb.push_str(tag);
+    }
+    for id in stmt.expr.cube_refs() {
+        let cube = env.get(&id)?;
+        sb.push_str(id.as_str());
+        // dims only: `kind` flips between catalog and subgraph-input
+        // views of the same cube and must not perturb the key
+        sb.push_str(&serde_json::to_string(&cube.schema.dims).ok()?);
+    }
+    Some(sb.finish())
+}
+
+/// The full cache key: the statement fingerprint chained with its input
+/// fingerprints in reference order.
+fn cache_key(stmt_fp: Fingerprint, input_fps: &[(CubeId, Fingerprint)]) -> Fingerprint {
+    let mut kb = FingerprintBuilder::new("exl.key.v1");
+    kb.push(stmt_fp);
+    for (_, fp) in input_fps {
+        kb.push(*fp);
+    }
+    kb.finish()
 }
 
 /// Internal: lets [`RunCache::read_json`] version-check any entry type.

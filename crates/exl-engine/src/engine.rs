@@ -174,6 +174,10 @@ pub struct RunReport {
     /// incrementally, statements executed in full, plus the disk store's
     /// I/O health counters.
     pub cache: CacheStats,
+    /// Rows of the cube versions the run cache diffed in full, because no
+    /// change set was carried to the statement that needed one (the
+    /// `cache.diff_rows` counter; 0 when the cache is disabled).
+    pub diff_rows: u64,
 }
 
 /// What the observability sinks need from a run, collected even when the
@@ -975,6 +979,7 @@ impl ExlEngine {
         obs: &mut RunObservation,
     ) -> Result<RunReport, EngineError> {
         let cache_io_start = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let diff_rows_start = cache.as_ref().map_or(0, RunCache::diff_rows);
         let planned = {
             let _span = exl_obs::span(recorder, "engine.plan_and_translate");
             let plan_span = run_span.child("plan");
@@ -1047,6 +1052,8 @@ impl ExlEngine {
             recorder.incr_counter("cache.stores", io.stores);
             recorder.incr_counter("cache.corrupt", io.corrupt_entries);
             recorder.incr_counter("cache.write_failures", io.write_failures);
+            report.diff_rows = c.diff_rows() - diff_rows_start;
+            recorder.incr_counter("cache.diff_rows", report.diff_rows);
         }
         // last checkpoint before the point of no return: a run-level
         // cancel that raced the final stage (a SIGINT during the cache

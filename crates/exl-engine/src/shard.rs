@@ -516,19 +516,24 @@ fn run_segment_local(
     }
 
     // phase C — merge: concatenate each statement's per-shard outputs in
-    // ascending shard order (disjoint by construction)
+    // ascending shard order (disjoint by construction); the per-shard
+    // outputs are moved into the merge, not cloned
+    let mut per_shard: Vec<Vec<(CubeId, CubeData)>> = resolved
+        .into_iter()
+        .map(|slot| slot.expect("resolved").0)
+        .collect();
     let mut merged = Vec::with_capacity(wanted.len());
     let mut total_rows = 0u64;
     for (k, id) in wanted.iter().enumerate() {
-        for (i, slot) in resolved.iter().enumerate() {
-            let rows = slot.as_ref().expect("resolved").0[k].1.len() as u64;
+        for (i, outs) in per_shard.iter().enumerate() {
+            let rows = outs[k].1.len() as u64;
             outcome.reports[i].rows_out += rows;
             total_rows += rows;
         }
         let data = concat_data(
-            resolved
-                .iter()
-                .map(|slot| slot.as_ref().expect("resolved").0[k].1.clone()),
+            per_shard
+                .iter_mut()
+                .map(|outs| std::mem::take(&mut outs[k].1)),
         );
         merged.push((id.clone(), data));
     }

@@ -16,7 +16,7 @@ use exl_lang::ast::{Program, Statement};
 use exl_map::dep::Mapping;
 use exl_map::generate::{generate_mapping, GenMode};
 use exl_model::schema::{CubeId, CubeKind, CubeSchema};
-use exl_model::Dataset;
+use exl_model::{CubeData, Dataset};
 
 use crate::error::EngineError;
 
@@ -493,8 +493,10 @@ fn execute_traced_inner(
                     .ok_or_else(|| EngineError::Execution(format!("no frame for {id}")))?;
                 let data = exl_rmini::frame_to_cube_data(frame, schema)
                     .map_err(|e| EngineError::Execution(e.to_string()))?;
+                charge_output(&data, schema);
                 out.put(exl_model::Cube::new(schema.clone(), data));
             }
+            exl_fault::govern::checkpoint()?;
             return Ok(out);
         }
         TargetCode::Matlab { script, schemas } => {
@@ -517,8 +519,10 @@ fn execute_traced_inner(
                 let data = session
                     .decode(matrix, schema)
                     .map_err(|e| EngineError::Execution(e.to_string()))?;
+                charge_output(&data, schema);
                 out.put(exl_model::Cube::new(schema.clone(), data));
             }
+            exl_fault::govern::checkpoint()?;
             return Ok(out);
         }
         TargetCode::Etl { job, parallel } => {
@@ -531,6 +535,17 @@ fn execute_traced_inner(
         }
     };
     Ok(full.restrict(wanted))
+}
+
+/// Charge one decoded backend output against the run budget, as the
+/// native, ETL and SQL backends charge what they materialize; the
+/// checkpoint after the last output surfaces the verdict.
+fn charge_output(data: &CubeData, schema: &CubeSchema) {
+    let rows = data.len() as u64;
+    exl_fault::govern::charge(
+        rows,
+        exl_fault::govern::approx_cube_bytes(rows, schema.dims.len() as u64),
+    );
 }
 
 /// Convenience used by tests, examples and benchmarks: run a whole

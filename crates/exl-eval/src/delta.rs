@@ -2,8 +2,10 @@
 //!
 //! A vintage update touches a handful of observations; recomputing every
 //! derived cube from zero throws that sparsity away. This module
-//! re-evaluates a statement from its *previous* inputs and output plus the
-//! current inputs, recomputing only what the changed keys can reach:
+//! re-evaluates a statement from its previous output plus the *change
+//! sets* of its inputs ([`CubeDelta`]s, each against the input version the
+//! previous output was computed from), recomputing only what the changed
+//! keys can reach:
 //!
 //! * **Keyed statements** — expression trees built from the tuple-level
 //!   operators (scalar/vectorial arithmetic, unary maps, `shift`) compute
@@ -16,18 +18,30 @@
 //!   *complete* bag (the *algebraic aggregate* maintenance of Gray et
 //!   al.'s data cube, specialized to whole-group replay so the fold order
 //!   — and therefore every float — matches the cold path bit for bit).
+//!   Finding a touched group's rows is one scan of the argument's inputs
+//!   through a reused scratch key: no allocation per row.
 //! * Everything else — series operators (`stl_*`, `cumsum`, …) and nested
 //!   aggregations — is whole-cube: any changed key can move every output
 //!   value, so the caller must fall back to a full recompute.
 //!
+//! Every patch returns the output's own change set beside the patched
+//! output, so a chain of statements carries deltas downstream without
+//! diffing any derived cube. When a caller has no delta for an input it
+//! diffs the two versions with [`changed_keys`]: free when both share
+//! storage, otherwise one pass over the new version that walks the old
+//! one alongside in storage order, probing a hash table only where the
+//! two orders diverge.
+//!
 //! The contract, pinned by the `incremental_differential` suite, is
 //! **bit-identity**: a patched output equals the cold from-scratch output
-//! of [`eval_statement`] on the current inputs, bit for bit. This holds
-//! because affected keys/groups are recomputed by the very same kernels
-//! over the very same (restricted) rows, and unaffected keys keep values
-//! that were themselves cold-path results.
+//! of [`eval_statement`] on the current inputs, bit for bit, and its delta
+//! is exactly the difference between the previous and the patched output.
+//! This holds because affected keys/groups are recomputed by the very
+//! same kernels over the very same (restricted) rows, and unaffected keys
+//! keep values that were themselves cold-path results.
 
-use exl_lang::ast::{Expr, Statement};
+use exl_lang::ast::{Expr, GroupKey, Statement};
+use exl_model::fingerprint::{CubeDelta, Fingerprint, Upsert};
 use exl_model::hash::{FxHashMap, FxHashSet};
 use exl_model::schema::{CubeId, Dimension};
 use exl_model::value::DimValue;
@@ -36,22 +50,81 @@ use exl_model::{Cube, CubeData, Dataset, DimTuple};
 use crate::error::EvalError;
 use crate::eval::{eval_statement, key_parts, part_value};
 
-/// Keys on which two versions of a cube differ: inserted, updated (by
-/// measure bits — the cache promises bit-identical replay), or removed.
-pub fn changed_keys(old: &CubeData, new: &CubeData) -> Vec<DimTuple> {
-    let mut out = Vec::new();
+/// The change set turning `old` (whose fingerprint is `base`) into `new`:
+/// inserted and updated keys (by measure bits — the cache promises
+/// bit-identical replay) and removed keys.
+///
+/// Costs nothing when both versions share storage. Otherwise it is one
+/// pass over `new` with a cursor walking `old` alongside in storage
+/// order. The hasher is deterministic, so two versions built by the same
+/// insertion sequence, or one patched from a copy of the other, keep
+/// nearly the same storage order, and most keys match at the cursor
+/// without a hash probe. Where the orders diverge, the new key is looked
+/// up in `old`, and the cursor entry it steps past is looked up in `new`.
+/// The old entries the pass leaves behind are looked up only while the
+/// length arithmetic says removed rows are still unfound. Any storage
+/// order gives the same change set; only the number of probes differs.
+pub fn changed_keys(base: Fingerprint, old: &CubeData, new: &CubeData) -> CubeDelta {
+    let mut delta = CubeDelta::new(base);
+    if old.storage_ptr() == new.storage_ptr() {
+        return delta;
+    }
+    let mut cursor = old.iter().peekable();
+    // an old entry the cursor steps past is removed when `new` lacks it
+    let step_past = |delta: &mut CubeDelta, (k, v): (&DimTuple, f64)| {
+        let gone = new.get(k).is_none();
+        if gone {
+            delta.removed.push((k.clone(), v.to_bits()));
+        }
+        gone
+    };
+    let mut matched = 0usize;
     for (k, v) in new.iter() {
-        match old.get(k) {
-            Some(o) if o.to_bits() == v.to_bits() => {}
-            _ => out.push(k.clone()),
+        let old_bits = match cursor.next_if(|(ok, _)| *ok == k) {
+            Some((_, o)) => Some(o.to_bits()),
+            None => {
+                let found = old.get(k).map(f64::to_bits);
+                if found.is_some() {
+                    // the orders diverge: step the cursor past the entry
+                    // it holds (removed, or in `new` further on) and past
+                    // `k` if that comes next
+                    if let Some(entry) = cursor.next() {
+                        step_past(&mut delta, entry);
+                    }
+                    cursor.next_if(|(ok, _)| *ok == k);
+                }
+                found
+            }
+        };
+        matched += usize::from(old_bits.is_some());
+        if old_bits != Some(v.to_bits()) {
+            delta.upserts.push(Upsert {
+                key: k.clone(),
+                old: old_bits,
+                new: v.to_bits(),
+            });
         }
     }
-    for (k, _) in old.iter() {
-        if new.get(k).is_none() {
-            out.push(k.clone());
+    // every old key is either matched by a new key or removed
+    let mut unfound = old.len() - matched - delta.removed.len();
+    for entry in cursor {
+        if unfound == 0 {
+            break;
+        }
+        if step_past(&mut delta, entry) {
+            unfound -= 1;
         }
     }
-    out
+    delta
+}
+
+/// Rows of the two versions [`changed_keys`] compares: none when they
+/// share storage, else the rows of both.
+pub fn diff_rows(old: &CubeData, new: &CubeData) -> u64 {
+    if old.storage_ptr() == new.storage_ptr() {
+        return 0;
+    }
+    (old.len() + new.len()) as u64
 }
 
 /// How a statement can be maintained incrementally.
@@ -149,82 +222,115 @@ fn collect_leaves(
     }
 }
 
-/// Map a key through a shift chain (`sign = 1` leaf→root forward image,
-/// `sign = -1` root→leaf preimage), mirroring the evaluator's shift
-/// semantics exactly. `None` when a shifted dimension holds a value the
-/// evaluator would reject (or an integer overflows) — the caller bails
-/// to a full recompute so errors surface on the cold path.
-fn shift_key(key: &[DimValue], chain: &[(usize, i64)], sign: i64) -> Option<DimTuple> {
-    let mut k: DimTuple = key.to_vec();
+/// Map a key through a shift chain into `out` (`sign = 1` leaf→root
+/// forward image, `sign = -1` root→leaf preimage), mirroring the
+/// evaluator's shift semantics exactly. `None` when a shifted dimension
+/// holds a value the evaluator would reject (or an integer overflows) —
+/// the caller bails to a full recompute so errors surface on the cold
+/// path.
+fn shift_into(
+    key: &[DimValue],
+    chain: &[(usize, i64)],
+    sign: i64,
+    out: &mut DimTuple,
+) -> Option<()> {
+    out.clear();
+    out.extend_from_slice(key);
     for &(idx, off) in chain {
         let off = off.checked_mul(sign)?;
-        let slot = k.get_mut(idx)?;
+        let slot = out.get_mut(idx)?;
         *slot = match &*slot {
             DimValue::Time(t) => DimValue::Time(t.shift(off)),
             DimValue::Int(i) => DimValue::Int(i.checked_add(off)?),
             _ => return None,
         };
     }
+    Some(())
+}
+
+/// [`shift_into`] a fresh tuple.
+fn shift_key(key: &[DimValue], chain: &[(usize, i64)], sign: i64) -> Option<DimTuple> {
+    let mut k = Vec::with_capacity(key.len());
+    shift_into(key, chain, sign, &mut k)?;
     Some(k)
 }
 
 /// Incrementally re-evaluate `stmt` against the current inputs in `env`,
-/// given the previous data of every input cube and the previous output.
+/// given the change set of every input cube against the version the
+/// previous output was computed from, and that previous output with its
+/// fingerprint.
 ///
 /// Returns `Ok(None)` when the statement is not eligible (whole-cube
-/// operators, unmapped shift dimensions, missing previous inputs, or a
+/// operators, unmapped shift dimensions, an input without a delta, or a
 /// delta too large for patching to pay off) — the caller falls back to
-/// [`eval_statement`]. `Ok(Some(out))` is bit-identical to
-/// `eval_statement(stmt, env)`.
+/// [`eval_statement`]. `Ok(Some((out, delta)))`: `out` is bit-identical to
+/// `eval_statement(stmt, env)`, and `delta` (based on `prev_output_fp`)
+/// is exactly the change from `prev_output` to `out`. When nothing
+/// changed, `out` shares `prev_output`'s storage.
 pub fn eval_statement_delta(
     stmt: &Statement,
     env: &Dataset,
-    prev_inputs: &FxHashMap<CubeId, CubeData>,
+    input_deltas: &FxHashMap<CubeId, CubeDelta>,
     prev_output: &CubeData,
-) -> Result<Option<CubeData>, EvalError> {
+    prev_output_fp: Fingerprint,
+) -> Result<Option<(CubeData, CubeDelta)>, EvalError> {
     let shape = delta_shape(&stmt.expr);
     if shape == DeltaShape::Full {
         return Ok(None);
     }
 
-    // per-cube deltas between the previous and current inputs
     let refs = stmt.expr.cube_refs();
-    let mut deltas: FxHashMap<CubeId, Vec<DimTuple>> = FxHashMap::default();
     let mut total_rows = 0usize;
+    let mut changed = false;
     for id in &refs {
-        let Some(cur) = env.data(id) else {
-            return Ok(None);
-        };
-        let Some(prev) = prev_inputs.get(id) else {
+        let (Some(cur), Some(delta)) = (env.data(id), input_deltas.get(id)) else {
             return Ok(None);
         };
         total_rows += cur.len();
-        let delta = changed_keys(prev, cur);
-        if !delta.is_empty() {
-            deltas.insert(id.clone(), delta);
-        }
+        changed |= !delta.is_empty();
     }
-    if deltas.is_empty() {
+    let mut delta = CubeDelta::new(prev_output_fp);
+    if !changed {
         // inputs are bit-identical to the previous run: the previous
         // output *is* the answer
-        return Ok(Some(prev_output.clone()));
+        return Ok(Some((prev_output.clone(), delta)));
     }
 
-    match shape {
-        DeltaShape::Keyed => eval_keyed(stmt, env, &deltas, prev_output, total_rows),
-        DeltaShape::Grouped => eval_grouped(stmt, env, &deltas, prev_output),
+    let patched = match shape {
+        DeltaShape::Keyed => patch_keyed(stmt, env, input_deltas, total_rows)?,
+        DeltaShape::Grouped => patch_grouped(stmt, env, input_deltas)?,
         DeltaShape::Full => unreachable!("rejected above"),
+    };
+    let Some((affected, patch)) = patched else {
+        return Ok(None);
+    };
+    for k in affected {
+        let old = prev_output.get(&k).map(f64::to_bits);
+        match patch.get(&k).map(f64::to_bits) {
+            Some(new) if old != Some(new) => delta.upserts.push(Upsert { key: k, old, new }),
+            Some(_) => {}
+            None => {
+                if let Some(old) = old {
+                    delta.removed.push((k, old));
+                }
+            }
+        }
     }
+    let mut out = prev_output.clone();
+    delta.patch(&mut out);
+    Ok(Some((out, delta)))
 }
 
+/// The output keys a patch recomputes, and the patch evaluated over them.
+type Patch = Option<(FxHashSet<DimTuple>, CubeData)>;
+
 /// Keyed patch: recompute exactly the forward images of the changed keys.
-fn eval_keyed(
+fn patch_keyed(
     stmt: &Statement,
     env: &Dataset,
-    deltas: &FxHashMap<CubeId, Vec<DimTuple>>,
-    prev_output: &CubeData,
+    deltas: &FxHashMap<CubeId, CubeDelta>,
     total_rows: usize,
-) -> Result<Option<CubeData>, EvalError> {
+) -> Result<Patch, EvalError> {
     let mut leaves = Vec::new();
     if collect_leaves(&stmt.expr, env, &mut Vec::new(), &mut leaves).is_none() {
         return Ok(None);
@@ -234,10 +340,7 @@ fn eval_keyed(
     // every occurrence of its cube
     let mut affected: FxHashSet<DimTuple> = FxHashSet::default();
     for leaf in &leaves {
-        let Some(delta) = deltas.get(&leaf.id) else {
-            continue;
-        };
-        for k in delta {
+        for k in deltas[&leaf.id].keys() {
             match shift_key(k, &leaf.chain, 1) {
                 Some(out_k) => {
                     affected.insert(out_k);
@@ -273,30 +376,20 @@ fn eval_keyed(
         renv.put(Cube::new(cube.schema.clone(), r));
     }
 
+    // the restricted inputs are complete only for the affected keys; a
+    // key outside the set (e.g. an outer join defaulting where a partner
+    // row was restricted away) is computed from partial inputs and the
+    // caller reads the patch at affected keys only
     let patch = eval_statement(stmt, &renv)?;
-    let mut out = prev_output.clone();
-    for k in &affected {
-        out.remove(k);
-    }
-    for (k, v) in patch.iter() {
-        // the restricted inputs are complete only for the affected keys;
-        // a key outside the set (e.g. an outer join defaulting where a
-        // partner row was restricted away) is computed from partial
-        // inputs and must NOT overwrite its still-correct previous value
-        if affected.contains(k) {
-            out.insert_overwrite(k.clone(), v);
-        }
-    }
-    Ok(Some(out))
+    Ok(Some((affected, patch)))
 }
 
 /// Grouped patch: replay the touched groups with their complete bags.
-fn eval_grouped(
+fn patch_grouped(
     stmt: &Statement,
     env: &Dataset,
-    deltas: &FxHashMap<CubeId, Vec<DimTuple>>,
-    prev_output: &CubeData,
-) -> Result<Option<CubeData>, EvalError> {
+    deltas: &FxHashMap<CubeId, CubeDelta>,
+) -> Result<Patch, EvalError> {
     let Expr::Aggregate { arg, group_by, .. } = &stmt.expr else {
         unreachable!("classified as Grouped");
     };
@@ -304,21 +397,38 @@ fn eval_grouped(
         return Ok(None);
     };
     if group_by.iter().any(|g| match g {
-        exl_lang::ast::GroupKey::Dim(name) => !arg_dims.iter().any(|d| &d.name == name),
-        exl_lang::ast::GroupKey::TimeMap { dim, .. } => !arg_dims.iter().any(|d| &d.name == dim),
+        GroupKey::Dim(name) => !arg_dims.iter().any(|d| &d.name == name),
+        GroupKey::TimeMap { dim, .. } => !arg_dims.iter().any(|d| &d.name == dim),
     }) {
         return Ok(None);
     }
     let Ok(parts) = key_parts(&arg_dims, group_by) else {
         return Ok(None);
     };
-    // a key the group-by rejects (wrong arity, non-time value where the
-    // schema promised one) bails to the cold path, which raises the error
-    let group_of = |k: &DimTuple| -> Option<DimTuple> {
-        parts
-            .iter()
-            .map(|p| part_value(p, k).ok().map(std::borrow::Cow::into_owned))
-            .collect()
+    // the group key of `k`'s forward image through `chain`, written into
+    // `group` (`shifted` is scratch); false when the shift or the
+    // group-by rejects the key — the caller bails to the cold path, which
+    // raises the error
+    let group_into = |k: &DimTuple,
+                      chain: &[(usize, i64)],
+                      shifted: &mut DimTuple,
+                      group: &mut DimTuple|
+     -> bool {
+        let image = if chain.is_empty() {
+            k
+        } else if shift_into(k, chain, 1, shifted).is_some() {
+            &*shifted
+        } else {
+            return false;
+        };
+        group.clear();
+        for p in &parts {
+            match part_value(p, image) {
+                Ok(v) => group.push(v.into_owned()),
+                Err(_) => return false,
+            }
+        }
+        true
     };
 
     let mut leaves = Vec::new();
@@ -327,17 +437,15 @@ fn eval_grouped(
     }
 
     // touched groups: group keys of the forward images of changed keys
+    let (mut shifted, mut group) = (DimTuple::new(), DimTuple::new());
     let mut affected: FxHashSet<DimTuple> = FxHashSet::default();
     for leaf in &leaves {
-        let Some(delta) = deltas.get(&leaf.id) else {
-            continue;
-        };
-        for k in delta {
-            match shift_key(k, &leaf.chain, 1).and_then(|out_k| group_of(&out_k)) {
-                Some(g) => {
-                    affected.insert(g);
-                }
-                None => return Ok(None),
+        for k in deltas[&leaf.id].keys() {
+            if !group_into(k, &leaf.chain, &mut shifted, &mut group) {
+                return Ok(None);
+            }
+            if !affected.contains(group.as_slice()) {
+                affected.insert(group.clone());
             }
         }
     }
@@ -351,11 +459,11 @@ fn eval_grouped(
         let mut r = CubeData::new();
         for (k, v) in cube.data.iter() {
             for leaf in &chains {
-                let Some(g) = shift_key(k, &leaf.chain, 1).as_ref().and_then(&group_of) else {
+                if !group_into(k, &leaf.chain, &mut shifted, &mut group) {
                     // the cold path would reject this row
                     return Ok(None);
-                };
-                if affected.contains(&g) {
+                }
+                if affected.contains(group.as_slice()) {
                     r.insert_overwrite(k.clone(), v);
                     break;
                 }
@@ -365,20 +473,15 @@ fn eval_grouped(
     }
 
     let patch = eval_statement(stmt, &renv)?;
-    let mut out = prev_output.clone();
-    for g in &affected {
-        out.remove(g);
-    }
-    for (k, v) in patch.iter() {
-        out.insert_overwrite(k.clone(), v);
-    }
-    Ok(Some(out))
+    debug_assert!(patch.iter().all(|(k, _)| affected.contains(k)));
+    Ok(Some((affected, patch)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use exl_lang::{analyze, parse_program};
+    use exl_model::fingerprint::CubeDigest;
     use exl_model::time::TimePoint;
 
     fn q(y: i32, n: u32) -> DimValue {
@@ -395,9 +498,25 @@ mod tests {
         v
     }
 
+    /// Every input's change set from its `prev` version to its version
+    /// in `env`.
+    fn input_deltas(
+        prev: &FxHashMap<CubeId, CubeData>,
+        env: &Dataset,
+    ) -> FxHashMap<CubeId, CubeDelta> {
+        prev.iter()
+            .map(|(id, old)| {
+                let base = Fingerprint::of_cube(old);
+                (id.clone(), changed_keys(base, old, env.data(id).unwrap()))
+            })
+            .collect()
+    }
+
     /// Analyze `src`, evaluate its single derived statement cold on both
     /// input versions, then warm-patch from the old state and assert
-    /// bit-identity with the new cold result.
+    /// bit-identity with the new cold result — and that the returned
+    /// output delta is exactly the change from the old output, digest
+    /// included.
     fn check_delta(
         src: &str,
         old: Vec<(&str, Vec<(DimTuple, f64)>)>,
@@ -431,10 +550,23 @@ mod tests {
             new_env.put(Cube::new(analyzed.schemas[&s.target].clone(), data));
         }
         let cold = eval_statement(stmt, &new_env).unwrap();
-        let warm = eval_statement_delta(stmt, &new_env, &prev_inputs, &prev_output)
+        let prev_fp = Fingerprint::of_cube(&prev_output);
+        let deltas = input_deltas(&prev_inputs, &new_env);
+        let (warm, delta) = eval_statement_delta(stmt, &new_env, &deltas, &prev_output, prev_fp)
             .unwrap()
             .expect("statement should be delta-eligible");
         assert_eq!(bits(&cold), bits(&warm));
+        assert_eq!(delta.base, prev_fp);
+        let mut replayed = prev_output.clone();
+        delta.patch(&mut replayed);
+        assert_eq!(bits(&replayed), bits(&cold));
+        assert_eq!(
+            changed_keys(prev_fp, &prev_output, &warm).len(),
+            delta.len()
+        );
+        let mut digest = CubeDigest::of_cube(&prev_output);
+        digest.apply(&delta);
+        assert_eq!(digest.fingerprint(), Fingerprint::of_cube(&cold));
     }
 
     fn poke(env: &mut Dataset, cube: &str, key: DimTuple, v: f64) {
@@ -574,10 +706,16 @@ mod tests {
         )]
         .into_iter()
         .collect();
-        let warm = eval_statement_delta(stmt, &env, &prev_inputs, &prev_out)
-            .unwrap()
-            .unwrap();
+        let fp = Fingerprint::of_cube(&prev_out);
+        let (warm, delta) =
+            eval_statement_delta(stmt, &env, &input_deltas(&prev_inputs, &env), &prev_out, fp)
+                .unwrap()
+                .unwrap();
         assert_eq!(bits(&warm), bits(&prev_out));
+        assert!(delta.is_empty());
+        assert_eq!(delta.base, fp);
+        // nothing changed: the previous output is handed back, not copied
+        assert_eq!(warm.storage_ptr(), prev_out.storage_ptr());
     }
 
     #[test]
@@ -607,7 +745,14 @@ mod tests {
             analyzed.schemas[&CubeId::new("A")].clone(),
             CubeData::from_tuples(vec![(vec![q(2020, 1)], 3.0)]).unwrap(),
         ));
-        let r = eval_statement_delta(stmt, &env, &FxHashMap::default(), &CubeData::new()).unwrap();
+        let r = eval_statement_delta(
+            stmt,
+            &env,
+            &FxHashMap::default(),
+            &CubeData::new(),
+            Fingerprint::EMPTY,
+        )
+        .unwrap();
         assert!(r.is_none());
     }
 
@@ -619,12 +764,103 @@ mod tests {
         new.insert_overwrite(vec![q(2020, 2)], 2.5); // update
         new.insert_overwrite(vec![q(2020, 3)], 3.0); // insert
         new.remove(&[q(2020, 1)]); // delete
-        let mut ks = changed_keys(&old, &new);
+        let base = Fingerprint::of_cube(&old);
+        let delta = changed_keys(base, &old, &new);
+        let mut ks: Vec<DimTuple> = delta.keys().cloned().collect();
         ks.sort();
         assert_eq!(
             ks,
             vec![vec![q(2020, 1)], vec![q(2020, 2)], vec![q(2020, 3)]]
         );
-        assert!(changed_keys(&old, &old).is_empty());
+        assert_eq!(delta.removed, vec![(vec![q(2020, 1)], 1.0f64.to_bits())]);
+        let mut digest = CubeDigest::of_cube(&old);
+        digest.apply(&delta);
+        assert_eq!(digest.fingerprint(), Fingerprint::of_cube(&new));
+        // shared storage short-circuits; a deep copy diffs to nothing
+        assert!(changed_keys(base, &old, &old.clone()).is_empty());
+        let deep = CubeData::from_tuples(old.to_tuples()).unwrap();
+        assert!(changed_keys(base, &old, &deep).is_empty());
+        // a pure update (to -0.0, equal to 0.0 as a float) is one upsert
+        let mut updated = old.clone();
+        updated.insert_overwrite(vec![q(2020, 1)], -0.0);
+        let d = changed_keys(base, &old, &updated);
+        assert_eq!((d.upserts.len(), d.removed.len()), (1, 0));
+    }
+
+    /// `changed_keys` against a naive set difference, whatever the two
+    /// versions' storage orders: a version patched from a copy (orders
+    /// aligned) and the same content rebuilt in shuffled order (orders
+    /// diverge everywhere), with updates, inserts and removals mixed.
+    #[test]
+    fn changed_keys_is_independent_of_storage_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        type Entries = Vec<(DimTuple, u64)>;
+        let naive =
+            |old: &CubeData, new: &CubeData| -> (Entries, Vec<(DimTuple, Option<u64>, u64)>) {
+                let mut removed: Entries = old
+                    .iter()
+                    .filter(|(k, _)| new.get(k).is_none())
+                    .map(|(k, v)| (k.clone(), v.to_bits()))
+                    .collect();
+                let mut upserts: Vec<_> = new
+                    .iter()
+                    .filter(|(k, v)| old.get(k).map(f64::to_bits) != Some(v.to_bits()))
+                    .map(|(k, v)| (k.clone(), old.get(k).map(f64::to_bits), v.to_bits()))
+                    .collect();
+                removed.sort();
+                upserts.sort();
+                (removed, upserts)
+            };
+        let sorted = |d: &CubeDelta| {
+            let mut removed = d.removed.clone();
+            let mut upserts: Vec<_> = d
+                .upserts
+                .iter()
+                .map(|u| (u.key.clone(), u.old, u.new))
+                .collect();
+            removed.sort();
+            upserts.sort();
+            (removed, upserts)
+        };
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..200i64);
+            let old = CubeData::from_tuples(
+                (0..n).map(|i| (vec![q(2000 + (i / 4) as i32, (i % 4 + 1) as u32)], i as f64)),
+            )
+            .unwrap();
+            let mut patched = old.clone();
+            for _ in 0..rng.gen_range(0..8) {
+                let i = rng.gen_range(0..n + 20);
+                let key = vec![q(2000 + (i / 4) as i32, (i % 4 + 1) as u32)];
+                match rng.gen_range(0..3) {
+                    0 => {
+                        patched.remove(&key);
+                    }
+                    _ => patched.insert_overwrite(key, rng.gen_range(-1.0..1.0)),
+                }
+            }
+            let mut shuffled = patched.to_tuples();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let rebuilt = CubeData::from_tuples(shuffled).unwrap();
+            for new in [&patched, &rebuilt] {
+                let want = naive(&old, new);
+                assert_eq!(
+                    sorted(&changed_keys(Fingerprint::EMPTY, &old, new)),
+                    want,
+                    "seed {seed}"
+                );
+                // and in the other direction
+                let back = naive(new, &old);
+                assert_eq!(
+                    sorted(&changed_keys(Fingerprint::EMPTY, new, &old)),
+                    back,
+                    "seed {seed}"
+                );
+            }
+        }
     }
 }

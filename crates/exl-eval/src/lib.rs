@@ -26,7 +26,7 @@ pub mod eval;
 pub mod plan;
 pub mod shard;
 
-pub use delta::{changed_keys, delta_shape, eval_statement_delta, DeltaShape};
+pub use delta::{changed_keys, delta_shape, diff_rows, eval_statement_delta, DeltaShape};
 pub use error::EvalError;
 pub use eval::{
     aggregate_data, eval_statement, run_program, run_program_opts, run_program_unfused,

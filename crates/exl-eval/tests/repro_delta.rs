@@ -1,7 +1,8 @@
 // repro: keyed delta patch writes wrong values at unaffected keys
-use exl_eval::delta::eval_statement_delta;
+use exl_eval::delta::{changed_keys, eval_statement_delta};
 use exl_eval::eval::eval_statement;
 use exl_lang::{analyze, parse_program};
+use exl_model::fingerprint::{CubeDelta, Fingerprint};
 use exl_model::hash::FxHashMap;
 use exl_model::schema::CubeId;
 use exl_model::time::TimePoint;
@@ -32,8 +33,6 @@ fn addz_shift_patch_bit_identity() {
         old.clone(),
     ));
     let prev_output = eval_statement(stmt, &env).unwrap();
-    let mut prev_inputs: FxHashMap<CubeId, CubeData> = FxHashMap::default();
-    prev_inputs.insert(CubeId::new("A"), old.clone());
 
     // change only A[2022Q3]
     let mut newa = old.clone();
@@ -42,9 +41,20 @@ fn addz_shift_patch_bit_identity() {
     new_env.put(Cube::new(analyzed.schemas[&CubeId::new("A")].clone(), newa));
 
     let cold = eval_statement(stmt, &new_env).unwrap();
-    let warm = eval_statement_delta(stmt, &new_env, &prev_inputs, &prev_output)
+    let base = Fingerprint::of_cube(&old);
+    let mut input_deltas: FxHashMap<CubeId, CubeDelta> = FxHashMap::default();
+    input_deltas.insert(
+        CubeId::new("A"),
+        changed_keys(base, &old, new_env.data(&CubeId::new("A")).unwrap()),
+    );
+    let prev_fp = Fingerprint::of_cube(&prev_output);
+    let (warm, delta) = eval_statement_delta(stmt, &new_env, &input_deltas, &prev_output, prev_fp)
         .unwrap()
         .expect("delta-eligible");
+    // the output delta replays the old output onto the cold one
+    let mut replayed = prev_output.clone();
+    delta.patch(&mut replayed);
+    assert_eq!(replayed, cold, "output delta does not replay");
     let mut c: Vec<_> = cold.iter().map(|(k, v)| (k.clone(), v)).collect();
     let mut w: Vec<_> = warm.iter().map(|(k, v)| (k.clone(), v)).collect();
     c.sort_by(|a, b| a.0.cmp(&b.0));

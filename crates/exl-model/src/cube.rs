@@ -103,6 +103,18 @@ impl CubeData {
         std::sync::Arc::make_mut(&mut self.entries).remove(key)
     }
 
+    /// Move every entry of `other` into this cube, overwriting on a
+    /// duplicate point. The entries are moved out when `other` is the only
+    /// handle on its storage and cloned otherwise, so a cube still shared
+    /// elsewhere is left untouched.
+    pub fn absorb(&mut self, other: CubeData) {
+        let entries = std::sync::Arc::make_mut(&mut self.entries);
+        match std::sync::Arc::try_unwrap(other.entries) {
+            Ok(owned) => entries.extend(owned),
+            Err(shared) => entries.extend(shared.iter().map(|(k, &v)| (k.clone(), v))),
+        }
+    }
+
     /// Address of the shared entry storage. Two cubes with equal
     /// `storage_ptr` hold the *same* `Arc`'d map and are therefore equal;
     /// the engine uses this for per-run fingerprint memoization (the memo

@@ -18,6 +18,14 @@
 //!   `lhs := expr` over a specific input list — swapping inputs must change
 //!   the key), producing the statement and cache-key fingerprints.
 //!
+//! Because the cube fold is a wrapping sum, it is also *invertible per
+//! entry*: [`CubeDigest`] exposes the two lane sums and the entry count
+//! behind [`Fingerprint::of_cube`], and a [`CubeDelta`] (the entries one
+//! version of a cube changed against another) moves a digest exactly —
+//! subtract each removed or overwritten entry, add each new one. The run
+//! cache uses this to fingerprint a revised cube from its predecessor's
+//! digest in O(changed rows) instead of rehashing every row.
+//!
 //! Fingerprints are 128 bits (two independently mixed 64-bit lanes) so
 //! that accidental collisions are out of reach for any realistic cache
 //! population, while staying cheap to compare, copy, and render as a
@@ -27,7 +35,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use crate::cube::CubeData;
+use crate::cube::{CubeData, DimTuple};
 use crate::hash::FxHasher;
 use crate::value::DimValue;
 
@@ -56,7 +64,7 @@ fn fx64<T: Hash + ?Sized>(v: &T) -> u64 {
 }
 
 /// A 128-bit content fingerprint (two independently mixed lanes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint {
     /// High lane.
     pub hi: u64,
@@ -82,11 +90,11 @@ impl Fingerprint {
         Fingerprint::of_bytes(s.as_bytes())
     }
 
-    /// Content fingerprint of one cube entry. Measures hash by their bit
+    /// Content fingerprint of one cube entry, given the measure's bit
     /// pattern: the cache promises *bit-identical* replay, so `-0.0` and
     /// `+0.0` are distinct here even though the egd check collapses them.
-    fn of_entry(key: &[DimValue], value: f64) -> (u64, u64) {
-        let raw = fx64(&(key, value.to_bits()));
+    fn of_entry(key: &[DimValue], bits: u64) -> (u64, u64) {
+        let raw = fx64(&(key, bits));
         (mix(raw ^ LANE_HI), mix(raw ^ LANE_LO))
     }
 
@@ -97,18 +105,7 @@ impl Fingerprint {
     /// end. Clones — CoW `Arc` shares and deep copies alike — fingerprint
     /// identically because only `(tuple, bits)` content is hashed.
     pub fn of_cube(cube: &CubeData) -> Fingerprint {
-        let mut acc_hi: u64 = 0;
-        let mut acc_lo: u64 = 0;
-        for (k, v) in cube.iter() {
-            let (eh, el) = Fingerprint::of_entry(k, v);
-            acc_hi = acc_hi.wrapping_add(eh);
-            acc_lo = acc_lo.wrapping_add(el);
-        }
-        let n = cube.len() as u64;
-        Fingerprint {
-            hi: mix(acc_hi.wrapping_add(n) ^ LANE_HI),
-            lo: mix(acc_lo.wrapping_add(n) ^ LANE_LO),
-        }
+        CubeDigest::of_cube(cube).fingerprint()
     }
 
     /// Render as 32 lowercase hex characters (`hi` then `lo`) — the
@@ -147,6 +144,141 @@ impl<'de> serde::Deserialize<'de> for Fingerprint {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let s = String::deserialize(deserializer)?;
         s.parse().map_err(serde::de::Error::custom)
+    }
+}
+
+/// The accumulators behind [`Fingerprint::of_cube`]: the wrapping sum of
+/// every entry's two mixed lanes, and the entry count. A digest can be
+/// moved entry by entry ([`CubeDigest::add`], [`CubeDigest::remove`],
+/// [`CubeDigest::apply`]) and always finishes to the fingerprint that
+/// `of_cube` computes over the cube it now describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CubeDigest {
+    hi: u64,
+    lo: u64,
+    len: u64,
+}
+
+impl CubeDigest {
+    /// Digest of a whole cube: one pass over its entries.
+    pub fn of_cube(cube: &CubeData) -> CubeDigest {
+        let mut d = CubeDigest::default();
+        for (k, v) in cube.iter() {
+            d.add(k, v.to_bits());
+        }
+        d
+    }
+
+    /// Fold in one entry (a key the cube did not hold).
+    pub fn add(&mut self, key: &[DimValue], bits: u64) {
+        let (eh, el) = Fingerprint::of_entry(key, bits);
+        self.hi = self.hi.wrapping_add(eh);
+        self.lo = self.lo.wrapping_add(el);
+        self.len = self.len.wrapping_add(1);
+    }
+
+    /// Take out one entry the cube held with exactly these bits.
+    pub fn remove(&mut self, key: &[DimValue], bits: u64) {
+        let (eh, el) = Fingerprint::of_entry(key, bits);
+        self.hi = self.hi.wrapping_sub(eh);
+        self.lo = self.lo.wrapping_sub(el);
+        self.len = self.len.wrapping_sub(1);
+    }
+
+    /// Move the digest of `delta`'s base version to the digest of the
+    /// version `delta` leads to.
+    pub fn apply(&mut self, delta: &CubeDelta) {
+        for u in &delta.upserts {
+            if let Some(old) = u.old {
+                self.remove(&u.key, old);
+            }
+            self.add(&u.key, u.new);
+        }
+        for (k, old) in &delta.removed {
+            self.remove(k, *old);
+        }
+    }
+
+    /// Entries in the digested cube.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True when the digested cube is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The cube fingerprint: the entry count folded into each lane sum.
+    pub fn fingerprint(&self) -> Fingerprint {
+        Fingerprint {
+            hi: mix(self.hi.wrapping_add(self.len) ^ LANE_HI),
+            lo: mix(self.lo.wrapping_add(self.len) ^ LANE_LO),
+        }
+    }
+}
+
+/// One key a [`CubeDelta`] writes: inserted (`old` is `None`) or
+/// overwritten with different bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Upsert {
+    /// The dimension tuple.
+    pub key: DimTuple,
+    /// Measure bits in the base version, `None` when the key is new.
+    pub old: Option<u64>,
+    /// Measure bits in the new version (never equal to `old`).
+    pub new: u64,
+}
+
+/// The change set between two versions of a cube: what turns the *base*
+/// version (fingerprint [`CubeDelta::base`]) into the new one. Measures
+/// are compared and carried by bit pattern, so `-0.0` against `+0.0` and
+/// distinct NaN payloads are changes.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CubeDelta {
+    /// Fingerprint of the version this delta starts from.
+    pub base: Fingerprint,
+    /// Keys inserted or overwritten, with their old and new bits.
+    pub upserts: Vec<Upsert>,
+    /// Keys the new version no longer holds, with their old bits.
+    pub removed: Vec<(DimTuple, u64)>,
+}
+
+impl CubeDelta {
+    /// An empty change set over `base`.
+    pub fn new(base: Fingerprint) -> CubeDelta {
+        CubeDelta {
+            base,
+            ..CubeDelta::default()
+        }
+    }
+
+    /// True when the two versions hold the same entries.
+    pub fn is_empty(&self) -> bool {
+        self.upserts.is_empty() && self.removed.is_empty()
+    }
+
+    /// Number of changed keys.
+    pub fn len(&self) -> usize {
+        self.upserts.len() + self.removed.len()
+    }
+
+    /// Every changed key: upserted, then removed.
+    pub fn keys(&self) -> impl Iterator<Item = &DimTuple> {
+        self.upserts
+            .iter()
+            .map(|u| &u.key)
+            .chain(self.removed.iter().map(|(k, _)| k))
+    }
+
+    /// Turn the base version into the new one.
+    pub fn patch(&self, cube: &mut CubeData) {
+        for (k, _) in &self.removed {
+            cube.remove(k);
+        }
+        for u in &self.upserts {
+            cube.insert_overwrite(u.key.clone(), f64::from_bits(u.new));
+        }
     }
 }
 

@@ -50,7 +50,7 @@ pub use batch::CubeBatch;
 pub use cube::{format_tuple, Cube, CubeData, DimTuple};
 pub use dataset::Dataset;
 pub use error::ModelError;
-pub use fingerprint::{Fingerprint, FingerprintBuilder};
+pub use fingerprint::{CubeDelta, CubeDigest, Fingerprint, FingerprintBuilder, Upsert};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{DimPool, IDim, IKey, Sym};
 pub use schema::{CubeId, CubeKind, CubeSchema, Dimension};

@@ -38,7 +38,11 @@ pub fn shard_of(value: &DimValue, shards: usize) -> usize {
 /// the union of the parts is the input.
 pub fn split_data(data: &CubeData, dim_idx: usize, shards: usize) -> Vec<CubeData> {
     let n = shards.max(1);
-    let mut parts = vec![CubeData::with_capacity(data.len() / n + 1); n];
+    // one allocation per part: cloning a template would share one map
+    // and make every part's first insert a copy-on-write copy
+    let mut parts: Vec<CubeData> = (0..n)
+        .map(|_| CubeData::with_capacity(data.len() / n + 1))
+        .collect();
     for (key, value) in data.iter() {
         let s = shard_of(&key[dim_idx], n);
         parts[s].insert_overwrite(key.clone(), value);
@@ -51,19 +55,18 @@ pub fn split_data(data: &CubeData, dim_idx: usize, shards: usize) -> Vec<CubeDat
 /// a duplicate point (a sharding bug) would silently keep the last value,
 /// which the shard-invariance differential suite would surface as a row
 /// count mismatch against the unsharded run.
+///
+/// The result is one map sized once for every part. A part nobody else
+/// holds gives up its entries; a part still shared (the run cache keeps
+/// per-shard outputs) is read and left unchanged.
 pub fn concat_data<I>(parts: I) -> CubeData
 where
     I: IntoIterator<Item = CubeData>,
 {
-    let mut iter = parts.into_iter();
-    let Some(first) = iter.next() else {
-        return CubeData::new();
-    };
-    let mut out = first;
-    for part in iter {
-        for (key, value) in part.iter() {
-            out.insert_overwrite(key.clone(), value);
-        }
+    let parts: Vec<CubeData> = parts.into_iter().collect();
+    let mut out = CubeData::with_capacity(parts.iter().map(CubeData::len).sum());
+    for part in parts {
+        out.absorb(part);
     }
     out
 }
@@ -124,6 +127,37 @@ mod tests {
             let back = concat_data(parts);
             assert_eq!(back, data);
         }
+    }
+
+    #[test]
+    fn concat_of_shared_parts_leaves_them_unchanged() {
+        let data = sample();
+        let parts = split_data(&data, 1, 4);
+        let snapshot: Vec<Vec<(Vec<DimValue>, f64)>> =
+            parts.iter().map(CubeData::to_tuples).collect();
+        let ptrs: Vec<usize> = parts.iter().map(CubeData::storage_ptr).collect();
+        // the parts stay shared with `parts` while they are merged
+        let merged = concat_data(parts.iter().cloned());
+        assert_eq!(merged, data, "merge is not the union of its parts");
+        for (i, part) in parts.iter().enumerate() {
+            assert_eq!(part.to_tuples(), snapshot[i], "part {i} changed");
+            assert_eq!(part.storage_ptr(), ptrs[i], "part {i} was reallocated");
+            assert_ne!(part.storage_ptr(), merged.storage_ptr());
+        }
+        // owned parts merge to the same union
+        assert_eq!(concat_data(parts), data);
+    }
+
+    #[test]
+    fn split_gives_every_part_its_own_allocation() {
+        // five regions over eight shards: some parts stay empty, and an
+        // empty part would still share a cloned template's storage
+        let parts = split_data(&sample(), 1, 8);
+        assert!(parts.iter().any(CubeData::is_empty));
+        let mut ptrs: Vec<usize> = parts.iter().map(CubeData::storage_ptr).collect();
+        ptrs.sort_unstable();
+        ptrs.dedup();
+        assert_eq!(ptrs.len(), parts.len(), "split parts share storage");
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! recomputation: the hash must depend on *content only* — not on
 //! insertion order, sharing structure (CoW clone vs deep copy), or which
 //! string allocations happen to back the dimension values — while any
-//! single-entry change must move it.
+//! single-entry change must move it. The digest behind it must follow any
+//! change set exactly, so the cache can fingerprint a revised cube from
+//! its predecessor in O(changed rows).
 
-use exl_model::fingerprint::Fingerprint;
+use exl_model::fingerprint::{CubeDelta, CubeDigest, Fingerprint, Upsert};
 use exl_model::value::DimValue;
 use exl_model::{CubeData, TimePoint};
 use proptest::prelude::*;
@@ -60,8 +62,89 @@ fn shuffled(entries: &[(Vec<DimValue>, f64)], seed: u64) -> Vec<(Vec<DimValue>, 
     out
 }
 
+/// Measures a delta writes: ordinary values, both zeros, and NaNs with
+/// distinct payloads and signs, so bit-level changes that compare equal
+/// (or unequal to themselves) as floats are covered.
+const PAYLOADS: [u64; 7] = [
+    0x0000_0000_0000_0000, // +0.0
+    0x8000_0000_0000_0000, // -0.0
+    0x7ff8_0000_0000_0000, // quiet NaN
+    0x7ff8_0000_0000_0001, // NaN with a payload
+    0xfff8_0000_0000_0042, // negative NaN with a payload
+    0x3ff0_0000_0000_0000, // 1.0
+    0xc059_0000_0000_0000, // -100.0
+];
+
+/// A seeded change set over `cube`: updates, removals and inserted keys,
+/// each kind drawn per entry, with measures drawn from [`PAYLOADS`] or at
+/// random. Upserts never rewrite a key with its own bits.
+fn random_delta(cube: &CubeData, seed: u64) -> CubeDelta {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut delta = CubeDelta::new(Fingerprint::of_cube(cube));
+    let bits = |rng: &mut StdRng| {
+        if rng.gen_bool(0.5) {
+            PAYLOADS[rng.gen_range(0..PAYLOADS.len())]
+        } else {
+            rng.gen_range(-50.0..50.0f64).to_bits()
+        }
+    };
+    for (k, v) in cube.iter_sorted() {
+        match rng.gen_range(0..4) {
+            0 => {
+                let new = bits(&mut rng);
+                if new != v.to_bits() {
+                    delta.upserts.push(Upsert {
+                        key: k.clone(),
+                        old: Some(v.to_bits()),
+                        new,
+                    });
+                }
+            }
+            1 => delta.removed.push((k.clone(), v.to_bits())),
+            _ => {}
+        }
+    }
+    for j in 0..rng.gen_range(0..6) {
+        // a fourth dimension no generated key has: always a new point
+        let mut key = cube
+            .iter_sorted()
+            .next()
+            .map(|(k, _)| k.clone())
+            .unwrap_or_default();
+        key.push(DimValue::Int(1_000 + j));
+        delta.upserts.push(Upsert {
+            key,
+            old: None,
+            new: bits(&mut rng),
+        });
+    }
+    delta
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A digest moved by a change set finishes to exactly the fingerprint
+    /// of the patched cube: updates (to `-0.0` and NaN payloads
+    /// included), removals and inserted keys, in any mix.
+    #[test]
+    fn digest_follows_random_deltas(seed in 0u64..10_000) {
+        let cube = cube_of(&random_entries(seed));
+        let delta = random_delta(&cube, seed ^ 0xd17a);
+        let mut digest = CubeDigest::of_cube(&cube);
+        prop_assert_eq!(digest.fingerprint(), Fingerprint::of_cube(&cube));
+        digest.apply(&delta);
+        let mut patched = cube.clone();
+        delta.patch(&mut patched);
+        prop_assert_eq!(digest.fingerprint(), Fingerprint::of_cube(&patched));
+        prop_assert_eq!(digest.len(), patched.len() as u64);
+        // a non-empty change set always moves the fingerprint
+        prop_assert_eq!(delta.is_empty(), digest.fingerprint() == delta.base);
+        // and the patched cube holds the written bits, NaN payloads too
+        for u in &delta.upserts {
+            prop_assert_eq!(patched.get(&u.key).map(f64::to_bits), Some(u.new));
+        }
+    }
 
     /// Insertion order never shows in the fingerprint: sorted, reversed,
     /// and randomly shuffled insertions all agree.

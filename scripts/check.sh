@@ -39,8 +39,16 @@ cargo test -q -p exl-integration-tests --test interned_differential \
 echo "== incremental differential (fixed-seed matrix) =="
 # cold≡warm over the full fixed-seed corpus: 100 random program/delta
 # pairs plus disk-reload and forest 1-cube-delta skip-ratio checks,
-# compared bit for bit against cache-free engines
+# compared bit for bit against cache-free engines, and 200 chained GDP
+# vintages on one engine (chained_vintages_stay_bit_identical: every
+# 20th bit-compared with a cold engine, `diff_rows` pinned to the
+# revised cube so no derived cube with a carried delta is diffed)
 cargo test -q -p exl-integration-tests --test incremental_differential
+# a digest moved by a random change set (upserts, removals, inserted
+# keys, -0.0 and NaN payloads) equals Fingerprint::of_cube of the
+# patched cube; the delta kernels' own output deltas replay exactly
+cargo test -q -p exl-model --test fingerprint_props digest_follows_random_deltas
+cargo test -q -p exl-eval --test repro_delta
 
 echo "== fusion differential (fixed-seed matrix) =="
 # fused ≡ unfused bitwise over 120 random programs (+ the interned chase

@@ -856,6 +856,31 @@ fn sql_backend_honours_row_and_memory_budgets() {
     }
 }
 
+/// The R and Matlab backends charge every output they decode against the
+/// run budget, like the SQL backend charges its `INSERT … SELECT`s: a
+/// one-row or one-byte ceiling stops an R- or Matlab-target run with a
+/// typed `BudgetExceeded` and leaves the catalog byte-identical.
+#[test]
+fn r_and_matlab_backends_honour_row_and_memory_budgets() {
+    for target in [TargetKind::R, TargetKind::Matlab] {
+        for (label, max_rows, max_memory_bytes) in
+            [("rows", Some(1), None), ("memory", None, Some(1))]
+        {
+            let mut e = gdp_engine(target);
+            e.govern.max_rows = max_rows;
+            e.govern.max_memory_bytes = max_memory_bytes;
+            let before = e.catalog.to_json().unwrap();
+            let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
+            let err = e.run_all().unwrap_err();
+            let EngineError::BudgetExceeded { what } = &err else {
+                panic!("{target:?} {label}: expected a typed budget error, got {err}");
+            };
+            assert!(what.contains(label), "{target:?} {label}: {what}");
+            assert_eq!(e.catalog.to_json().unwrap(), before, "{target:?} {label}");
+        }
+    }
+}
+
 /// One seeded cancellation round (the `scripts/chaos.sh` storm): derive
 /// a cancel plan from the seed, run until it fires, and require a typed
 /// rollback followed by full recovery on a fault-free rerun.

@@ -23,10 +23,11 @@
 
 use exl_engine::ExlEngine;
 use exl_lang::analyze::AnalyzedProgram;
+use exl_model::fingerprint::Fingerprint;
 use exl_model::schema::CubeId;
 use exl_model::{CubeData, Dataset};
 use exl_workload::chains::forest_scenario;
-use exl_workload::{random_scenario, DeltaGen, RandomConfig};
+use exl_workload::{gdp_scenario, random_scenario, DeltaGen, GdpConfig, RandomConfig, GDP_PROGRAM};
 
 /// An engine with the program registered and `input`'s elementary cubes
 /// loaded.
@@ -237,4 +238,87 @@ fn warm_one_cube_delta_skips_5x_statements() {
     let mut cold_engine = build_engine(&src, &analyzed, &patched_input);
     cold_engine.run_all().expect("cold reference run");
     assert_bit_identical(&analyzed, &e, &cold_engine, "forest 1-cube delta");
+}
+
+/// Rows a full diff of two versions of a cube compares: none when they
+/// share storage, else the rows of both.
+fn diff_rows(old: &CubeData, new: &CubeData) -> u64 {
+    if old.storage_ptr() == new.storage_ptr() {
+        return 0;
+    }
+    (old.len() + new.len()) as u64
+}
+
+/// A cube's entries with their measure bits, in key order.
+fn bits(data: &CubeData) -> Vec<(Vec<exl_model::value::DimValue>, u64)> {
+    data.iter_sorted()
+        .map(|(k, v)| (k.clone(), v.to_bits()))
+        .collect()
+}
+
+/// One resident engine serves 200 chained vintages of a small GDP
+/// scenario, each a seeded revision of the previous one. Every 20th
+/// vintage is compared bit for bit against a fresh cold engine. Every
+/// vintage diffs only what no change set reaches: the revised `RGDPPC`
+/// against its previous version, and `GDPT` (`stl_trend` is whole-cube,
+/// so `PCHNG` gets no delta for it) when it changed. `RGDP` and `GDP`
+/// carry their deltas downstream and are never diffed.
+#[test]
+fn chained_vintages_stay_bit_identical() {
+    let (analyzed, input) = gdp_scenario(GdpConfig {
+        regions: 6,
+        quarters: 32,
+        days_per_quarter: 3,
+        seed: 19,
+    });
+    let revised: CubeId = "RGDPPC".into();
+    let gdpt: CubeId = "GDPT".into();
+    let mut e = build_engine(GDP_PROGRAM, &analyzed, &input);
+    e.enable_cache();
+    e.run_all().expect("cold first vintage");
+
+    let mut deltas = DeltaGen::new(0xc4a1);
+    let mut current = input.data(&revised).expect("revised cube").clone();
+    let mut delta_hits = 0;
+    for vintage in 1..=200 {
+        let previous = current;
+        current = deltas.patch_cube(&previous, 3);
+        let previous_gdpt = e.data(&gdpt).expect("GDPT").clone();
+        e.load_elementary(&revised, current.clone())
+            .expect("vintage loads");
+        let report = e.run_all().expect("warm vintage");
+        delta_hits += report.cache.delta_hits;
+
+        let now_gdpt = e.data(&gdpt).expect("GDPT");
+        let gdpt_diff = if Fingerprint::of_cube(&previous_gdpt) == Fingerprint::of_cube(now_gdpt) {
+            0
+        } else {
+            diff_rows(&previous_gdpt, now_gdpt)
+        };
+        assert_eq!(
+            report.diff_rows,
+            diff_rows(&previous, &current) + gdpt_diff,
+            "vintage {vintage}: a derived cube was diffed ({:?})",
+            report.cache
+        );
+
+        if vintage % 20 == 0 {
+            let mut patched = input.clone();
+            let schema = patched.get(&revised).unwrap().schema.clone();
+            patched.put(exl_model::Cube::new(schema, current.clone()));
+            let mut cold = build_engine(GDP_PROGRAM, &analyzed, &patched);
+            cold.run_all().expect("cold reference run");
+            for id in analyzed.program.derived_ids() {
+                assert_eq!(
+                    bits(e.data(&id).unwrap()),
+                    bits(cold.data(&id).unwrap()),
+                    "vintage {vintage}: {id} is not bit-identical to a cold run"
+                );
+            }
+        }
+    }
+    assert!(
+        delta_hits >= 200,
+        "the delta path barely engaged: {delta_hits} delta hits"
+    );
 }
