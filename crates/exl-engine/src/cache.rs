@@ -50,7 +50,7 @@
 //!   `cache.diff_rows` counter).
 //!
 //! Fingerprint values do not depend on which way they were computed, so
-//! [`CACHE_VERSION`] and entries on disk are unaffected.
+//! `CACHE_VERSION` and entries on disk are unaffected.
 //!
 //! **Interaction with plan compilation.** The cache consults and stores
 //! at *statement* granularity, and fusion (`exl_eval::plan`) respects

@@ -393,6 +393,11 @@ fn execute_traced_inner(
             recorder.incr_counter("plan.fused_ops", plan.fused_ops);
             recorder.incr_counter("plan.cse_reuses", plan.cse_reuses);
             recorder.incr_counter("plan.bytes_not_materialized", plan.bytes_not_materialized);
+            // the evaluator's own `CubeData` boundary: inputs in, outputs out
+            recorder.incr_counter("eval.intern.rows", plan.intern_rows);
+            recorder.incr_counter("eval.intern.ns", plan.intern_ns);
+            recorder.incr_counter("eval.to_data.rows", plan.to_data_rows);
+            recorder.incr_counter("eval.to_data.ns", plan.to_data_ns);
             if plan.fused_ops > 0 {
                 exl_obs::flight::record_with(
                     exl_obs::flight::FlightKind::PlanFuse,

@@ -28,12 +28,14 @@
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use exl_lang::analyze::AnalyzedProgram;
 use exl_lang::ast::{Expr, GroupKey, JoinPolicy, Statement};
 use exl_model::batch::CubeBatch;
 use exl_model::hash::{FxHashMap, FxHasher};
-use exl_model::intern::{DimPool, IDim, IKey};
+use exl_model::intern::{DimPool, IDim, IKey, RankedDim};
 use exl_model::schema::{CubeId, Dimension};
 use exl_model::time::Frequency;
 use exl_model::value::DimValue;
@@ -43,30 +45,36 @@ use exl_stats::seriesop::SeriesOp;
 use exl_stats::state::{AggState, ExactState};
 
 use crate::error::EvalError;
+use crate::plan::PlanStats;
 
 /// Minimum operand rows before an operator fans out across threads.
 pub(crate) const PAR_MIN_ROWS: usize = 4096;
 
 /// Worker count for data-parallel operators (1 on single-core machines,
 /// capped so oversubscription never pays for thread spawns it cannot use).
-/// `EXL_EVAL_THREADS` overrides the probe — pinning worker counts for
-/// reproducing parallel-path behavior on any machine. Canonical fold
-/// order makes the setting invisible in the results: every float is
-/// bit-identical for any worker count.
+/// A per-run [`EvalOptions::threads`] wins; otherwise `EXL_EVAL_THREADS`
+/// overrides the machine probe. Both the variable and the probe are read
+/// once per process: the probe reads cgroup files on Linux, and the
+/// evaluator asks on every operator. Canonical fold order makes the
+/// setting invisible in the results: every float is bit-identical for any
+/// worker count.
 pub(crate) fn workers() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
     if let Some(n) = THREAD_OVERRIDE.get() {
         return n.max(1);
     }
-    if let Some(n) = std::env::var("EXL_EVAL_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
+    *DEFAULT.get_or_init(|| {
+        std::env::var("EXL_EVAL_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+                    .min(8)
+            })
+            .max(1)
+    })
 }
 
 thread_local! {
@@ -104,8 +112,9 @@ impl Drop for ThreadsGuard {
 /// Both switches default to the fast path and exist so that callers — the
 /// engine dispatcher, differential tests, `exlc` — can pin behavior *per
 /// run* instead of through process-global environment variables, which
-/// race under a parallel test harness. `exlc` still reads `EXL_NO_FUSION`
-/// and `EXL_EVAL_THREADS` as CLI-level defaults.
+/// race under a parallel test harness. `exlc` reads `EXL_NO_FUSION` as a
+/// CLI-level default; it does not read `EXL_EVAL_THREADS`, which only
+/// the process-wide default of [`EvalOptions::threads`] consults.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Skip plan compilation and run the statement-at-a-time reference
@@ -219,23 +228,62 @@ pub fn run_program_opts(
 pub fn run_program_with_stats(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
-) -> Result<(Dataset, crate::plan::PlanStats), EvalError> {
+) -> Result<(Dataset, PlanStats), EvalError> {
     run_program_with_stats_opts(analyzed, input, EvalOptions::default())
 }
 
 /// [`run_program_with_stats`] with explicit per-run [`EvalOptions`].
-/// Unfused runs return zeroed stats.
+/// Unfused runs report only the boundary counters; the plan counters
+/// stay zero.
 pub fn run_program_with_stats_opts(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
     opts: EvalOptions,
-) -> Result<(Dataset, crate::plan::PlanStats), EvalError> {
+) -> Result<(Dataset, PlanStats), EvalError> {
     let _threads = ThreadsGuard::install(opts.threads);
     if opts.no_fusion {
-        let env = run_program_unfused(analyzed, input)?;
-        return Ok((env, crate::plan::PlanStats::default()));
+        let mut stats = PlanStats::default();
+        let env = run_unfused(analyzed, input, &mut stats)?;
+        return Ok((env, stats));
     }
     run_program_fused(analyzed, input)
+}
+
+/// Check and intern every elementary input into `session` in one pass per
+/// cube ([`CubeBatch::from_data_checked`]), and put it under its analyzed
+/// schema into `env`. A malformed input fails with the error
+/// [`Cube::validate`] would give.
+fn load_inputs(
+    analyzed: &AnalyzedProgram,
+    input: &Dataset,
+    session: &mut EvalSession,
+    env: &mut Dataset,
+    stats: &mut PlanStats,
+) -> Result<(), EvalError> {
+    let started = Instant::now();
+    for id in analyzed.elementary_inputs() {
+        let cube = input.get(&id).ok_or_else(|| EvalError::MissingInput {
+            cube: id.to_string(),
+        })?;
+        let schema = analyzed.schemas[&id].clone();
+        let batch = CubeBatch::from_data_checked(&cube.data, &schema, &mut session.pool)?;
+        stats.intern_rows += batch.len() as u64;
+        let dims = schema.dims.clone();
+        session.cubes.insert(id, SessionCube { dims, batch });
+        env.put(Cube::new(schema, cube.data.clone()));
+    }
+    stats.intern_ns += started.elapsed().as_nanos() as u64;
+    Ok(())
+}
+
+/// Resolve a statement's output batch to `CubeData`, counting the rows
+/// and time in `stats`.
+fn to_data_counted(batch: &CubeBatch, pool: &DimPool, stats: &mut PlanStats) -> CubeData {
+    let started = Instant::now();
+    let data = batch.to_data(pool);
+    stats.to_data_rows += data.len() as u64;
+    stats.to_data_ns += started.elapsed().as_nanos() as u64;
+    data
 }
 
 /// Statement-at-a-time evaluation: every intermediate cube is
@@ -246,19 +294,17 @@ pub fn run_program_unfused(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
 ) -> Result<Dataset, EvalError> {
+    run_unfused(analyzed, input, &mut PlanStats::default())
+}
+
+fn run_unfused(
+    analyzed: &AnalyzedProgram,
+    input: &Dataset,
+    stats: &mut PlanStats,
+) -> Result<Dataset, EvalError> {
     let mut env = Dataset::new();
     let mut session = EvalSession::new();
-    // load and validate elementary inputs
-    for id in analyzed.elementary_inputs() {
-        let cube = input.get(&id).ok_or_else(|| EvalError::MissingInput {
-            cube: id.to_string(),
-        })?;
-        let mut checked = cube.clone();
-        checked.schema = analyzed.schemas[&id].clone();
-        checked.validate()?;
-        session.load(id.clone(), checked.schema.dims.clone(), &checked.data);
-        env.put(checked);
-    }
+    load_inputs(analyzed, input, &mut session, &mut env, stats)?;
     // last statement index referencing each cube: a batch whose last
     // reader has run is dead weight (its hash storage already lives in
     // `env`), and evicting it keeps the session's footprint proportional
@@ -271,7 +317,7 @@ pub fn run_program_unfused(
     }
     for (i, stmt) in analyzed.program.statements.iter().enumerate() {
         session.eval(stmt)?;
-        let data = session.resolve(&stmt.target).expect("target just derived");
+        let data = to_data_counted(&session.cubes[&stmt.target].batch, &session.pool, stats);
         let schema = analyzed.schemas[&stmt.target].clone();
         env.put(Cube::new(schema, data));
         session
@@ -292,22 +338,14 @@ pub fn run_program_unfused(
 fn run_program_fused(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
-) -> Result<(Dataset, crate::plan::PlanStats), EvalError> {
+) -> Result<(Dataset, PlanStats), EvalError> {
     use crate::plan::{self, CNode, Region, Step};
 
     let plan = plan::compile(analyzed, &analyzed.program.statements)?;
     let mut env = Dataset::new();
     let mut session = EvalSession::new();
-    for id in analyzed.elementary_inputs() {
-        let cube = input.get(&id).ok_or_else(|| EvalError::MissingInput {
-            cube: id.to_string(),
-        })?;
-        let mut checked = cube.clone();
-        checked.schema = analyzed.schemas[&id].clone();
-        checked.validate()?;
-        session.load(id.clone(), checked.schema.dims.clone(), &checked.data);
-        env.put(checked);
-    }
+    let mut stats = plan.stats;
+    load_inputs(analyzed, input, &mut session, &mut env, &mut stats)?;
     // source lifetimes come from the plan, not the statement text: CSE
     // can alias a later statement's root to a source node (`B := A`), so
     // the textual last-reference underestimates how long the batch is
@@ -322,7 +360,6 @@ fn run_program_fused(
     // interior node results live here until their last consuming
     // statement has run; sources resolve straight from the session
     let mut store: Vec<Option<CubeBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
-    let mut stats = plan.stats;
     let threads = workers();
     let mut cursor = 0usize;
     for (i, stmt) in analyzed.program.statements.iter().enumerate() {
@@ -398,7 +435,7 @@ fn run_program_fused(
             batch.len() as u64,
             exl_fault::govern::approx_cube_bytes(batch.len() as u64, plan.dims[root].len() as u64),
         );
-        let data = batch.to_data(&session.pool);
+        let data = to_data_counted(batch, &session.pool, &mut stats);
         let schema = analyzed.schemas[&stmt.target].clone();
         env.put(Cube::new(schema, data));
         session
@@ -946,10 +983,11 @@ impl GroupTable {
 /// 3. A counting-sort scatter copies each row's sort columns and measure
 ///    into its group's contiguous segment, freeing each chunk's ids as it
 ///    goes. The sort columns are the full input key minus the dimensions
-///    the group key passes through, which are equal within a group.
+///    the group key passes through, which are equal within a group; each
+///    value is copied rank-coded ([`DimPool::rank_coded`]).
 /// 4. Ranges of groups, in parallel, sort each segment by those local
-///    copies ([`DimPool::cmp_keys`]) and replay [`ExactState`] in that
-///    order.
+///    copies — integer and time compares, in [`DimPool::cmp_keys`]'s
+///    order — and replay [`ExactState`] in that order.
 ///
 /// Each group thus folds in full-input-key order — the former sorted-map
 /// evaluator's order — so every float is bit-identical for any
@@ -1023,7 +1061,7 @@ pub(crate) fn aggregate_batch(
         offsets.push(offsets[offsets.len() - 1] + c);
     }
     let mut cursor: Vec<usize> = offsets[..n_groups].to_vec();
-    let mut seg_keys: Vec<IDim> = vec![IDim::Int(0); n * w];
+    let mut seg_keys: Vec<RankedDim> = vec![RankedDim::Int(0); n * w];
     let mut seg_vals: Vec<f64> = vec![0.0; n];
     let mut ri = 0;
     for ((_, ids), remap) in chunks.into_iter().zip(&remaps) {
@@ -1032,7 +1070,7 @@ pub(crate) fn aggregate_batch(
             let at = cursor[g];
             cursor[g] += 1;
             for (dst, &c) in seg_keys[at * w..(at + 1) * w].iter_mut().zip(&sort_cols) {
-                *dst = keys[ri][c];
+                *dst = pool.rank_coded(keys[ri][c]);
             }
             seg_vals[at] = measures[ri];
             ri += 1;
@@ -1060,7 +1098,7 @@ pub(crate) fn aggregate_batch(
             order.extend(offsets[g]..offsets[g + 1]);
             if w > 0 {
                 let row = |i: usize| &seg_keys[i * w..(i + 1) * w];
-                order.sort_unstable_by(|&a, &b| pool.cmp_keys(row(a), row(b)));
+                order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
             }
             let mut st = ExactState::init(agg);
             for &i in &order {
@@ -1118,8 +1156,11 @@ pub fn apply_series_op(
 
 /// Series-operator kernel over a batch: group row indices into slices by
 /// non-time dimension values, sort each slice chronologically, apply the
-/// operator positionally. Slices are independent, so large operands fan
-/// the per-slice computation out across threads.
+/// operator positionally, and write each result back at its input row.
+/// Output rows keep the operand's row order (minus rows whose result is
+/// not finite), so the `to_data` boundary downstream inserts them in the
+/// operand's hash order instead of at random. Slices are independent, so
+/// large operands fan the per-slice computation out across threads.
 pub(crate) fn series_batch(
     op: SeriesOp,
     dims: &[Dimension],
@@ -1168,42 +1209,34 @@ pub(crate) fn series_batch(
             }
         }
     }
-    let slice_list: Vec<Vec<(i64, u32)>> = slices.into_values().collect();
+    let mut slice_list: Vec<Vec<(i64, u32)>> = slices.into_values().collect();
 
-    let run_slice = |rows: &[(i64, u32)]| -> Vec<(IKey, f64)> {
-        let mut rows: Vec<(i64, u32)> = rows.to_vec();
-        rows.sort_by_key(|(t, _)| *t);
-        let indices: Vec<i64> = rows.iter().map(|(t, _)| *t).collect();
-        let values: Vec<f64> = rows.iter().map(|(_, ri)| measures[*ri as usize]).collect();
-        let result = op.apply(&indices, &values, period);
-        rows.into_iter()
-            .zip(result)
-            .filter(|(_, v)| v.is_finite())
-            .map(|((_, ri), v)| (keys[ri as usize].clone(), v))
-            .collect()
-    };
-
-    let mut out = CubeBatch::with_capacity(batch.len());
-    if threads <= 1 || batch.len() < PAR_MIN_ROWS || slice_list.len() < 2 {
-        for rows in &slice_list {
-            for (k, v) in run_slice(rows) {
-                out.push(k, v);
-            }
+    // each slice, time-sorted in place, yields `(input row, result)` pairs
+    let run_slices = |c: &mut [Vec<(i64, u32)>]| {
+        let mut results: Vec<(u32, f64)> = Vec::new();
+        for rows in c.iter_mut() {
+            rows.sort_by_key(|(t, _)| *t);
+            let indices: Vec<i64> = rows.iter().map(|(t, _)| *t).collect();
+            let values: Vec<f64> = rows.iter().map(|(_, ri)| measures[*ri as usize]).collect();
+            let result = op.apply(&indices, &values, period);
+            results.extend(rows.iter().map(|(_, ri)| *ri).zip(result));
         }
-        return Ok(out);
+        Ok(results)
+    };
+    let chunk = if threads <= 1 || batch.len() < PAR_MIN_ROWS || slice_list.len() < 2 {
+        slice_list.len().max(1)
+    } else {
+        slice_list.len().div_ceil(threads)
+    };
+    let results = fan_out(slice_list.chunks_mut(chunk).collect(), &run_slices)?;
+
+    // scatter back to input rows; `NaN` marks "no tuple"
+    let mut column = vec![f64::NAN; keys.len()];
+    for (ri, v) in results.into_iter().flatten() {
+        column[ri as usize] = v;
     }
-    let chunk = slice_list.len().div_ceil(threads);
-    let parts = fan_out(slice_list.chunks(chunk).collect(), &|c: &[Vec<(
-        i64,
-        u32,
-    )>]| {
-        Ok(c.iter()
-            .flat_map(|rows| run_slice(rows))
-            .collect::<Vec<_>>())
-    })?;
-    for (k, v) in parts.into_iter().flatten() {
-        out.push(k, v);
-    }
+    let mut out = CubeBatch::from_columns(keys.to_vec(), column);
+    out.retain_finite();
     Ok(out)
 }
 
@@ -1720,6 +1753,164 @@ mod tests {
                 let many = aggregate_data(&data, &dims, &group_by, agg, partitions).unwrap();
                 assert_eq!(bits(&one), bits(&many), "{agg} x{partitions}");
             }
+        }
+    }
+
+    // ---- row order through the series kernel ----
+
+    const SERIES_OPS: [SeriesOp; 7] = [
+        SeriesOp::StlTrend,
+        SeriesOp::StlSeasonal,
+        SeriesOp::StlRemainder,
+        SeriesOp::MovAvg { window: 3 },
+        SeriesOp::CumSum,
+        SeriesOp::ZScore,
+        SeriesOp::LinTrend,
+    ];
+
+    /// `regions` quarterly series of `quarters` points, interned in hash
+    /// order (so row order is scrambled with respect to time and region).
+    /// Region 0 holds values near `f64::MAX`, so accumulating operators
+    /// overflow there and the non-finite rule drops rows mid-operand.
+    fn series_operand(regions: usize, quarters: usize) -> (Vec<Dimension>, CubeBatch, DimPool) {
+        let mut data = CubeData::with_capacity(regions * quarters);
+        for r in 0..regions {
+            for i in 0..quarters {
+                let v = if r == 0 {
+                    f64::MAX / 2.0
+                } else {
+                    (i as f64 * 0.7 + r as f64).sin() * 100.0 + 500.0
+                };
+                let t = q(2000 + (i / 4) as i32, (i % 4 + 1) as u32);
+                data.insert_overwrite(vec![t, DimValue::str(format!("r{r}"))], v);
+            }
+        }
+        let dims = vec![
+            Dimension::new(
+                "q",
+                exl_model::DimType::Time(exl_model::Frequency::Quarterly),
+            ),
+            Dimension::new("r", exl_model::DimType::Str),
+        ];
+        let mut pool = DimPool::new();
+        let batch = CubeBatch::from_data(&data, &mut pool);
+        (dims, batch, pool)
+    }
+
+    /// Per-row results computed slice by slice, independently of the
+    /// kernel's slicing: `NaN` where the row yields no tuple.
+    fn series_reference(op: SeriesOp, batch: &CubeBatch) -> Vec<f64> {
+        let mut slices: FxHashMap<IDim, Vec<(TimePoint, usize)>> = FxHashMap::default();
+        for (ri, k) in batch.keys().iter().enumerate() {
+            let IDim::Time(t) = k[0] else { unreachable!() };
+            slices.entry(k[1]).or_default().push((t, ri));
+        }
+        let mut out = vec![f64::NAN; batch.len()];
+        for rows in slices.values_mut() {
+            rows.sort();
+            let idx: Vec<i64> = rows.iter().map(|(t, _)| t.index()).collect();
+            let vals: Vec<f64> = rows.iter().map(|&(_, ri)| batch.measures()[ri]).collect();
+            for (&(_, ri), v) in rows.iter().zip(op.apply(&idx, &vals, 4)) {
+                out[ri] = if v.is_finite() { v } else { f64::NAN };
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn series_output_keeps_operand_row_order() {
+        let _guard = no_faults();
+        // above PAR_MIN_ROWS, so four workers really fan out
+        let (dims, batch, pool) = series_operand(41, 120);
+        assert!(batch.len() >= PAR_MIN_ROWS);
+        for op in SERIES_OPS {
+            let expected = series_reference(op, &batch);
+            let want_keys: Vec<&IKey> = batch
+                .keys()
+                .iter()
+                .zip(&expected)
+                .filter(|(_, v)| !v.is_nan())
+                .map(|(k, _)| k)
+                .collect();
+            let want_bits: Vec<u64> = expected
+                .iter()
+                .filter(|v| !v.is_nan())
+                .map(|v| v.to_bits())
+                .collect();
+            assert!(want_keys.len() < batch.len(), "{op:?}: no row dropped");
+            for threads in [1, 4] {
+                let out = series_batch(op, &dims, &batch, &pool, threads).unwrap();
+                let got_keys: Vec<&IKey> = out.keys().iter().collect();
+                assert_eq!(got_keys, want_keys, "{op:?} x{threads}: row order");
+                let got_bits: Vec<u64> = out.measures().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got_bits, want_bits, "{op:?} x{threads}: values");
+            }
+        }
+    }
+
+    // ---- one checked interning pass ----
+
+    #[test]
+    fn malformed_inputs_fail_like_validate_fused_and_unfused() {
+        let analyzed = analyze(
+            &parse_program("cube A(q: quarter, r: text); B := 2 * A;").unwrap(),
+            &[],
+        )
+        .unwrap();
+        let schema = analyzed.schemas[&CubeId::new("A")].clone();
+        let good = |i: u32| {
+            (
+                vec![q(2020, i % 4 + 1), DimValue::str(format!("r{i}"))],
+                1.0,
+            )
+        };
+        let bad_arity = (vec![q(2021, 1)], 2.0);
+        let bad_type = (vec![DimValue::Int(7), DimValue::str("x")], 3.0);
+        let bad_both = (vec![DimValue::Int(8)], 4.0);
+        let cases: Vec<Vec<(DimTuple, f64)>> = vec![
+            vec![good(0), bad_arity.clone(), good(1)],
+            vec![good(0), bad_type.clone(), good(2)],
+            // several bad tuples: the first in storage order decides
+            (0..64)
+                .map(good)
+                .chain([bad_arity, bad_type, bad_both])
+                .collect(),
+        ];
+        for tuples in cases {
+            let data = CubeData::from_tuples(tuples).unwrap();
+            let expected = Cube::new(schema.clone(), data.clone())
+                .validate()
+                .unwrap_err();
+            let mut input = Dataset::new();
+            input.put(Cube::new(schema.clone(), data));
+            let fused = run_program(&analyzed, &input).unwrap_err();
+            let unfused = run_program_unfused(&analyzed, &input).unwrap_err();
+            assert_eq!(fused, EvalError::Model(expected.clone()));
+            assert_eq!(unfused, EvalError::Model(expected));
+        }
+    }
+
+    #[test]
+    fn boundary_counters_count_input_and_output_rows() {
+        let analyzed = analyze(
+            &parse_program("cube A(q: quarter); B := 2 * A; C := B + A;").unwrap(),
+            &[],
+        )
+        .unwrap();
+        let tuples: Vec<(DimTuple, f64)> = (1..5).map(|i| (vec![q(2020, i)], i as f64)).collect();
+        let mut input = Dataset::new();
+        input.put(Cube::new(
+            analyzed.schemas[&CubeId::new("A")].clone(),
+            CubeData::from_tuples(tuples).unwrap(),
+        ));
+        for no_fusion in [false, true] {
+            let opts = EvalOptions {
+                no_fusion,
+                threads: None,
+            };
+            let (_, stats) = run_program_with_stats_opts(&analyzed, &input, opts).unwrap();
+            assert_eq!(stats.intern_rows, 4, "no_fusion={no_fusion}");
+            assert_eq!(stats.to_data_rows, 8, "no_fusion={no_fusion}");
         }
     }
 

@@ -215,10 +215,11 @@ impl Region {
     }
 }
 
-/// Counters describing what plan compilation achieved for one program.
+/// Counters describing what plan compilation achieved for one program,
+/// plus the run's two `CubeData` boundary crossings.
 /// `bytes_not_materialized` is an estimate (fused interior ops × the
 /// governance byte model of the region's base), filled in at execution
-/// time when row counts are known.
+/// time when row counts are known, as are the boundary counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Execution regions formed (one per materialization point).
@@ -232,6 +233,14 @@ pub struct PlanStats {
     pub cse_reuses: u64,
     /// Estimated bytes of intermediate batches that were never built.
     pub bytes_not_materialized: u64,
+    /// Elementary input rows checked and interned into the session.
+    pub intern_rows: u64,
+    /// Wall time of that interning, in nanoseconds.
+    pub intern_ns: u64,
+    /// Statement output rows resolved back to `CubeData`.
+    pub to_data_rows: u64,
+    /// Wall time of that resolution, in nanoseconds.
+    pub to_data_ns: u64,
 }
 
 /// The compiled execution plan of one analyzed program.
@@ -685,7 +694,7 @@ pub(crate) fn compile(
         fused_statements: fused_root_turns.iter().filter(|&&f| f).count() as u64,
         fused_ops,
         cse_reuses,
-        bytes_not_materialized: 0,
+        ..PlanStats::default()
     };
 
     Ok(CompiledPlan {

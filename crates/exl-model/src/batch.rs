@@ -30,8 +30,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 use crate::cube::{CubeData, DimTuple};
+use crate::error::ModelError;
 use crate::hash::FxHasher;
 use crate::intern::{DimPool, IDim, IKey};
+use crate::schema::CubeSchema;
 
 /// Open-addressed point index over a batch's key column: power-of-two
 /// slot table of row numbers with linear probing, comparing candidate
@@ -140,6 +142,23 @@ impl CubeBatch {
             batch.push(pool.intern_tuple(k), v);
         }
         batch
+    }
+
+    /// [`CubeBatch::from_data`] that checks every tuple against `schema`
+    /// while interning it, in one pass. Fails with the error
+    /// [`crate::Cube::validate`] gives, for the same first bad tuple in
+    /// storage order; strings interned before the failure stay in `pool`.
+    pub fn from_data_checked(
+        data: &CubeData,
+        schema: &CubeSchema,
+        pool: &mut DimPool,
+    ) -> Result<CubeBatch, ModelError> {
+        let mut batch = CubeBatch::with_capacity(data.len());
+        for (k, v) in data.iter() {
+            schema.check_tuple(k)?;
+            batch.push(pool.intern_tuple(k), v);
+        }
+        Ok(batch)
     }
 
     /// Resolve the batch back to hash-stored cube data.
@@ -314,6 +333,35 @@ mod tests {
         assert_eq!(batch.len(), data.len());
         assert!(!batch.is_empty());
         assert_eq!(batch.to_data(&pool), data);
+    }
+
+    #[test]
+    fn checked_build_fails_like_validate() {
+        use crate::cube::Cube;
+        use crate::schema::{CubeKind, Dimension};
+        use crate::time::Frequency;
+        use crate::value::DimType;
+        let dims = vec![
+            Dimension::new("k", DimType::Int),
+            Dimension::new("r", DimType::Str),
+            Dimension::new("t", DimType::Time(Frequency::Yearly)),
+        ];
+        let schema = CubeSchema::new("C", dims.clone(), CubeKind::Elementary);
+        let mut pool = DimPool::new();
+        let good = CubeBatch::from_data_checked(&sample(), &schema, &mut pool).unwrap();
+        assert_eq!(good.to_data(&pool), sample());
+
+        let swapped = CubeSchema::new(
+            "C",
+            vec![dims[1].clone(), dims[0].clone(), dims[2].clone()],
+            CubeKind::Elementary,
+        );
+        let short = CubeSchema::new("C", dims[..2].to_vec(), CubeKind::Elementary);
+        for bad in [swapped, short] {
+            let expected = Cube::new(bad.clone(), sample()).validate().unwrap_err();
+            let got = CubeBatch::from_data_checked(&sample(), &bad, &mut pool).unwrap_err();
+            assert_eq!(got, expected);
+        }
     }
 
     #[test]

@@ -264,26 +264,9 @@ impl Cube {
     /// schema. Data created through typed constructors is valid by
     /// construction; this guards cross-engine imports.
     pub fn validate(&self) -> Result<(), ModelError> {
-        for (k, _) in self.data.iter() {
-            if k.len() != self.schema.arity() {
-                return Err(ModelError::ArityMismatch {
-                    cube: self.schema.id.to_string(),
-                    expected: self.schema.arity(),
-                    got: k.len(),
-                });
-            }
-            for (dim, val) in self.schema.dims.iter().zip(k.iter()) {
-                if val.dim_type() != dim.ty {
-                    return Err(ModelError::TypeMismatch {
-                        cube: self.schema.id.to_string(),
-                        dim: dim.name.clone(),
-                        expected: dim.ty.to_string(),
-                        got: val.dim_type().to_string(),
-                    });
-                }
-            }
-        }
-        Ok(())
+        self.data
+            .iter()
+            .try_for_each(|(k, _)| self.schema.check_tuple(k))
     }
 }
 

@@ -16,10 +16,14 @@
 //! order, not lexicographic order), so sorted boundaries must compare
 //! through the pool: [`DimPool::cmp_vals`]/[`DimPool::cmp_keys`]
 //! reproduce exactly the derived `Ord` of [`DimValue`]
-//! (`Int < Str < Time`, strings by contents).
+//! (`Int < Str < Time`, strings by contents). Kernels that sort many
+//! rows code their sort columns once with [`DimPool::rank_coded`]
+//! instead: a [`RankedDim`] carries a string's lexicographic rank, so its
+//! derived `Ord` gives the same order with integer compares only.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::cube::DimTuple;
 use crate::hash::FxHashMap;
@@ -44,6 +48,22 @@ pub enum IDim {
     Time(TimePoint),
 }
 
+/// A dimension value coded for ordering by [`DimPool::rank_coded`]: a
+/// string becomes its lexicographic rank within the pool. The derived
+/// `Ord` (`Int < Str < Time`, then by payload) is therefore exactly
+/// [`DimPool::cmp_vals`] on the original values, with no string compare.
+/// Ranks are meaningful only against values coded by the same pool with
+/// no [`DimPool::intern`] of a new string in between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum RankedDim {
+    /// Integer-coded dimension.
+    Int(i64),
+    /// Lexicographic rank of an interned string.
+    Str(u32),
+    /// Time dimension value.
+    Time(TimePoint),
+}
+
 /// A flat, interned dimension tuple: the key type of the keyed kernels.
 ///
 /// Shared (`Arc`), not boxed: batch kernels clone keys on every
@@ -62,6 +82,9 @@ pub type IKey = std::sync::Arc<[IDim]>;
 pub struct DimPool {
     strings: Vec<std::sync::Arc<str>>,
     lookup: FxHashMap<std::sync::Arc<str>, Sym>,
+    /// Lexicographic rank per symbol, built on first use and dropped when
+    /// a new string is interned.
+    ranks: OnceLock<Vec<u32>>,
 }
 
 impl DimPool {
@@ -90,6 +113,7 @@ impl DimPool {
         let shared: std::sync::Arc<str> = s.into();
         self.strings.push(shared.clone());
         self.lookup.insert(shared, sym);
+        self.ranks.take();
         sym
     }
 
@@ -150,6 +174,31 @@ impl DimPool {
             (IDim::Sym(_), IDim::Time(_)) => Ordering::Less,
             (IDim::Time(_), IDim::Sym(_)) => Ordering::Greater,
         }
+    }
+
+    /// One value coded for ordering: a symbol becomes its string's
+    /// lexicographic rank among every string in the pool (see
+    /// [`RankedDim`]). The ranks are built once, on the first call after
+    /// the pool last grew.
+    pub fn rank_coded(&self, v: IDim) -> RankedDim {
+        match v {
+            IDim::Int(i) => RankedDim::Int(i),
+            IDim::Sym(s) => RankedDim::Str(self.ranks()[s.0 as usize]),
+            IDim::Time(t) => RankedDim::Time(t),
+        }
+    }
+
+    fn ranks(&self) -> &[u32] {
+        self.ranks.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.strings.len() as u32).collect();
+            order
+                .sort_unstable_by(|&a, &b| self.strings[a as usize].cmp(&self.strings[b as usize]));
+            let mut ranks = vec![0u32; order.len()];
+            for (rank, &sym) in order.iter().enumerate() {
+                ranks[sym as usize] = rank as u32;
+            }
+            ranks
+        })
     }
 
     /// Lexicographic comparison of two flat keys under

@@ -52,7 +52,7 @@ pub use dataset::Dataset;
 pub use error::ModelError;
 pub use fingerprint::{CubeDelta, CubeDigest, Fingerprint, FingerprintBuilder, Upsert};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use intern::{DimPool, IDim, IKey, Sym};
+pub use intern::{DimPool, IDim, IKey, RankedDim, Sym};
 pub use schema::{CubeId, CubeKind, CubeSchema, Dimension};
 pub use time::{Date, Frequency, TimePoint};
 pub use value::{approx_eq, DimType, DimValue, Measure};

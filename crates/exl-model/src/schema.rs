@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use crate::value::DimType;
+use crate::error::ModelError;
+use crate::value::{DimType, DimValue};
 
 /// Identifier of a cube (uppercase by convention in EXL source, but any
 /// identifier is accepted).
@@ -115,6 +116,30 @@ impl CubeSchema {
     /// Number of dimensions.
     pub fn arity(&self) -> usize {
         self.dims.len()
+    }
+
+    /// Check one tuple against the schema: arity first, then each
+    /// dimension's type in order. The error of the first mismatch is the
+    /// one [`crate::Cube::validate`] reports.
+    pub(crate) fn check_tuple(&self, key: &[DimValue]) -> Result<(), ModelError> {
+        if key.len() != self.arity() {
+            return Err(ModelError::ArityMismatch {
+                cube: self.id.to_string(),
+                expected: self.arity(),
+                got: key.len(),
+            });
+        }
+        for (dim, val) in self.dims.iter().zip(key) {
+            if val.dim_type() != dim.ty {
+                return Err(ModelError::TypeMismatch {
+                    cube: self.id.to_string(),
+                    dim: dim.name.clone(),
+                    expected: dim.ty.to_string(),
+                    got: val.dim_type().to_string(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Index of the dimension with the given name.

@@ -30,6 +30,26 @@ for i in $(seq 1 10); do
 done
 echo "crash_bundle: 10/10 green"
 
+echo "== chaos, repeated =="
+# the chaos tests pin evaluator workers per engine (`exec.eval_threads`),
+# never through process-wide env vars; five green runs in a row guard
+# against a test leaking worker settings into its neighbours
+for i in $(seq 1 5); do
+    cargo test -q -p exl-integration-tests --test chaos || {
+        echo "chaos failed on run $i"; exit 1; }
+done
+echo "chaos: 5/5 green"
+
+echo "== row order & rank =="
+# the series kernel emits the operand's keys in the operand's row order
+# (every SeriesOp, 1 and 4 workers); rank-coded sort keys order exactly
+# like DimPool::cmp_keys over random pools; malformed inputs fail in the
+# one checked interning pass with Cube::validate's error, fused and unfused
+cargo test -q -p exl-eval --lib series_output_keeps_operand_row_order
+cargo test -q -p exl-eval --lib malformed_inputs_fail_like_validate_fused_and_unfused
+cargo test -q -p exl-model --test rank_props
+cargo test -q -p exl-model --lib checked_build_fails_like_validate
+
 echo "== aggregation determinism =="
 # the aggregation kernel must be bit-identical to a DimTuple-sorted
 # reference fold for every AggFn and any partition count

@@ -148,11 +148,11 @@ fn keep_going_commits_independent_subgraphs() {
 #[test]
 fn eval_worker_panic_degrades_per_subgraph() {
     let guard = exl_fault::install(FaultPlan::panic_once("eval.worker"));
-    // pin the evaluator to 4 workers so the partitioned path (and with it
-    // the `eval.worker` fault site) engages even on a single-core CI box;
-    // mutated under the fault guard, which serializes chaos tests
-    std::env::set_var("EXL_EVAL_THREADS", "4");
     let mut e = ExlEngine::new();
+    // pin this engine's evaluator to 4 workers so the partitioned path
+    // (and with it the `eval.worker` fault site) engages even on a
+    // single-core CI box, without touching process-wide state
+    e.exec.eval_threads = Some(4);
     e.register_program("diamond", DIAMOND).unwrap();
     // A is wide enough for `C := 2 * A` to cross the evaluator's parallel
     // threshold; B stays a single row, so D's evaluation never reaches a
@@ -200,7 +200,6 @@ fn eval_worker_panic_degrades_per_subgraph() {
         e.data(&"E".into()).unwrap().get(&[DimValue::Int(7)]),
         Some(28.0)
     );
-    std::env::remove_var("EXL_EVAL_THREADS");
 }
 
 /// Without `keep_going` the same fault aborts the whole run and nothing
@@ -692,11 +691,10 @@ fn injected_cancel_rolls_back_and_is_not_retried() {
 #[test]
 fn eval_worker_cancel_rolls_back_and_recovers() {
     let guard = exl_fault::install(FaultPlan::cancel_once("eval.worker"));
-    // pin the evaluator to 4 workers so the partitioned path engages
-    // even on a single-core box; mutated under the fault guard, which
-    // serializes chaos tests
-    std::env::set_var("EXL_EVAL_THREADS", "4");
     let mut e = ExlEngine::new();
+    // pin this engine's evaluator to 4 workers so the partitioned path
+    // engages even on a single-core box
+    e.exec.eval_threads = Some(4);
     e.register_program("diamond", DIAMOND).unwrap();
     let big: Vec<(Vec<DimValue>, f64)> = (0..5000)
         .map(|i| (vec![DimValue::Int(i)], i as f64))
@@ -720,7 +718,6 @@ fn eval_worker_cancel_rolls_back_and_recovers() {
         e.data(&"C".into()).unwrap().get(&[DimValue::Int(7)]),
         Some(14.0)
     );
-    std::env::remove_var("EXL_EVAL_THREADS");
 }
 
 /// A run-level cancel (SIGINT, external token) is fatal under *every*
