@@ -727,3 +727,64 @@ impl HasVersion for DiskLatest {
         &self.version
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exl_model::DimValue;
+
+    /// A subgraph whose first statement hits and whose second reads a
+    /// cube with rows of two arities: the second is evaluated inline, and
+    /// its interning pass rejects the ragged operand. The cache must then
+    /// report a miss for the subgraph, never panic.
+    #[test]
+    fn ragged_operand_in_inline_evaluation_is_a_miss() {
+        let analyzed = exl_lang::analyze(
+            &exl_lang::parse_program(
+                "cube A(k: int); cube W(k: int, r: text); B := 2 * A; C := 3 * W;",
+            )
+            .unwrap(),
+            &[],
+        )
+        .unwrap();
+        let schema_of = |id: &CubeId| analyzed.schemas.get(id).cloned();
+        let stmts = &analyzed.program.statements;
+        let a = CubeData::from_tuples(vec![(vec![DimValue::Int(1)], 1.0)]).unwrap();
+        let w_rows = |ragged: bool| {
+            let mut rows = vec![(vec![DimValue::Int(1), DimValue::str("x")], 2.0)];
+            if ragged {
+                rows.push((vec![DimValue::Int(2)], 3.0));
+            }
+            CubeData::from_tuples(rows).unwrap()
+        };
+        let inputs = |ragged: bool| {
+            let mut ds = Dataset::new();
+            ds.put(Cube::new(schema_of(&"A".into()).unwrap(), a.clone()));
+            ds.put(Cube::new(schema_of(&"W".into()).unwrap(), w_rows(ragged)));
+            ds
+        };
+        let b = CubeData::from_tuples(vec![(vec![DimValue::Int(1)], 2.0)]).unwrap();
+        for ragged in [false, true] {
+            let mut cache = RunCache::in_memory();
+            let outputs = [("B".into(), b.clone())];
+            cache.store_statements(
+                &stmts[..1],
+                TargetKind::Native,
+                &inputs(ragged),
+                &outputs,
+                &schema_of,
+            );
+            let resolved =
+                cache.resolve_statements(stmts, TargetKind::Native, &inputs(ragged), &schema_of);
+            if ragged {
+                assert!(resolved.is_none());
+                continue;
+            }
+            // the well-formed operand resolves: B hits, C evaluates inline
+            let (outputs, counts) = resolved.expect("inline evaluation of a well-formed operand");
+            assert_eq!((counts.hits, counts.misses), (1, 1));
+            let c = &outputs[1].1;
+            assert_eq!(c.get(&[DimValue::Int(1), DimValue::str("x")]), Some(6.0));
+        }
+    }
+}

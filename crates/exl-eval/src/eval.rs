@@ -8,19 +8,28 @@
 //! intermediate hash maps of [`DimTuple`]s. Hash-stored [`CubeData`] is
 //! produced only at the session boundary ([`EvalSession::resolve`]).
 //!
+//! Operands enter a session through one interning pass (`intern_batch`)
+//! that checks every tuple's arity (or, for a program's elementary
+//! inputs, its whole schema) and writes the keys into the batch's flat
+//! key column. Large operands intern in contiguous row chunks on several
+//! workers; the chunk pools merge in chunk order, so every symbol code
+//! equals a one-worker pass.
+//!
 //! Aggregation is one partition-then-fold kernel for every worker count
 //! (`aggregate_batch`). Workers resolve group keys over contiguous row
 //! chunks in parallel; one serial pass numbers the groups in first-seen
-//! order and scatters each row's sort-key columns and measure into its
-//! group's contiguous segment; workers then fold ranges of groups in
-//! parallel, each segment sorted by full input key and replayed through
-//! [`ExactState`] — the former sorted-map evaluator's fold order — so
-//! every float is bit-identical for any worker count (pinned against a
+//! order; the chunks then scatter, in parallel, each row's sort-key
+//! columns and measure into its group's contiguous segment, at the
+//! positions a serial scatter would use; workers then fold ranges of
+//! groups in parallel, each segment sorted by full input key and replayed
+//! through [`ExactState`] — the former sorted-map evaluator's fold order —
+//! so every float is bit-identical for any worker count (pinned against a
 //! `DimTuple`-sorted reference by the interned differential suite).
 //!
-//! Tuple-level operators, group-by partitions, and series slices fan out
-//! across [`std::thread::scope`] workers when the machine has more than
-//! one core and the operand is large enough (`PAR_MIN_ROWS`). A worker
+//! Interning, tuple-level operators, group-by partitions, and series
+//! slices fan out across [`std::thread::scope`] workers when the machine
+//! has more than one core and the operand is large enough
+//! (`PAR_MIN_ROWS`). A worker
 //! that panics (or trips the `eval.worker` fault site) surfaces as
 //! [`EvalError::WorkerPanicked`] — a typed, per-statement error the
 //! supervisor can contain — never as a re-panic in the caller.
@@ -33,13 +42,13 @@ use std::time::Instant;
 
 use exl_lang::analyze::AnalyzedProgram;
 use exl_lang::ast::{Expr, GroupKey, JoinPolicy, Statement};
-use exl_model::batch::CubeBatch;
+use exl_model::batch::{intern_rows, remap_syms, CubeBatch, RowCheck};
 use exl_model::hash::{FxHashMap, FxHasher};
-use exl_model::intern::{DimPool, IDim, IKey, RankedDim};
+use exl_model::intern::{DimPool, IDim, RankedDim};
 use exl_model::schema::{CubeId, Dimension};
 use exl_model::time::Frequency;
 use exl_model::value::DimValue;
-use exl_model::{Cube, CubeData, Dataset, DimTuple};
+use exl_model::{Cube, CubeData, Dataset, DimTuple, ModelError};
 use exl_stats::descriptive::AggFn;
 use exl_stats::seriesop::SeriesOp;
 use exl_stats::state::{AggState, ExactState};
@@ -145,6 +154,9 @@ pub fn series_period(freq: Frequency) -> usize {
 pub struct EvalSession {
     pub(crate) pool: DimPool,
     pub(crate) cubes: FxHashMap<CubeId, SessionCube>,
+    /// Cubes whose load failed, with the error every statement reading
+    /// them reports.
+    failed: FxHashMap<CubeId, EvalError>,
 }
 
 #[derive(Debug)]
@@ -160,15 +172,36 @@ impl EvalSession {
     }
 
     /// Intern a cube's data into the session, replacing any batch already
-    /// stored under `id`.
+    /// stored under `id`. Every tuple must have one value per dimension
+    /// in `dims`; a cube that breaks this is recorded as failed, and
+    /// [`EvalSession::eval`] of any statement reading it returns the
+    /// typed error.
     pub fn load(&mut self, id: CubeId, dims: Vec<Dimension>, data: &CubeData) {
-        let batch = CubeBatch::from_data(data, &mut self.pool);
-        self.cubes.insert(id, SessionCube { dims, batch });
+        if let Err(e) = self.try_load(id.clone(), dims, data) {
+            self.failed.insert(id, e);
+        }
     }
 
-    /// True when `id` already has a batch in this session.
+    /// [`EvalSession::load`] that returns the interning error instead of
+    /// recording it.
+    fn try_load(
+        &mut self,
+        id: CubeId,
+        dims: Vec<Dimension>,
+        data: &CubeData,
+    ) -> Result<(), EvalError> {
+        self.cubes.remove(&id);
+        self.failed.remove(&id);
+        let check = RowCheck::Arity(dims.len());
+        let batch = intern_batch(data, check, &mut self.pool, workers())?;
+        self.cubes.insert(id, SessionCube { dims, batch });
+        Ok(())
+    }
+
+    /// True when `id` has been loaded (or derived) in this session,
+    /// whether or not its load succeeded.
     pub fn is_loaded(&self, id: &CubeId) -> bool {
-        self.cubes.contains_key(id)
+        self.cubes.contains_key(id) || self.failed.contains_key(id)
     }
 
     /// Evaluate one statement over the loaded batches and store the
@@ -250,8 +283,8 @@ pub fn run_program_with_stats_opts(
 }
 
 /// Check and intern every elementary input into `session` in one pass per
-/// cube ([`CubeBatch::from_data_checked`]), and put it under its analyzed
-/// schema into `env`. A malformed input fails with the error
+/// cube ([`intern_batch`] against the analyzed schema), and put it under
+/// its analyzed schema into `env`. A malformed input fails with the error
 /// [`Cube::validate`] would give.
 fn load_inputs(
     analyzed: &AnalyzedProgram,
@@ -266,7 +299,8 @@ fn load_inputs(
             cube: id.to_string(),
         })?;
         let schema = analyzed.schemas[&id].clone();
-        let batch = CubeBatch::from_data_checked(&cube.data, &schema, &mut session.pool)?;
+        let check = RowCheck::Schema(&schema);
+        let batch = intern_batch(&cube.data, check, &mut session.pool, workers())?;
         stats.intern_rows += batch.len() as u64;
         let dims = schema.dims.clone();
         session.cubes.insert(id, SessionCube { dims, batch });
@@ -482,7 +516,7 @@ pub fn eval_statement(stmt: &Statement, env: &Dataset) -> Result<CubeData, EvalE
         let cube = env.get(&id).ok_or_else(|| EvalError::MissingInput {
             cube: id.to_string(),
         })?;
-        session.load(id.clone(), cube.schema.dims.clone(), &cube.data);
+        session.try_load(id.clone(), cube.schema.dims.clone(), &cube.data)?;
     }
     session.eval(stmt)?;
     Ok(session.resolve(&stmt.target).expect("target just derived"))
@@ -502,8 +536,11 @@ fn eval_expr<'a>(expr: &Expr, s: &'a EvalSession) -> Result<BVal<'a>, EvalError>
     match expr {
         Expr::Number(n) => Ok(BVal::Scalar(*n)),
         Expr::Cube(id) => {
-            let cube = s.cubes.get(id).ok_or_else(|| EvalError::MissingInput {
-                cube: id.to_string(),
+            let cube = s.cubes.get(id).ok_or_else(|| match s.failed.get(id) {
+                Some(e) => e.clone(),
+                None => EvalError::MissingInput {
+                    cube: id.to_string(),
+                },
             })?;
             Ok(BVal::Batch {
                 dims: cube.dims.clone(),
@@ -559,12 +596,12 @@ fn eval_expr<'a>(expr: &Expr, s: &'a EvalSession) -> Result<BVal<'a>, EvalError>
             };
             let idx = resolve_time_index(&dims, dim.as_deref())?;
             let offset = *offset;
-            // shift is injective on its axis, so keys cannot collide;
-            // uniquely-owned keys rewrite in place, shared ones (the key
-            // `Arc` is aliased by another batch) reallocate once
+            // shift is injective on its axis, so keys cannot collide; the
+            // axis is rewritten in place in the key column
             let mut out = batch.into_owned();
-            for k in out.keys_mut() {
-                let shifted = match k[idx] {
+            let arity = out.arity().max(1);
+            for d in out.keys_mut().iter_mut().skip(idx).step_by(arity) {
+                *d = match *d {
                     IDim::Time(t) => IDim::Time(t.shift(offset)),
                     // §3: shift is "a sum on the values of a numeric dimension"
                     IDim::Int(i) => IDim::Int(i + offset),
@@ -578,14 +615,6 @@ fn eval_expr<'a>(expr: &Expr, s: &'a EvalSession) -> Result<BVal<'a>, EvalError>
                         })
                     }
                 };
-                match std::sync::Arc::get_mut(k) {
-                    Some(slice) => slice[idx] = shifted,
-                    None => {
-                        let mut fresh: Vec<IDim> = k.iter().copied().collect();
-                        fresh[idx] = shifted;
-                        *k = fresh.into();
-                    }
-                }
             }
             Ok(BVal::Batch {
                 dims,
@@ -731,17 +760,17 @@ pub(crate) fn probe_combine(
     };
     let mut out = a.into_owned();
     let (keys, measures) = out.columns_mut();
-    let combine = |k: &IKey, va: f64| match b.get(k) {
+    let combine = |k: &[IDim], va: f64| match b.get(k) {
         Some(vb) => f(va, vb),
         None if miss.is_nan() => f64::NAN,
         None => f(va, miss),
     };
     let chunk = chunk_len(keys.len(), threads);
     fan_out(
-        keys.chunks(chunk).zip(measures.chunks_mut(chunk)).collect(),
-        &|(kc, mc): (&[IKey], &mut [f64])| {
-            for (k, v) in kc.iter().zip(mc.iter_mut()) {
-                *v = combine(k, *v);
+        measures.chunks_mut(chunk).enumerate().collect(),
+        &|(c, mc): (usize, &mut [f64])| {
+            for (r, v) in (c * chunk..).zip(mc.iter_mut()) {
+                *v = combine(keys.get(r), *v);
             }
             Ok(())
         },
@@ -750,17 +779,17 @@ pub(crate) fn probe_combine(
         // anti side, probed against the still-complete left key set;
         // buffered so the appends don't invalidate the probe index mid-loop
         out.ensure_indexed();
-        let mut extra = Vec::new();
-        for (k, vb) in b.iter() {
+        let mut extra: Vec<(usize, f64)> = Vec::new();
+        for (row, (k, vb)) in b.iter().enumerate() {
             if !out.contains(k) {
                 let r = f(*default, vb);
                 if r.is_finite() {
-                    extra.push((k.clone(), r));
+                    extra.push((row, r));
                 }
             }
         }
-        for (k, r) in extra {
-            out.push(k, r);
+        for (row, r) in extra {
+            out.push(b.key(row), r);
         }
     }
     out.retain_finite();
@@ -907,6 +936,32 @@ pub(crate) fn row_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// [`row_ranges`] for `threads` workers, or one range when the operand is
+/// too small to pay for threads.
+pub(crate) fn par_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
+    let parts = if n < PAR_MIN_ROWS { 1 } else { threads };
+    row_ranges(n, parts)
+}
+
+/// Cut a column holding `stride` values per row into consecutive pieces,
+/// one per range of `ranges` (which tile a prefix of the rows in order).
+/// Parallel kernels hand each worker its piece of a column the calling
+/// thread allocated, so the workers write in place and allocate nothing.
+pub(crate) fn split_rows<'a, T>(
+    mut column: &'a mut [T],
+    ranges: &[Range<usize>],
+    stride: usize,
+) -> Vec<&'a mut [T]> {
+    ranges
+        .iter()
+        .map(|rows| {
+            let (piece, rest) = std::mem::take(&mut column).split_at_mut(rows.len() * stride);
+            column = rest;
+            piece
+        })
+        .collect()
+}
+
 /// Chunk length that fans `n` rows out across `threads` workers, or one
 /// chunk for everything when the operand is too small to pay for threads.
 fn chunk_len(n: usize, threads: usize) -> usize {
@@ -917,27 +972,90 @@ fn chunk_len(n: usize, threads: usize) -> usize {
     }
 }
 
+/// Check and intern a cube into a batch: the evaluator's one interning
+/// pass. An operand of at least `PAR_MIN_ROWS` rows fans out across
+/// `threads` workers in contiguous chunks of storage order: chunk 0
+/// interns straight into `pool`, every later chunk into a chunk-local
+/// pool, and the chunk pools merge into `pool` in chunk order
+/// ([`DimPool::merge`]). Every symbol code, and so the batch, equals a
+/// one-worker pass. Chunks report in chunk order, so a bad tuple fails
+/// with the error of the first one in storage order: the schema's error
+/// for [`RowCheck::Schema`], [`EvalError::InvalidStatement`] for a
+/// [`RowCheck::Arity`] mismatch (a flat key column cannot hold ragged
+/// rows).
+pub(crate) fn intern_batch(
+    data: &CubeData,
+    check: RowCheck<'_>,
+    pool: &mut DimPool,
+    threads: usize,
+) -> Result<CubeBatch, EvalError> {
+    let n = data.len();
+    let arity = check.arity();
+    let ranges = par_ranges(n, threads);
+    // the columns are allocated here, on the calling thread, and the
+    // chunks write into disjoint pieces of them: workers allocate nothing
+    // but their small pools
+    let mut keys = vec![IDim::Int(0); n * arity];
+    let mut measures = vec![0.0; n];
+    let key_pieces = split_rows(&mut keys, &ranges, arity);
+    let val_pieces = split_rows(&mut measures, &ranges, 1);
+    let mut shared = Some(&mut *pool);
+    let items: Vec<_> = ranges
+        .into_iter()
+        .zip(key_pieces.into_iter().zip(val_pieces))
+        .map(|(rows, (kc, mc))| (rows, kc, mc, shared.take()))
+        .collect();
+    let locals = fan_out(items, &|(rows, kc, mc, shared)| {
+        let chunk = data.iter().skip(rows.start).take(rows.len());
+        let mut local = None;
+        let pool = match shared {
+            Some(pool) => pool,
+            None => local.insert(DimPool::new()),
+        };
+        match intern_rows(chunk, check, pool, kc, mc) {
+            Ok(()) => Ok((kc, local)),
+            Err(ModelError::ArityMismatch { expected, got, .. })
+                if matches!(check, RowCheck::Arity(_)) =>
+            {
+                Err(EvalError::InvalidStatement {
+                    detail: format!("row has {got} dimensions, the operand has {expected}"),
+                })
+            }
+            Err(e) => Err(e.into()),
+        }
+    })?;
+    for (kc, local) in locals {
+        if let Some(local) = local {
+            remap_syms(kc, &pool.merge(&local));
+        }
+    }
+    Ok(CubeBatch::from_columns(arity, keys, measures))
+}
+
 /// Dense group ids in first-seen order over strided group keys, with a
-/// row count per group: a hash index to the first group of each hash,
-/// collisions chained through `next`.
+/// row count per group: an open-addressed table of `(key hash, group id)`
+/// slots, probed linearly from the hash's high bits and kept at most half
+/// full. A probe compares stored hashes before it reads a key.
 struct GroupTable {
     stride: usize,
     keys: Vec<IDim>,
     counts: Vec<usize>,
-    next: Vec<u32>,
-    index: FxHashMap<u64, u32>,
+    slots: Vec<(u64, u32)>,
+    /// `64 - log2(slots.len())`: the shift that leaves a hash's top bits.
+    shift: u32,
 }
 
 impl GroupTable {
     const NONE: u32 = u32::MAX;
+    const MIN_SLOTS: usize = 16;
 
     fn new(stride: usize) -> GroupTable {
         GroupTable {
             stride,
             keys: Vec::new(),
             counts: Vec::new(),
-            next: Vec::new(),
-            index: FxHashMap::default(),
+            slots: vec![(0, GroupTable::NONE); GroupTable::MIN_SLOTS],
+            shift: 64 - GroupTable::MIN_SLOTS.trailing_zeros(),
         }
     }
 
@@ -948,27 +1066,40 @@ impl GroupTable {
     /// Count `rows` more rows in `key`'s group, opening the group on first
     /// sight; returns the group's id.
     fn add(&mut self, key: &[IDim], rows: usize) -> u32 {
-        let fresh = self.counts.len() as u32;
-        let mut g = *self.index.entry(fx_hash(key)).or_insert(fresh);
-        if g != fresh {
-            loop {
-                if self.key(g as usize) == key {
+        let hash = fx_hash(key);
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                (_, GroupTable::NONE) => break,
+                (h, g) if h == hash && self.key(g as usize) == key => {
                     self.counts[g as usize] += rows;
                     return g;
                 }
-                match self.next[g as usize] {
-                    GroupTable::NONE => {
-                        self.next[g as usize] = fresh;
-                        break;
-                    }
-                    n => g = n,
-                }
+                _ => i = (i + 1) & mask,
             }
         }
+        let fresh = self.counts.len() as u32;
         self.keys.extend_from_slice(key);
         self.counts.push(rows);
-        self.next.push(GroupTable::NONE);
+        self.slots[i] = (hash, fresh);
+        if self.counts.len() * 2 > self.slots.len() {
+            self.grow();
+        }
         fresh
+    }
+
+    fn grow(&mut self) {
+        let cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![(0, GroupTable::NONE); cap]);
+        self.shift = 64 - cap.trailing_zeros();
+        for slot in old.into_iter().filter(|s| s.1 != GroupTable::NONE) {
+            let mut i = (slot.0 >> self.shift) as usize;
+            while self.slots[i].1 != GroupTable::NONE {
+                i = (i + 1) & (cap - 1);
+            }
+            self.slots[i] = slot;
+        }
     }
 }
 
@@ -979,12 +1110,16 @@ impl GroupTable {
 ///    ([`part_idim`]) and number it in a chunk-local [`GroupTable`]; each
 ///    row keeps only its local id.
 /// 2. One serial pass merges the chunk tables, in chunk order, into dense
-///    global ids — so groups are numbered in first-seen row order.
-/// 3. A counting-sort scatter copies each row's sort columns and measure
-///    into its group's contiguous segment, freeing each chunk's ids as it
-///    goes. The sort columns are the full input key minus the dimensions
-///    the group key passes through, which are equal within a group; each
-///    value is copied rank-coded ([`DimPool::rank_coded`]).
+///    global ids — so groups are numbered in first-seen row order — and
+///    carves each group's contiguous segment into one piece per chunk
+///    holding rows of it, in chunk order.
+/// 3. The chunks, in parallel, scatter each row's sort columns and
+///    measure into the next free place of its piece. The pieces lie in
+///    chunk order within a segment, so every row lands where a serial
+///    scatter in row order would put it. The sort columns are the full
+///    input key minus the dimensions the group key passes through, which
+///    are equal within a group; each value is copied rank-coded
+///    ([`DimPool::rank_coded`]).
 /// 4. Ranges of groups, in parallel, sort each segment by those local
 ///    copies — integer and time compares, in [`DimPool::cmp_keys`]'s
 ///    order — and replay [`ExactState`] in that order.
@@ -1001,49 +1136,54 @@ pub(crate) fn aggregate_batch(
 ) -> Result<CubeBatch, EvalError> {
     let keys = batch.keys();
     let measures = batch.measures();
-    let n = keys.len();
-    let Some(width) = keys.first().map(|k| k.len()) else {
-        return Ok(CubeBatch::new());
-    };
+    let n = batch.len();
+    let width = batch.arity();
     let stride = parts.len();
+    if n == 0 {
+        return Ok(CubeBatch::with_capacity(stride, 0));
+    }
     let partitions = partitions.max(1);
 
-    // phase 1: chunk-local group ids
-    let chunks = fan_out(row_ranges(n, partitions), &|rows: Range<usize>| {
+    // phase 1: chunk-local group ids, into one column allocated here
+    let ranges = row_ranges(n, partitions);
+    let mut row_ids: Vec<u32> = vec![0; n];
+    let items: Vec<_> = ranges
+        .iter()
+        .cloned()
+        .zip(split_rows(&mut row_ids, &ranges, 1))
+        .collect();
+    let chunks = fan_out(items, &|(rows, ids): (Range<usize>, &mut [u32])| {
         let mut table = GroupTable::new(stride);
-        let mut ids: Vec<u32> = Vec::with_capacity(rows.len());
         let mut scratch: Vec<IDim> = Vec::with_capacity(stride);
-        for k in &keys[rows] {
-            if k.len() != width {
-                return Err(EvalError::InvalidStatement {
-                    detail: format!(
-                        "row has {} dimensions, the operand's first row has {width}",
-                        k.len()
-                    ),
-                });
-            }
+        for (r, id) in rows.clone().zip(ids.iter_mut()) {
+            let k = keys.get(r);
             scratch.clear();
             for p in parts {
                 scratch.push(part_idim(p, k, pool)?);
             }
-            ids.push(table.add(&scratch, 1));
+            *id = table.add(&scratch, 1);
         }
-        Ok((table, ids))
+        Ok((rows, table, &*ids))
     })?;
 
-    // phase 2: global ids, merged in chunk order
+    // phase 2: global ids, merged in chunk order, and segment offsets
     let mut groups = GroupTable::new(stride);
     let remaps: Vec<Vec<u32>> = chunks
         .iter()
-        .map(|(local, _)| {
+        .map(|(_, local, _)| {
             (0..local.counts.len())
                 .map(|l| groups.add(local.key(l), local.counts[l]))
                 .collect()
         })
         .collect();
+    let n_groups = groups.counts.len();
+    let mut offsets: Vec<usize> = Vec::with_capacity(n_groups + 1);
+    offsets.push(0);
+    for &c in &groups.counts {
+        offsets.push(offsets[offsets.len() - 1] + c);
+    }
 
-    // phase 3: counting-sort scatter into contiguous group segments; only
-    // order-sensitive folds sort, so `count` copies no key columns
+    // only order-sensitive folds sort, so `count` copies no key columns
     let sort_rows = ExactState::order_sensitive(agg);
     let sort_cols: Vec<usize> = (0..width)
         .filter(|&c| {
@@ -1054,30 +1194,68 @@ pub(crate) fn aggregate_batch(
         })
         .collect();
     let w = sort_cols.len();
-    let n_groups = groups.counts.len();
-    let mut offsets: Vec<usize> = Vec::with_capacity(n_groups + 1);
-    offsets.push(0);
-    for &c in &groups.counts {
-        offsets.push(offsets[offsets.len() - 1] + c);
-    }
-    let mut cursor: Vec<usize> = offsets[..n_groups].to_vec();
     let mut seg_keys: Vec<RankedDim> = vec![RankedDim::Int(0); n * w];
     let mut seg_vals: Vec<f64> = vec![0.0; n];
-    let mut ri = 0;
-    for ((_, ids), remap) in chunks.into_iter().zip(&remaps) {
-        for l in ids {
-            let g = remap[l as usize] as usize;
-            let at = cursor[g];
-            cursor[g] += 1;
-            for (dst, &c) in seg_keys[at * w..(at + 1) * w].iter_mut().zip(&sort_cols) {
-                *dst = pool.rank_coded(keys[ri][c]);
-            }
-            seg_vals[at] = measures[ri];
-            ri += 1;
+
+    // carve every segment into per-chunk pieces, walking memory order
+    // (group, then chunk); `local_of[g * k + c]` is chunk c's id for g
+    let k = chunks.len();
+    let mut local_of: Vec<u32> = vec![GroupTable::NONE; n_groups * k];
+    for (c, remap) in remaps.iter().enumerate() {
+        for (l, &g) in remap.iter().enumerate() {
+            local_of[g as usize * k + c] = l as u32;
         }
     }
     drop(remaps);
-    drop(cursor);
+    let mut key_pieces: Vec<Vec<&mut [RankedDim]>> = chunks
+        .iter()
+        .map(|(_, t, _)| (0..t.counts.len()).map(|_| Default::default()).collect())
+        .collect();
+    let mut val_pieces: Vec<Vec<&mut [f64]>> = chunks
+        .iter()
+        .map(|(_, t, _)| (0..t.counts.len()).map(|_| Default::default()).collect())
+        .collect();
+    let (mut key_rest, mut val_rest) = (&mut seg_keys[..], &mut seg_vals[..]);
+    for (slot, &l) in local_of.iter().enumerate() {
+        if l == GroupTable::NONE {
+            continue;
+        }
+        let (c, l) = (slot % k, l as usize);
+        let rows = chunks[c].1.counts[l];
+        let (piece, rest) = std::mem::take(&mut key_rest).split_at_mut(rows * w);
+        key_pieces[c][l] = piece;
+        key_rest = rest;
+        let (piece, rest) = std::mem::take(&mut val_rest).split_at_mut(rows);
+        val_pieces[c][l] = piece;
+        val_rest = rest;
+    }
+    drop(local_of);
+
+    // phase 3: each chunk scatters its rows into its pieces, in row order
+    let scatter: Vec<_> = chunks
+        .into_iter()
+        .zip(key_pieces.into_iter().zip(val_pieces))
+        .map(|((rows, _, ids), pieces)| (rows, ids, pieces))
+        .collect();
+    fan_out(scatter, &|(rows, ids, (mut kp, mut vp))| {
+        for (r, &l) in rows.zip(ids) {
+            let l = l as usize;
+            let (v, rest) = std::mem::take(&mut vp[l])
+                .split_first_mut()
+                .expect("piece sized by the chunk's group count");
+            *v = measures[r];
+            vp[l] = rest;
+            if w > 0 {
+                let (dst, rest) = std::mem::take(&mut kp[l]).split_at_mut(w);
+                let key = keys.get(r);
+                for (d, &c) in dst.iter_mut().zip(&sort_cols) {
+                    *d = pool.rank_coded(key[c]);
+                }
+                kp[l] = rest;
+            }
+        }
+        Ok(())
+    })?;
 
     // phase 4: canonical fold per segment, over ranges of about n /
     // partitions rows each
@@ -1090,7 +1268,7 @@ pub(crate) fn aggregate_batch(
         .filter(|r| !r.is_empty())
         .collect();
     let folded = fan_out(group_ranges, &|range: Range<usize>| {
-        let mut out_keys: Vec<IKey> = Vec::with_capacity(range.len());
+        let mut out_keys: Vec<IDim> = Vec::with_capacity(range.len() * stride);
         let mut out_vals: Vec<f64> = Vec::with_capacity(range.len());
         let mut order: Vec<usize> = Vec::new();
         for g in range {
@@ -1105,19 +1283,19 @@ pub(crate) fn aggregate_batch(
                 st.accumulate(seg_vals[i]);
             }
             if let Some(v) = st.finish().filter(|v| v.is_finite()) {
-                out_keys.push(groups.key(g).into());
+                out_keys.extend_from_slice(groups.key(g));
                 out_vals.push(v);
             }
         }
         Ok((out_keys, out_vals))
     })?;
-    let mut out_keys: Vec<IKey> = Vec::with_capacity(n_groups);
+    let mut out_keys: Vec<IDim> = Vec::with_capacity(n_groups * stride);
     let mut out_vals: Vec<f64> = Vec::with_capacity(n_groups);
     for (k, v) in folded {
         out_keys.extend(k);
         out_vals.extend(v);
     }
-    Ok(CubeBatch::from_columns(out_keys, out_vals))
+    Ok(CubeBatch::from_columns(stride, out_keys, out_vals))
 }
 
 /// Group-by aggregation over cube data with an explicit partition count —
@@ -1133,7 +1311,7 @@ pub fn aggregate_data(
     partitions: usize,
 ) -> Result<CubeData, EvalError> {
     let mut pool = DimPool::new();
-    let batch = CubeBatch::from_data(data, &mut pool);
+    let batch = intern_batch(data, RowCheck::Arity(dims.len()), &mut pool, partitions)?;
     let parts = key_parts(dims, group_by)?;
     let out = aggregate_batch(&batch, &pool, &parts, agg, partitions)?;
     Ok(out.to_data(&pool))
@@ -1148,9 +1326,10 @@ pub fn apply_series_op(
     dims: &[Dimension],
     data: &CubeData,
 ) -> Result<CubeData, EvalError> {
+    let threads = workers();
     let mut pool = DimPool::new();
-    let batch = CubeBatch::from_data(data, &mut pool);
-    let out = series_batch(op, dims, &batch, &pool, workers())?;
+    let batch = intern_batch(data, RowCheck::Arity(dims.len()), &mut pool, threads)?;
+    let out = series_batch(op, dims, &batch, &pool, threads)?;
     Ok(out.to_data(&pool))
 }
 
@@ -1183,7 +1362,7 @@ pub(crate) fn series_batch(
     let measures = batch.measures();
 
     // group row indices by their non-time dimension values
-    let mut slices: FxHashMap<IKey, Vec<(i64, u32)>> = FxHashMap::default();
+    let mut slices: FxHashMap<Vec<IDim>, Vec<(i64, u32)>> = FxHashMap::default();
     let mut scratch: Vec<IDim> = Vec::new();
     for (ri, k) in keys.iter().enumerate() {
         let IDim::Time(t) = k[time_idx] else {
@@ -1205,7 +1384,7 @@ pub(crate) fn series_batch(
         match slices.get_mut(scratch.as_slice()) {
             Some(rows) => rows.push((t.index(), ri as u32)),
             None => {
-                slices.insert(scratch.as_slice().into(), vec![(t.index(), ri as u32)]);
+                slices.insert(scratch.clone(), vec![(t.index(), ri as u32)]);
             }
         }
     }
@@ -1235,7 +1414,7 @@ pub(crate) fn series_batch(
     for (ri, v) in results.into_iter().flatten() {
         column[ri as usize] = v;
     }
-    let mut out = CubeBatch::from_columns(keys.to_vec(), column);
+    let mut out = CubeBatch::from_columns(keys.arity(), keys.flat().to_vec(), column);
     out.retain_finite();
     Ok(out)
 }
@@ -1754,6 +1933,150 @@ mod tests {
                 assert_eq!(bits(&one), bits(&many), "{agg} x{partitions}");
             }
         }
+
+        // rows in a fixed order, so chunk boundaries are known: one group
+        // has rows in every chunk, one is first seen in the last chunk
+        // (the last 300 rows sit in the last chunk for 1..=8 partitions);
+        // the parallel scatter must fill each segment as the serial one
+        let n = PAR_MIN_ROWS + 1073;
+        let parts = [KeyPart::Dim(1)];
+        for late in [false, true] {
+            let mut pool = DimPool::new();
+            let mut batch = CubeBatch::new();
+            for i in 0..n {
+                let g = match i {
+                    _ if late && i >= n - 300 => "late".to_string(),
+                    _ if i % 5 == 0 => "every".to_string(),
+                    _ => format!("g{}", i % 7),
+                };
+                let key = [IDim::Int(i as i64), IDim::Sym(pool.intern(&g))];
+                batch.push(&key, (i as f64).sin() * 1e6 + 0.1);
+            }
+            for agg in AggFn::ALL {
+                let one = aggregate_batch(&batch, &pool, &parts, agg, 1).unwrap();
+                let row_bits = |b: &CubeBatch| -> Vec<(Vec<IDim>, u64)> {
+                    b.iter().map(|(k, v)| (k.to_vec(), v.to_bits())).collect()
+                };
+                for partitions in 2..=8 {
+                    let many = aggregate_batch(&batch, &pool, &parts, agg, partitions).unwrap();
+                    assert_eq!(
+                        row_bits(&many),
+                        row_bits(&one),
+                        "{agg} x{partitions} late={late}"
+                    );
+                }
+            }
+        }
+    }
+
+    // ---- parallel interning must equal a one-worker pass ----
+
+    fn intern_dims() -> Vec<Dimension> {
+        vec![
+            Dimension::new("k", exl_model::DimType::Int),
+            Dimension::new("r", exl_model::DimType::Str),
+            Dimension::new("q", exl_model::DimType::Time(Frequency::Quarterly)),
+            Dimension::new("s", exl_model::DimType::Str),
+        ]
+    }
+
+    /// `n` random rows over [`intern_dims`]: strings drawn from a pool
+    /// with an empty string, prefixes of one another and non-ASCII text,
+    /// so chunk pools disagree about first-seen order.
+    fn random_intern_cube(rng: &mut rand::rngs::StdRng, n: usize, salt: &str) -> CubeData {
+        use rand::Rng;
+        let words = ["", "r1", "r10", "r1 ", "é", "日本", "Ωmega", "r100", "x"];
+        let mut data = CubeData::with_capacity(n);
+        while data.len() < n {
+            let word = |rng: &mut rand::rngs::StdRng| {
+                let w = words[rng.gen_range(0..words.len())];
+                match rng.gen_range(0..4) {
+                    0 => format!("{w}{salt}{}", rng.gen_range(0..500)),
+                    _ => w.to_string(),
+                }
+            };
+            let tuple = vec![
+                DimValue::Int(rng.gen_range(-1000..1000)),
+                DimValue::str(word(rng)),
+                q(rng.gen_range(1990..2030), rng.gen_range(1..=4)),
+                DimValue::str(word(rng)),
+            ];
+            data.insert_overwrite(tuple, rng.gen_range(-1e6..1e6));
+        }
+        data
+    }
+
+    fn pool_strings(pool: &DimPool) -> Vec<String> {
+        (0..pool.len() as u32)
+            .map(|s| pool.resolve(exl_model::Sym(s)).to_string())
+            .collect()
+    }
+
+    #[test]
+    fn parallel_interning_matches_serial() {
+        use rand::{Rng, SeedableRng};
+        let _guard = no_faults();
+        let schema =
+            exl_model::CubeSchema::new("C", intern_dims(), exl_model::schema::CubeKind::Elementary);
+        let checks = [RowCheck::Schema(&schema), RowCheck::Arity(4)];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1a7e);
+        for n in [
+            PAR_MIN_ROWS - 1,
+            PAR_MIN_ROWS,
+            PAR_MIN_ROWS + 37,
+            3 * PAR_MIN_ROWS + 5,
+        ] {
+            let first = random_intern_cube(&mut rng, n, "a");
+            let second = random_intern_cube(&mut rng, n / 2 + 1, "b");
+            for check in checks {
+                // the second input goes into the pool the first seeded
+                let run = |threads: usize| {
+                    let mut pool = DimPool::new();
+                    let a = intern_batch(&first, check, &mut pool, threads).unwrap();
+                    let b = intern_batch(&second, check, &mut pool, threads).unwrap();
+                    (pool_strings(&pool), a, b)
+                };
+                let (strings, a, b) = run(1);
+                assert_eq!((a.len(), a.arity()), (n, 4));
+                for threads in [2, 3, 8] {
+                    let (s, pa, pb) = run(threads);
+                    assert_eq!(s, strings, "n={n} x{threads}: pool order");
+                    assert_eq!(pa, a, "n={n} x{threads}: first batch");
+                    assert_eq!(pb, b, "n={n} x{threads}: second batch");
+                }
+            }
+
+            // malformed tuples at random places (one of a wrong arity at
+            // least, so both checks fail): the first in storage order
+            // decides, for every worker count
+            let mut bad = first.clone();
+            for i in 0..rng.gen_range(1..4) {
+                let kind = if i == 0 { 0 } else { rng.gen_range(0..3) };
+                let tuple = match kind {
+                    0 => vec![DimValue::Int(rng.gen_range(5000..6000))],
+                    1 => vec![
+                        DimValue::Int(rng.gen_range(5000..6000)),
+                        DimValue::str("r1"),
+                        DimValue::Int(7),
+                        DimValue::str("x"),
+                    ],
+                    _ => vec![
+                        DimValue::str("é"),
+                        DimValue::Int(rng.gen_range(5000..6000)),
+                        q(2000, 1),
+                        DimValue::str("x"),
+                    ],
+                };
+                bad.insert_overwrite(tuple, 1.0);
+            }
+            for check in checks {
+                let expected = intern_batch(&bad, check, &mut DimPool::new(), 1).unwrap_err();
+                for threads in [2, 3, 8] {
+                    let got = intern_batch(&bad, check, &mut DimPool::new(), threads).unwrap_err();
+                    assert_eq!(got, expected, "n={n} x{threads}");
+                }
+            }
+        }
     }
 
     // ---- row order through the series kernel ----
@@ -1825,7 +2148,7 @@ mod tests {
         assert!(batch.len() >= PAR_MIN_ROWS);
         for op in SERIES_OPS {
             let expected = series_reference(op, &batch);
-            let want_keys: Vec<&IKey> = batch
+            let want_keys: Vec<&[IDim]> = batch
                 .keys()
                 .iter()
                 .zip(&expected)
@@ -1840,7 +2163,7 @@ mod tests {
             assert!(want_keys.len() < batch.len(), "{op:?}: no row dropped");
             for threads in [1, 4] {
                 let out = series_batch(op, &dims, &batch, &pool, threads).unwrap();
-                let got_keys: Vec<&IKey> = out.keys().iter().collect();
+                let got_keys: Vec<&[IDim]> = out.keys().iter().collect();
                 assert_eq!(got_keys, want_keys, "{op:?} x{threads}: row order");
                 let got_bits: Vec<u64> = out.measures().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got_bits, want_bits, "{op:?} x{threads}: values");
@@ -1918,7 +2241,7 @@ mod tests {
     fn mixed_arity_aggregation_operand_is_a_typed_error() {
         let _guard = no_faults();
         // unvalidated data (delta paths) can break the one-arity contract;
-        // the kernel copies fixed-width keys, so it refuses instead
+        // a flat key column cannot hold ragged rows, so interning refuses
         let data = CubeData::from_tuples(vec![
             (vec![DimValue::Int(1), DimValue::str("a")], 1.0),
             (vec![DimValue::Int(2)], 2.0),
@@ -1933,5 +2256,69 @@ mod tests {
             let err = aggregate_data(&data, &dims, &group_by, AggFn::Sum, partitions).unwrap_err();
             assert!(matches!(err, EvalError::InvalidStatement { .. }), "{err}");
         }
+
+        // statement evaluation fails the same way whatever operator reads
+        // the cube, instead of mapping the row through (scalar maps) or
+        // misreporting it as a bad time value (shift, series)
+        let analyzed = analyze(
+            &parse_program(
+                "cube W(q: quarter, r: text); A := 2 * W; S := shift(W, 1); \
+                 M := movavg(W, 2); G := sum(W, group by r);",
+            )
+            .unwrap(),
+            &[],
+        )
+        .unwrap();
+        let data = CubeData::from_tuples(vec![
+            (vec![q(2020, 1), DimValue::str("n")], 1.0),
+            (vec![q(2020, 2), DimValue::str("n")], 2.0),
+            (vec![q(2020, 3)], 3.0),
+        ])
+        .unwrap();
+        let env = raw_env(&analyzed, "W", data);
+        for stmt in &analyzed.program.statements {
+            let err = eval_statement(stmt, &env).unwrap_err();
+            assert!(
+                matches!(err, EvalError::InvalidStatement { .. }),
+                "{}: {err}",
+                stmt.target
+            );
+            assert!(err.to_string().contains("row has 1 dimensions"), "{err}");
+        }
+    }
+
+    #[test]
+    fn failed_session_load_surfaces_at_eval() {
+        // `EvalSession::load` records a ragged cube instead of failing;
+        // every statement reading it then returns the typed error
+        let analyzed = analyze(
+            &parse_program("cube W(k: int, r: text); A := 2 * W;").unwrap(),
+            &[],
+        )
+        .unwrap();
+        let data = CubeData::from_tuples(vec![
+            (vec![DimValue::Int(1), DimValue::str("n")], 1.0),
+            (vec![DimValue::Int(2)], 2.0),
+        ])
+        .unwrap();
+        let dims = analyzed.schemas[&CubeId::new("W")].dims.clone();
+        let mut session = EvalSession::new();
+        session.load(CubeId::new("W"), dims.clone(), &data);
+        assert!(session.is_loaded(&CubeId::new("W")));
+        let err = session.eval(&analyzed.program.statements[0]).unwrap_err();
+        assert!(matches!(err, EvalError::InvalidStatement { .. }), "{err}");
+        assert!(session.resolve(&CubeId::new("A")).is_none());
+        // a good reload replaces the failure
+        let good =
+            CubeData::from_tuples(vec![(vec![DimValue::Int(1), DimValue::str("n")], 1.0)]).unwrap();
+        session.load(CubeId::new("W"), dims, &good);
+        session.eval(&analyzed.program.statements[0]).unwrap();
+        assert_eq!(
+            session
+                .resolve(&CubeId::new("A"))
+                .unwrap()
+                .get(&[DimValue::Int(1), DimValue::str("n")]),
+            Some(2.0)
+        );
     }
 }

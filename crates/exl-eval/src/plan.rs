@@ -48,7 +48,7 @@ use exl_lang::ast::{BinOp, Expr, GroupKey, JoinPolicy, Statement, UnaryFn};
 use exl_model::batch::CubeBatch;
 use exl_model::fingerprint::{Fingerprint, FingerprintBuilder};
 use exl_model::hash::FxHashMap;
-use exl_model::intern::{DimPool, IDim, IKey};
+use exl_model::intern::{DimPool, IDim};
 use exl_model::schema::{CubeId, Dimension};
 use exl_stats::descriptive::AggFn;
 use exl_stats::seriesop::SeriesOp;
@@ -823,22 +823,22 @@ fn shift_idim(d: IDim, offset: i64, pool: &DimPool) -> Result<IDim, EvalError> {
     }
 }
 
-/// Run one fused stream region over its base rows, emitting surviving
-/// `(key, value)` pairs into `emit`. Rows are dropped the moment any
-/// step turns the measure non-finite or a probe misses — exactly the
-/// rows the unfused pipeline's per-operator `retain_finite` sweeps would
-/// have removed. `probes` maps each probe step's input node to its
-/// batch; the sink is generic so the serial path writes straight into
-/// the output batch while workers fill per-chunk vectors.
+/// Run one fused stream region over base rows `rows`, writing the
+/// surviving rows to the front of `out_keys` (the base's arity values
+/// each) and `out_measures`, which have room for every row; returns how
+/// many survived. Rows are dropped the moment any step turns the measure
+/// non-finite or a probe misses — exactly the rows the unfused pipeline's
+/// per-operator `retain_finite` sweeps would have removed. `probes` maps
+/// each probe step's input node to its batch.
 fn stream_rows(
     region: &StreamRegion,
     base: &CubeBatch,
     probes: &[(NodeId, &CubeBatch)],
     pool: &DimPool,
-    lo: usize,
-    hi: usize,
-    mut emit: impl FnMut(IKey, f64),
-) -> Result<(), EvalError> {
+    rows: std::ops::Range<usize>,
+    out_keys: &mut [IDim],
+    out_measures: &mut [f64],
+) -> Result<usize, EvalError> {
     let keys = base.keys();
     let measures = base.measures();
     // resolve each probe step's batch once, outside the row loop
@@ -864,9 +864,11 @@ fn stream_rows(
     // is the next hit. A cursor hit is one slice compare — no hashing,
     // and the point index is never built unless a cursor actually
     // misses.
-    let mut hints: Vec<usize> = vec![lo; region.steps.len()];
-    'rows: for ri in lo..hi {
-        let base_key: &IKey = &keys[ri];
+    let mut hints: Vec<usize> = vec![rows.start; region.steps.len()];
+    let arity = base.arity();
+    let mut written = 0;
+    'rows: for ri in rows {
+        let base_key: &[IDim] = keys.get(ri);
         let mut v = measures[ri];
         let mut shifted = false;
         for (si, step) in region.steps.iter().enumerate() {
@@ -924,7 +926,7 @@ fn stream_rows(
                     };
                     let hint = &mut hints[si];
                     let pkeys = probed.keys();
-                    let found = if *hint < pkeys.len() && *pkeys[*hint] == *pk {
+                    let found = if *hint < pkeys.len() && pkeys.get(*hint) == pk {
                         Some(*hint as u32)
                     } else {
                         probed.row_of(pk)
@@ -947,20 +949,23 @@ fn stream_rows(
                 }
             }
         }
-        let key: IKey = if shifted {
-            scratch[..].into()
+        out_keys[written * arity..(written + 1) * arity].copy_from_slice(if shifted {
+            &scratch
         } else {
-            base_key.clone()
-        };
-        emit(key, v);
+            base_key
+        });
+        out_measures[written] = v;
+        written += 1;
     }
-    Ok(())
+    Ok(written)
 }
 
 /// Execute a stream region: serial for small bases, contiguous row
-/// chunks across workers for large ones. Chunk outputs concatenate in
-/// chunk order, so row order — and therefore every downstream float —
-/// is identical for any worker count.
+/// chunks across workers for large ones. The output columns are
+/// allocated once, on the calling thread, at the base's size; each chunk
+/// writes its survivors to the front of its own slice, and the slices are
+/// then closed up in chunk order — so row order, and therefore every
+/// downstream float, is identical for any worker count.
 pub(crate) fn run_stream(
     region: &StreamRegion,
     base: &CubeBatch,
@@ -969,33 +974,35 @@ pub(crate) fn run_stream(
     threads: usize,
 ) -> Result<CubeBatch, EvalError> {
     let n = base.len();
+    let arity = base.arity();
     // no up-front index build: sequential probe cursors keep ordered
     // probes index-free, and a cursor miss builds the point index once
     // behind a `OnceLock` (concurrent first misses serialize on it)
-    if threads <= 1 || n < crate::eval::PAR_MIN_ROWS {
-        let mut keys: Vec<IKey> = Vec::with_capacity(n);
-        let mut measures: Vec<f64> = Vec::with_capacity(n);
-        stream_rows(region, base, probes, pool, 0, n, |k, v| {
-            keys.push(k);
-            measures.push(v);
-        })?;
-        return Ok(CubeBatch::from_columns(keys, measures));
+    let ranges = crate::eval::par_ranges(n, threads);
+    let mut keys = vec![IDim::Int(0); n * arity];
+    let mut measures = vec![0.0; n];
+    let key_pieces = crate::eval::split_rows(&mut keys, &ranges, arity);
+    let val_pieces = crate::eval::split_rows(&mut measures, &ranges, 1);
+    let chunks: Vec<_> = ranges
+        .into_iter()
+        .zip(key_pieces.into_iter().zip(val_pieces))
+        .map(|(rows, (kc, mc))| (rows, kc, mc))
+        .collect();
+    let survivors = crate::eval::fan_out(chunks, &|(rows, kc, mc)| {
+        let start = rows.start;
+        stream_rows(region, base, probes, pool, rows, kc, mc).map(|written| (start, written))
+    })?;
+    let mut len = 0;
+    for (start, written) in survivors {
+        if start != len {
+            keys.copy_within(start * arity..(start + written) * arity, len * arity);
+            measures.copy_within(start..start + written, len);
+        }
+        len += written;
     }
-    let parts = crate::eval::fan_out(
-        crate::eval::row_ranges(n, threads),
-        &|rows: std::ops::Range<usize>| {
-            let mut part = Vec::with_capacity(rows.len());
-            stream_rows(region, base, probes, pool, rows.start, rows.end, |k, v| {
-                part.push((k, v))
-            })?;
-            Ok(part)
-        },
-    )?;
-    let mut out = CubeBatch::with_capacity(n);
-    for (k, v) in parts.into_iter().flatten() {
-        out.push(k, v);
-    }
-    Ok(out)
+    keys.truncate(len * arity);
+    measures.truncate(len);
+    Ok(CubeBatch::from_columns(arity, keys, measures))
 }
 
 // ---- introspection ----

@@ -10,7 +10,9 @@
 //!   string once and handing out stable [`Sym`] (`u32`) codes;
 //! * [`IDim`] — a `Copy` dimension value: `Int`/`Time` are packed
 //!   inline, `Str` becomes its `Sym`;
-//! * [`IKey`] — a boxed slice of `IDim`, the flat join/group key.
+//! * [`IKey`] — a shared slice of `IDim`, the chase's per-row key.
+//!   The evaluator's [`crate::CubeBatch`] stores its keys in one strided
+//!   `IDim` column instead and hands out `&[IDim]` row slices.
 //!
 //! Interning is order-erasing for strings (`Sym` codes reflect first-seen
 //! order, not lexicographic order), so sorted boundaries must compare
@@ -26,7 +28,6 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::cube::DimTuple;
-use crate::hash::FxHashMap;
 use crate::time::TimePoint;
 use crate::value::DimValue;
 
@@ -64,27 +65,59 @@ pub enum RankedDim {
     Time(TimePoint),
 }
 
-/// A flat, interned dimension tuple: the key type of the keyed kernels.
+/// A flat, interned dimension tuple owned on its own: the per-row key of
+/// the chase's relations and the group key of its aggregation tgds.
 ///
-/// Shared (`Arc`), not boxed: batch kernels clone keys on every
-/// surviving row (stream regions, join outputs, group extraction), and
-/// a reference-count bump beats a heap allocation plus copy on each of
-/// those clones. Equality, ordering, and hashing all deref to the
-/// slice, so the change is invisible to the keyed kernels.
+/// Shared (`Arc`): the chase clones keys into indexes and derived facts,
+/// and a reference-count bump beats a heap allocation plus copy. The
+/// evaluator's batches do not use it; their keys live in one strided
+/// column (see [`crate::batch`]). Equality, ordering, and hashing all
+/// deref to the slice.
 pub type IKey = std::sync::Arc<[IDim]>;
 
 /// Append-only interning pool for dimension strings.
 ///
-/// Deliberately not thread-shared: each chase/eval run owns its pool,
-/// interns on ingest, and resolves on export. Parallel sections receive
-/// `&DimPool` (resolve-only) which is `Sync`.
+/// A pool is never shared mutably between threads: each chase/eval run
+/// owns one, interns on ingest, and resolves on export. Parallel
+/// sections receive `&DimPool` (resolve-only), which is `Sync`. A
+/// parallel interning pass gives each row chunk after the first a
+/// chunk-local pool and folds those into the run's pool with
+/// [`DimPool::merge`] in chunk order, which reproduces the symbol codes
+/// of one serial pass.
 #[derive(Debug, Default, Clone)]
 pub struct DimPool {
     strings: Vec<std::sync::Arc<str>>,
-    lookup: FxHashMap<std::sync::Arc<str>, Sym>,
+    /// Open-addressed string → symbol table: a power-of-two slot array of
+    /// symbol codes ([`NO_SYM`] when free), probed linearly from the
+    /// string's [`str_hash`] and kept at most half full.
+    slots: Vec<u32>,
     /// Lexicographic rank per symbol, built on first use and dropped when
     /// a new string is interned.
     ranks: OnceLock<Vec<u32>>,
+}
+
+const NO_SYM: u32 = u32::MAX;
+
+/// Hash of a string's bytes for the pool's table: multiply-xor over
+/// 8-byte words, the tail word assembled byte by byte (dimension strings
+/// are short, and a variable-length copy costs more than the loop).
+/// Only the pool's own table sees it, so it can change freely.
+#[inline]
+pub(crate) fn str_hash(s: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = s.len() as u64;
+    let mut words = s.as_bytes().chunks_exact(8);
+    for w in &mut words {
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(w.try_into().expect("8-byte word")))
+            .wrapping_mul(K);
+    }
+    let tail = words
+        .remainder()
+        .iter()
+        .enumerate()
+        .fold(0u64, |t, (i, &b)| t | (b as u64) << (8 * i));
+    h = (h.rotate_left(5) ^ tail).wrapping_mul(K);
+    h ^ (h >> 29)
 }
 
 impl DimPool {
@@ -106,15 +139,61 @@ impl DimPool {
     /// Intern a string, returning its stable symbol. Idempotent: the
     /// same contents always map to the same [`Sym`].
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.lookup.get(s) {
-            return sym;
+        self.intern_hashed(s, str_hash(s))
+    }
+
+    /// [`DimPool::intern`] with the string's [`str_hash`] already
+    /// computed, for loops that hash a block of rows ahead of interning.
+    #[inline]
+    pub(crate) fn intern_hashed(&mut self, s: &str, hash: u64) -> Sym {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut i = hash as usize & mask;
+        while let Some(&slot) = self.slots.get(i) {
+            match slot {
+                NO_SYM => break,
+                sym if *self.strings[sym as usize] == *s => return Sym(sym),
+                _ => i = (i + 1) & mask,
+            }
         }
-        let sym = Sym(u32::try_from(self.strings.len()).expect("dim pool overflow"));
-        let shared: std::sync::Arc<str> = s.into();
-        self.strings.push(shared.clone());
-        self.lookup.insert(shared, sym);
+        let sym = u32::try_from(self.strings.len())
+            .ok()
+            .filter(|&sym| sym != NO_SYM)
+            .expect("dim pool overflow");
+        self.strings.push(s.into());
         self.ranks.take();
-        sym
+        if self.strings.len() * 2 > self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[i] = sym;
+        }
+        Sym(sym)
+    }
+
+    /// Double the slot table (at least 16 slots) and re-insert every
+    /// string, the newest included.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(16);
+        self.slots = vec![NO_SYM; cap];
+        for (sym, s) in self.strings.iter().enumerate() {
+            let mut i = str_hash(s) as usize & (cap - 1);
+            while self.slots[i] != NO_SYM {
+                i = (i + 1) & (cap - 1);
+            }
+            self.slots[i] = sym as u32;
+        }
+    }
+
+    /// Intern every string of `other` in `other`'s symbol order and
+    /// return the translation table: entry `i` is the symbol here of
+    /// `other`'s `Sym(i)`.
+    ///
+    /// Merging the pools of consecutive row chunks in chunk order (the
+    /// first chunk interned straight into `self`) leaves `self` exactly
+    /// as one pass over all rows would: a string is new to `self` only at
+    /// its first occurrence overall, and every pool lists its strings in
+    /// first-seen order.
+    pub fn merge(&mut self, other: &DimPool) -> Vec<Sym> {
+        other.strings.iter().map(|s| self.intern(s)).collect()
     }
 
     /// The string behind a symbol.

@@ -46,7 +46,7 @@ pub mod shard;
 pub mod time;
 pub mod value;
 
-pub use batch::CubeBatch;
+pub use batch::{intern_rows, remap_syms, CubeBatch, KeyColumn, RowCheck};
 pub use cube::{format_tuple, Cube, CubeData, DimTuple};
 pub use dataset::Dataset;
 pub use error::ModelError;

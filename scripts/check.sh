@@ -50,6 +50,14 @@ cargo test -q -p exl-eval --lib malformed_inputs_fail_like_validate_fused_and_un
 cargo test -q -p exl-model --test rank_props
 cargo test -q -p exl-model --lib checked_build_fails_like_validate
 
+echo "== interning =="
+# flat key columns: interning fanned out over 1, 2, 3 and 8 workers gives
+# the pool order, key column and measures of a one-worker pass (and the
+# same first error on a malformed cube); the parallel aggregation scatter
+# fills every group segment as the serial one, bit for bit and row for row
+cargo test -q -p exl-eval --lib parallel_interning_matches_serial
+cargo test -q -p exl-eval --lib partitioned_aggregate_matches_serial_bitwise
+
 echo "== aggregation determinism =="
 # the aggregation kernel must be bit-identical to a DimTuple-sorted
 # reference fold for every AggFn and any partition count
