@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exl_bench::{dataset_rows, gdp_at_scale, write_bench_metrics};
-use exl_chase::{chase, chase_recorded, ChaseMode};
+use exl_chase::{chase, chase_traced, ChaseMode};
 use exl_map::generate::{generate_mapping, GenMode};
 use exl_workload::{random_scenario, RandomConfig};
 
@@ -54,12 +54,13 @@ fn bench_chase(c: &mut Criterion) {
     let registry = exl_obs::MetricsRegistry::new();
     let (analyzed, data, _) = gdp_at_scale(16, 48);
     let (mapping, re) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
-    chase_recorded(
+    chase_traced(
         &mapping,
         &re.schemas,
         &data,
         ChaseMode::Stratified,
         &registry,
+        &exl_obs::Span::disabled(),
     )
     .unwrap();
     write_bench_metrics("B3", &registry);

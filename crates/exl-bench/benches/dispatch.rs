@@ -91,7 +91,8 @@ fn bench_dispatch(c: &mut Criterion) {
     });
     let (mapping, _) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
     let job = exl_etl::mapping_to_job(&mapping).unwrap();
-    exl_etl::run_job_parallel_recorded(&job, &data, registry.as_ref()).unwrap();
+    exl_etl::run_job_parallel_traced(&job, &data, registry.as_ref(), &exl_obs::Span::disabled())
+        .unwrap();
     exl_bench::write_bench_metrics("B5", &registry);
 }
 

@@ -63,31 +63,20 @@ pub fn chase(
     source: &Dataset,
     mode: ChaseMode,
 ) -> Result<ChaseResult, ChaseError> {
-    chase_recorded(mapping, schemas, source, mode, &exl_obs::NoopRecorder)
-}
-
-/// [`chase`] with observability: the run is timed under the
-/// `chase.run` span and the [`ChaseStats`] counters are mirrored into
-/// the recorder as `chase.applications` / `chase.homomorphisms` /
-/// `chase.facts_generated` / `chase.passes`.
-pub fn chase_recorded(
-    mapping: &Mapping,
-    schemas: &BTreeMap<CubeId, CubeSchema>,
-    source: &Dataset,
-    mode: ChaseMode,
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<ChaseResult, ChaseError> {
     chase_traced(
         mapping,
         schemas,
         source,
         mode,
-        recorder,
+        &exl_obs::NoopRecorder,
         &exl_obs::Span::disabled(),
     )
 }
 
-/// [`chase_recorded`] with hierarchical tracing: each tgd application
+/// [`chase`] with observability: the run is timed under the
+/// `chase.run` span and the [`ChaseStats`] counters are mirrored into
+/// the recorder as `chase.applications` / `chase.homomorphisms` /
+/// `chase.facts_generated` / `chase.passes`. Each tgd application
 /// becomes a `chase.tgd` child span of `trace`, carrying the target
 /// relation, its dependency relations, and the homomorphism/fact counts
 /// of that step — the chase's contribution to the run's lineage tree.

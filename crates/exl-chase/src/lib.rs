@@ -21,8 +21,7 @@ pub mod error;
 pub mod instance;
 
 pub use chase::{
-    chase, chase_recorded, chase_traced, is_fixpoint, restrict_solution, ChaseMode, ChaseResult,
-    ChaseStats,
+    chase, chase_traced, is_fixpoint, restrict_solution, ChaseMode, ChaseResult, ChaseStats,
 };
 pub use error::ChaseError;
 pub use instance::{Fact, Instance, Relation};

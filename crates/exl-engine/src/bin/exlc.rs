@@ -48,10 +48,13 @@
 //! * `--shards <n|auto>` — partition each native subgraph's data on an
 //!   automatically chosen dimension and execute one evaluator instance
 //!   per shard in parallel (`auto` = host core count). Results are
-//!   bit-identical for every shard count. Forces the full-engine path.
-//!   `EXL_NO_FUSION=1` in the environment disables plan fusion for the
-//!   invocation (a CLI-level default; the library takes the switch
-//!   per run via `ExecOpts`).
+//!   bit-identical for every shard count.
+//!
+//! Every `run` goes through one `ExlEngine`: determination partitions the
+//! program, each subgraph is translated for the named target (falling
+//! back to native when the target lacks an operator) and dispatched
+//! under the supervisor, and the ledger, crash bundle and lineage come
+//! from what actually ran.
 //!
 //! Governance options for `run`/`explain` (see `docs/GOVERNANCE.md`):
 //!
@@ -118,7 +121,7 @@ struct Globals {
     metrics_prom: Option<String>,
     trace_path: Option<String>,
     progress: bool,
-    policy: Option<DispatchPolicy>,
+    policy: DispatchPolicy,
     cache_dir: Option<String>,
     no_cache: bool,
     run_deadline_ms: Option<u64>,
@@ -127,24 +130,13 @@ struct Globals {
     ledger_dir: Option<String>,
     inject_fault: Option<String>,
     /// `--shards <n|auto>`: shard native subgraphs (`Some(0)` = auto by
-    /// host core count). Forces the full-engine run path.
+    /// host core count).
     shards: Option<usize>,
 }
 
-/// The CLI-level execution defaults: `EXL_NO_FUSION=1` disables plan
-/// fusion for this invocation. The env var is read exactly here — the
-/// library takes the switch per run via [`exl_engine::ExecOpts`], so
-/// parallel test harnesses are never exposed to a process-global toggle.
-fn exec_from_env() -> exl_engine::ExecOpts {
-    exl_engine::ExecOpts {
-        no_fusion: std::env::var("EXL_NO_FUSION").is_ok_and(|v| !v.is_empty() && v != "0"),
-        eval_threads: None,
-    }
-}
-
 /// The process-wide external cancellation token. SIGINT cancels it; every
-/// engine run (and supervised run) derives its run token from it, so one
-/// Ctrl-C gracefully cancels whatever is executing and rolls it back.
+/// engine run derives its run token from it, so one Ctrl-C gracefully
+/// cancels whatever is executing and rolls it back.
 static CANCEL: std::sync::OnceLock<exl_engine::CancelToken> = std::sync::OnceLock::new();
 
 /// SIGINT handler: a single atomic store (`raw_cancel`), the only form
@@ -325,30 +317,24 @@ fn extract_globals(args: &mut Vec<String>) -> Result<Globals, String> {
     })
 }
 
-/// Pull the fault-handling flags out of `args`. Returns the default
-/// policy (fail fast, no retry, no deadline) with a `None` marker when no
-/// flag was given; `Some` means `run` should go through the supervisor.
-fn extract_policy(args: &mut Vec<String>) -> Result<Option<DispatchPolicy>, String> {
+/// Pull the fault-handling flags out of `args` into a dispatch policy;
+/// with no flag given it is the default one (fail fast, no retry, no
+/// deadline).
+fn extract_policy(args: &mut Vec<String>) -> Result<DispatchPolicy, String> {
     let mut policy = DispatchPolicy::default();
-    let mut any = false;
     if let Some(v) = extract_value_flag(args, "--retries")? {
         policy.retries = v
             .parse()
             .map_err(|_| format!("--retries: `{v}` is not a count"))?;
-        any = true;
     }
     if let Some(v) = extract_value_flag(args, "--subgraph-timeout-ms")? {
         let ms: u64 = v
             .parse()
             .map_err(|_| format!("--subgraph-timeout-ms: `{v}` is not a number of milliseconds"))?;
         policy.subgraph_timeout = Some(std::time::Duration::from_millis(ms));
-        any = true;
     }
-    if extract_bool_flag(args, "--keep-going")? {
-        policy.keep_going = true;
-        any = true;
-    }
-    Ok(any.then_some(policy))
+    policy.keep_going = extract_bool_flag(args, "--keep-going")?;
+    Ok(policy)
 }
 
 /// Pull `<flag> <value>` out of `args`. A repeated flag is rejected: the
@@ -452,18 +438,25 @@ fn run(
     }
 }
 
-fn load_program(path: &str, recorder: &dyn Recorder) -> Result<exl_lang::AnalyzedProgram, String> {
+/// Read, parse and analyze a program file; returns the source text with
+/// the analysis.
+fn load_program(
+    path: &str,
+    recorder: &dyn Recorder,
+) -> Result<(String, exl_lang::AnalyzedProgram), String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let program =
         exl_lang::parse_program_recorded(&source, recorder).map_err(|e| format!("{path}: {e}"))?;
-    exl_lang::analyze_recorded(&program, &[], recorder).map_err(|e| format!("{path}: {e}"))
+    let analyzed =
+        exl_lang::analyze_recorded(&program, &[], recorder).map_err(|e| format!("{path}: {e}"))?;
+    Ok((source, analyzed))
 }
 
 fn check(args: &[String], recorder: &dyn Recorder) -> Result<(), String> {
     let [path] = args else {
         return Err("usage: exlc check <program.exl>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let (_, analyzed) = load_program(path, recorder)?;
     out!("ok: {} statements", analyzed.program.statements.len());
     for (id, schema) in &analyzed.schemas {
         let kind = match schema.kind {
@@ -480,7 +473,7 @@ fn tgds(args: &[String], recorder: &dyn Recorder) -> Result<(), String> {
     let [path] = args else {
         return Err("usage: exlc tgds <program.exl>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let (_, analyzed) = load_program(path, recorder)?;
     let (mapping, _) =
         exl_map::generate_mapping(&analyzed, exl_map::GenMode::Fused).map_err(|e| e.to_string())?;
     out!("{}", mapping.display_tgds());
@@ -506,7 +499,7 @@ fn do_translate(args: &[String], recorder: &dyn Recorder) -> Result<(), String> 
     let [target, path] = args else {
         return Err("usage: exlc translate <target> <program.exl>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let (_, analyzed) = load_program(path, recorder)?;
     let code = translate(&analyzed, parse_target(target)?).map_err(|e| e.to_string())?;
     out!("{}", code.listing());
     Ok(())
@@ -552,25 +545,22 @@ fn load_input(data_path: &str, analyzed: &exl_lang::AnalyzedProgram) -> Result<D
 }
 
 /// Build a full [`ExlEngine`] wired to the CLI's tracer, metrics
-/// registry, policy and progress sink, with the program registered and
-/// its elementary inputs loaded.
+/// registry, policy and progress sink, with the program `source`
+/// registered and its elementary inputs loaded.
 fn build_engine(
-    path: &str,
+    source: &str,
     analyzed: &exl_lang::AnalyzedProgram,
     input: &Dataset,
     metrics: Option<&Arc<MetricsRegistry>>,
     globals: &Globals,
     tracer: &Tracer,
 ) -> Result<ExlEngine, String> {
-    let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut e = ExlEngine::new();
     e.set_tracer(tracer.clone());
     if let Some(registry) = metrics {
         e.set_metrics_registry(registry.clone());
     }
-    if let Some(policy) = &globals.policy {
-        e.policy = policy.clone();
-    }
+    e.policy = globals.policy.clone();
     if globals.progress {
         e.progress = Some(ProgressSink::new(|ev| {
             let status = ev.status.name();
@@ -597,8 +587,7 @@ fn build_engine(
     }
     e.govern = govern_config(globals);
     e.shards = globals.shards;
-    e.exec = exec_from_env();
-    e.register_program("main", &source)
+    e.register_program("main", source)
         .map_err(|e| e.to_string())?;
     for id in analyzed.elementary_inputs() {
         let data = input
@@ -643,9 +632,9 @@ fn do_plan(
     let [path, data_path] = args else {
         return Err("usage: exlc plan <program.exl> <data.json|dir>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let (source, analyzed) = load_program(path, recorder)?;
     let input = load_input(data_path, &analyzed)?;
-    let e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
+    let e = build_engine(&source, &analyzed, &input, metrics, globals, tracer)?;
     out!("{}", render_plan_overview(&e)?);
     Ok(())
 }
@@ -672,12 +661,8 @@ fn do_run(
     // bridge SIGINT before the (potentially long) data load, so a
     // Ctrl-C during it is remembered and aborts at the first checkpoint
     install_sigint();
-    let analyzed = load_program(path, recorder)?;
+    let (source, analyzed) = load_program(path, recorder)?;
     let input = load_input(data_path, &analyzed)?;
-    let keep_going = globals
-        .policy
-        .as_ref()
-        .is_some_and(|policy| policy.keep_going);
 
     // chaos injection: hold the installed plan for the whole run so
     // every backend sees it
@@ -685,84 +670,39 @@ fn do_run(
         Some(spec) => Some(exl_fault::install(parse_fault_plan(spec)?)),
         None => None,
     };
+    let mut e = build_engine(&source, &analyzed, &input, metrics, globals, tracer)?;
     // --dump-plan: write the compiled-plan overview before executing, so
-    // the dump exists even if the run itself fails
+    // the dump exists even if the run itself fails; it describes the
+    // native plans, so it is rendered before the target is set
     if let Some(dump) = &dump_plan {
-        let e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
         let text = render_plan_overview(&e)?;
         std::fs::write(dump, text + "\n").map_err(|e| format!("{dump}: {e}"))?;
         eprintln!("exlc: plan dumped to {dump}");
     }
+    e.default_target = target;
+    let run_result = e.run_all();
+    if let Some(bundle) = e.last_bundle() {
+        eprintln!("exlc: crash bundle written to {}", bundle.display());
+    }
+    let report = run_result.map_err(|e| e.to_string())?;
+    if report.failed.is_empty() && report.subgraphs.iter().any(|s| s.attempts.len() > 1) {
+        let attempts: usize = report.subgraphs.iter().map(|s| s.attempts.len()).sum();
+        eprintln!("exlc: run succeeded after {attempts} attempts");
+    }
+    if globals.cache_dir.is_some() && !globals.no_cache {
+        eprintln!(
+            "exlc: cache: {} hit, {} delta, {} miss ({} stored)",
+            report.cache.hits, report.cache.delta_hits, report.cache.misses, report.cache.stores
+        );
+    }
     let mut result: BTreeMap<String, JsonCube> = BTreeMap::new();
-    let use_cache = globals.cache_dir.is_some() && !globals.no_cache;
-    let use_engine = globals.trace_path.is_some()
-        || globals.progress
-        || use_cache
-        || globals.bundle_dir.is_some()
-        || globals.ledger_dir.is_some()
-        || globals.shards.is_some();
-    if use_engine {
-        // tracing, progress, the run cache, or an observability sink
-        // asked for: run through the full engine so per-subgraph
-        // dispatch (and cache resolution) is real
-        let mut e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
-        e.default_target = target;
-        let run_result = e.run_all();
-        if let Some(bundle) = e.last_bundle() {
-            eprintln!("exlc: crash bundle written to {}", bundle.display());
-        }
-        let report = run_result.map_err(|e| e.to_string())?;
-        if use_cache {
-            eprintln!(
-                "exlc: cache: {} hit, {} delta, {} miss ({} stored)",
-                report.cache.hits,
-                report.cache.delta_hits,
-                report.cache.misses,
-                report.cache.stores
-            );
-        }
-        for id in analyzed.program.derived_ids() {
-            match e.data(&id) {
-                Some(data) => {
-                    result.insert(id.to_string(), data.to_tuples());
-                }
-                None if keep_going => {}
-                None => return Err(format!("target produced no data for {id}")),
+    for id in analyzed.program.derived_ids() {
+        match e.data(&id) {
+            Some(data) => {
+                result.insert(id.to_string(), data.to_tuples());
             }
-        }
-    } else {
-        // no engine in this branch, so install the run governor as the
-        // ambient one: SIGINT and the budget flags still reach every
-        // backend checkpoint
-        let _governor = exl_engine::govern::set_governor(govern_config(globals).run_governor());
-        let output = if let Some(policy) = &globals.policy {
-            // fault-handling flags were given: run under the dispatch
-            // supervisor (which records the subgraph span per attempt)
-            let (output, attempts) = exl_engine::run_on_target_supervised(
-                &analyzed,
-                &input,
-                target,
-                policy,
-                metrics,
-                &exl_obs::Span::disabled(),
-                exec_from_env(),
-            )
-            .map_err(|e| e.to_string())?;
-            if attempts.len() > 1 {
-                eprintln!("exlc: run succeeded after {} attempts", attempts.len());
-            }
-            output
-        } else {
-            // the whole program runs as one subgraph on the chosen target
-            let _span = exl_obs::span(recorder, format!("engine.subgraph.{target}"));
-            exl_engine::run_on_target_opts(&analyzed, &input, target, recorder, exec_from_env())
-                .map_err(|e| e.to_string())?
-        };
-        for id in analyzed.program.derived_ids() {
-            let data = output
-                .data(&id)
-                .ok_or_else(|| format!("target produced no data for {id}"))?;
-            result.insert(id.to_string(), data.to_tuples());
+            None if globals.policy.keep_going => {}
+            None => return Err(format!("target produced no data for {id}")),
         }
     }
     out!(
@@ -782,7 +722,7 @@ fn explain(
     let [path, data_path, cube] = args else {
         return Err("usage: exlc explain <program.exl> <data.json|dir> <cube>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let (source, analyzed) = load_program(path, recorder)?;
     let id = cube.as_str().into();
     if !analyzed.schemas.contains_key(&id) {
         return Err(format!("unknown cube `{cube}` in {path}"));
@@ -795,7 +735,7 @@ fn explain(
     } else {
         Tracer::new()
     };
-    let mut e = build_engine(path, &analyzed, &input, metrics, globals, &tracer)?;
+    let mut e = build_engine(&source, &analyzed, &input, metrics, globals, &tracer)?;
     e.apply_suggested_affinities().map_err(|e| e.to_string())?;
     e.run_all().map_err(|e| e.to_string())?;
     let report = LineageReport::from_trace(&tracer.snapshot(), e.graph());

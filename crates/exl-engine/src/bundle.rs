@@ -131,7 +131,8 @@ pub struct BundleEnv {
     pub os: String,
     /// Available parallelism.
     pub nproc: u64,
-    /// `EXL_EVAL_THREADS`, when set.
+    /// The engine's pinned native-evaluator worker count
+    /// ([`ExecOpts::eval_threads`](crate::ExecOpts)), when set.
     pub eval_threads: Option<String>,
     /// `CHAOS_SEED`, when set (chaos sweeps stamp their seed here).
     pub chaos_seed: Option<String>,
@@ -172,6 +173,7 @@ pub(crate) fn build_bundle(
     governor: &Governor,
     config: &GovernConfig,
     metrics: Option<&MetricsRegistry>,
+    eval_threads: Option<usize>,
 ) -> CrashBundle {
     let error = match result {
         Err(e) => BundleError {
@@ -257,7 +259,7 @@ pub(crate) fn build_bundle(
             nproc: std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
                 .unwrap_or(1),
-            eval_threads: std::env::var("EXL_EVAL_THREADS").ok(),
+            eval_threads: eval_threads.map(|n| n.to_string()),
             chaos_seed: std::env::var("CHAOS_SEED").ok(),
         },
     }
@@ -274,8 +276,9 @@ pub(crate) fn write_crash_bundle(
     governor: &Governor,
     config: &GovernConfig,
     metrics: Option<&MetricsRegistry>,
+    eval_threads: Option<usize>,
 ) -> Result<PathBuf, EngineError> {
-    let bundle = build_bundle(result, obs, governor, config, metrics);
+    let bundle = build_bundle(result, obs, governor, config, metrics, eval_threads);
     let seq = BUNDLE_SEQ.fetch_add(1, Ordering::Relaxed);
     let name = format!("bundle-{}-{}-{seq}.json", bundle.unix_ms, bundle.env.pid);
     let path = dir.join(name);
@@ -300,7 +303,7 @@ mod tests {
         let governor = Governor::detached();
         let config = GovernConfig::default();
         let result: Result<RunReport, EngineError> = Err(EngineError::Execution("boom".into()));
-        let bundle = build_bundle(&result, &obs, &governor, &config, None);
+        let bundle = build_bundle(&result, &obs, &governor, &config, None, None);
         assert_eq!(bundle.version, BUNDLE_VERSION);
         assert_eq!(bundle.error.kind, "execution");
         assert!(bundle.metrics.as_object().is_some());
@@ -320,6 +323,7 @@ mod tests {
             &RunObservation::default(),
             &Governor::detached(),
             &GovernConfig::default(),
+            None,
             None,
         );
         assert_eq!(bundle.error.kind, "subgraph-failures");

@@ -85,8 +85,8 @@ pub struct ExlEngine {
     /// everything else dispatches unsharded. Results are bit-identical
     /// for every shard count.
     pub shards: Option<usize>,
-    /// Per-run execution options (fusion switch, evaluator thread cap)
-    /// threaded down to every backend invocation of this engine.
+    /// Per-run execution options (the evaluator worker count) threaded
+    /// down to every backend invocation of this engine.
     pub exec: ExecOpts,
     /// Fault-handling policy for dispatch (retries, deadlines, fallback,
     /// degradation mode).
@@ -943,6 +943,7 @@ impl ExlEngine {
                     governor,
                     &self.govern,
                     self.metrics.as_deref(),
+                    self.exec.eval_threads,
                 ) {
                     Ok(path) => self.last_bundle = Some(path),
                     Err(e) => eprintln!("exl-engine: crash bundle not written: {e}"),

@@ -67,13 +67,9 @@ pub use govern::{CancelToken, GovernConfig, GovernError, Governor, RunBudget};
 pub use ledger::{Baseline, LedgerRecord, LedgerStatement, SentinelConfig, LEDGER_VERSION};
 pub use lineage::{LineageReport, LineageStep};
 pub use shard::{dispatch_sharded, ShardOutcome, ShardReport};
-pub use supervise::{
-    run_on_target_supervised, run_supervised, Attempt, AttemptOutcome, DispatchPolicy,
-    SubgraphStatus,
-};
+pub use supervise::{run_supervised, Attempt, AttemptOutcome, DispatchPolicy, SubgraphStatus};
 pub use target::{
-    execute, execute_in_context, run_on_target, run_on_target_opts, translate, ExecOpts,
-    TargetCode, TargetKind,
+    execute, execute_in_context, run_on_target, translate, ExecOpts, TargetCode, TargetKind,
 };
 
 #[cfg(test)]

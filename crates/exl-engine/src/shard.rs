@@ -186,7 +186,6 @@ fn dispatch_inner(
     // shard workers run the evaluator single-threaded: shard parallelism
     // must not multiply with intra-evaluator parallelism
     let shard_exec = ExecOpts {
-        no_fusion: exec.no_fusion,
         eval_threads: if shards > 1 {
             Some(1)
         } else {

@@ -33,7 +33,7 @@ use exl_model::Dataset;
 use exl_obs::{MetricsRegistry, NoopRecorder, Recorder};
 
 use crate::error::EngineError;
-use crate::target::{execute_in_context, prepare_program, ExecOpts, TargetCode, TargetKind};
+use crate::target::{execute_in_context, ExecOpts, TargetCode, TargetKind};
 
 /// Shared no-op recorder for metric-less supervision.
 static NOOP: NoopRecorder = NoopRecorder;
@@ -306,21 +306,32 @@ fn execute_guarded(
     opts: ExecOpts,
 ) -> Result<Dataset, EngineError> {
     let target = code.target_name();
-    let Some(deadline) = timeout else {
+    // the one attempt body of both branches: the backend runs under the
+    // `engine.subgraph.<target>` metrics span, a panic becomes
+    // `EngineError::Panic`
+    let attempt = move |code: &TargetCode,
+                        input: &Dataset,
+                        wanted: &[CubeId],
+                        metrics: Option<&Arc<MetricsRegistry>>,
+                        ctx: &exl_obs::SpanContext|
+          -> Result<Dataset, EngineError> {
         let recorder: &dyn Recorder = match metrics {
             Some(m) => m.as_ref(),
             None => &NOOP,
         };
-        let _span = exl_obs::span(recorder, format!("engine.subgraph.{target}"));
-        return catch_unwind(AssertUnwindSafe(|| {
-            execute_in_context(code, input, wanted, recorder, &trace.context(), opts)
+        let _span = exl_obs::span(recorder, format!("engine.subgraph.{}", code.target_name()));
+        catch_unwind(AssertUnwindSafe(|| {
+            execute_in_context(code, input, wanted, recorder, ctx, opts)
         }))
         .unwrap_or_else(|payload| {
             Err(EngineError::Panic {
-                target: target.to_string(),
+                target: code.target_name().to_string(),
                 message: panic_message(payload),
             })
-        });
+        })
+    };
+    let Some(deadline) = timeout else {
+        return attempt(code, input, wanted, metrics, &trace.context());
     };
 
     // the worker governs under a child of the caller's governor: run-level
@@ -342,20 +353,7 @@ fn execute_guarded(
         .name(format!("exl-dispatch-{target}"))
         .spawn(move || {
             let _governor = crate::govern::set_governor(attempt_governor);
-            let recorder: &dyn Recorder = match &metrics {
-                Some(m) => m.as_ref(),
-                None => &NOOP,
-            };
-            let _span = exl_obs::span(recorder, format!("engine.subgraph.{}", code.target_name()));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                execute_in_context(&code, &input, &wanted, recorder, &ctx, opts)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(EngineError::Panic {
-                    target: code.target_name().to_string(),
-                    message: panic_message(payload),
-                })
-            });
+            let result = attempt(&code, &input, &wanted, metrics.as_ref(), &ctx);
             // the receiver may have given up on us: ignore send failure
             let _ = tx.send(result);
         })
@@ -385,43 +383,6 @@ fn execute_guarded(
     // so the join is immediate either way
     let _ = worker.join();
     result
-}
-
-/// Run a whole analyzed program on one target under the supervisor —
-/// the supervised counterpart of
-/// [`run_on_target_opts`](crate::target::run_on_target_opts), used by
-/// `exlc run` when retry/timeout flags are set. Attempts are traced under
-/// `trace` and executed with `opts`, as in [`run_supervised`].
-pub fn run_on_target_supervised(
-    analyzed: &exl_lang::analyze::AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
-) -> Result<(Dataset, Vec<Attempt>), EngineError> {
-    let recorder: &dyn Recorder = match metrics {
-        Some(m) => m.as_ref(),
-        None => &NOOP,
-    };
-    let (code, wanted, restricted) = prepare_program(analyzed, input, target, recorder)?;
-    let native = if policy.runtime_fallback && target != TargetKind::Native {
-        Some(crate::target::translate(analyzed, TargetKind::Native)?)
-    } else {
-        None
-    };
-    let (result, attempts) = run_supervised(
-        &code,
-        native.as_ref(),
-        &restricted,
-        &wanted,
-        policy,
-        metrics,
-        trace,
-        opts,
-    );
-    result.map(|ds| (ds, attempts))
 }
 
 /// Render a `catch_unwind` payload as text.

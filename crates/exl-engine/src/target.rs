@@ -270,17 +270,11 @@ pub fn translate(
     }
 }
 
-/// Per-dispatch execution options, threaded from the engine (or `exlc`)
-/// down to the native evaluator. These replace the process-global
-/// `EXL_NO_FUSION` / `EXL_EVAL_THREADS` environment toggles inside the
-/// engine: the env vars remain CLI-level defaults only, so parallel test
-/// harnesses (and parallel shard workers) can pick different settings
-/// per run without racing on `set_var`.
+/// Per-dispatch execution options, threaded from the engine down to the
+/// native evaluator, so parallel test harnesses (and parallel shard
+/// workers) pick their settings per run instead of through process state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOpts {
-    /// Run native subgraphs on the statement-at-a-time evaluator instead
-    /// of the fused streaming plans.
-    pub no_fusion: bool,
     /// Fixed native-evaluator worker count (`None` probes the machine).
     /// The sharded dispatcher pins this to 1 per shard worker so shard
     /// parallelism does not multiply with intra-evaluator parallelism.
@@ -312,8 +306,7 @@ pub fn execute(
 /// each backend records its internal steps as grandchildren
 /// (`chase.tgd`, `sql.stmt`, `rmini.stmt`, `matmini.stmt`, `etl.flow`, …)
 /// and the chase / parallel-ETL backends emit their own counters to
-/// `recorder`. `opts` controls fusion and evaluator parallelism per run
-/// instead of via process-global environment state.
+/// `recorder`. `opts` sets the native evaluator's worker count per run.
 pub fn execute_in_context(
     code: &TargetCode,
     input: &Dataset,
@@ -380,12 +373,9 @@ fn execute_traced_inner(
     exl_fault::govern::checkpoint()?;
     let full = match code {
         TargetCode::Native { analyzed } => {
-            let eval_opts = exl_eval::EvalOptions {
-                no_fusion: opts.no_fusion,
-                threads: opts.eval_threads,
-            };
-            let (full, plan) = exl_eval::run_program_with_stats_opts(analyzed, input, eval_opts)
-                .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
+            let (full, plan) =
+                exl_eval::run_program_with_threads(analyzed, input, opts.eval_threads)
+                    .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
             // plan-compilation telemetry: counters accumulate per run,
             // flight events mark which subgraphs actually fused or CSE'd
             recorder.incr_counter("plan.regions", plan.regions);
@@ -554,66 +544,23 @@ fn charge_output(data: &CubeData, schema: &CubeSchema) {
 }
 
 /// Convenience used by tests, examples and benchmarks: run a whole
-/// analyzed program on one target, returning its derived cubes.
+/// analyzed program on one target, returning its derived cubes. Fails
+/// when the input lacks an elementary cube the program reads.
 pub fn run_on_target(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
     target: TargetKind,
 ) -> Result<Dataset, EngineError> {
-    run_on_target_opts(
-        analyzed,
-        input,
-        target,
-        &exl_obs::NoopRecorder,
-        ExecOpts::default(),
-    )
-}
-
-/// [`run_on_target`] with translation timed under `engine.translate`,
-/// execution instrumented via [`execute_in_context`], and explicit
-/// [`ExecOpts`] — used by `exlc` to apply its CLI-level fusion/thread
-/// defaults without mutating process-global environment state.
-pub fn run_on_target_opts(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    recorder: &dyn exl_obs::Recorder,
-    opts: ExecOpts,
-) -> Result<Dataset, EngineError> {
-    let (code, wanted, restricted) = prepare_program(analyzed, input, target, recorder)?;
-    execute_in_context(
-        &code,
-        &restricted,
-        &wanted,
-        recorder,
-        &exl_obs::Span::disabled().context(),
-        opts,
-    )
-}
-
-/// The shared prologue of a whole-program run: translate for `target`
-/// (timed under `engine.translate`) and narrow `input` to the elementary
-/// cubes the program reads, failing when one is missing. Returns the
-/// code, the derived cubes to extract, and the narrowed input.
-pub(crate) fn prepare_program(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<(TargetCode, Vec<CubeId>, Dataset), EngineError> {
-    let code = {
-        let _span = exl_obs::span(recorder, "engine.translate");
-        translate(analyzed, target)?
-    };
+    let code = translate(analyzed, target)?;
     // the executors read only the cubes the program needs
-    let inputs: Vec<CubeId> = analyzed.elementary_inputs();
+    let inputs = analyzed.elementary_inputs();
     let restricted = input.restrict(&inputs);
     if let Some(id) = inputs.iter().find(|id| !restricted.contains(id)) {
         return Err(EngineError::Execution(format!(
             "elementary cube {id} is missing from the input dataset"
         )));
     }
-    Ok((code, analyzed.program.derived_ids(), restricted))
+    execute(&code, &restricted, &analyzed.program.derived_ids())
 }
 
 /// Schemas for a statement subset's *external inputs*: every cube the

@@ -81,6 +81,23 @@ fn run_executes_with_json_data() {
     assert_eq!(c[1][1].as_f64(), Some(8.0));
 }
 
+/// Run `exlc <flags> run <program> <data> <target>`, assert success, and
+/// return its stdout.
+fn run_stdout(flags: &[&str], program: &str, data: &str, target: &str) -> String {
+    let mut args = flags.to_vec();
+    args.extend(["run", program, data, target]);
+    let out = exlc(&args);
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// Every target computes the program, and the stdout of a run does not
+/// depend on the dispatch supervisor's retry policy or on a ledger
+/// being written: every run takes the one engine path.
 #[test]
 fn run_accepts_a_target_argument() {
     let p = write_tmp("tgt.exl", PROGRAM);
@@ -91,16 +108,102 @@ fn run_accepts_a_target_argument() {
             [[{"Time": {"Quarter": {"year": 2020, "quarter": 2}}}], 2.5]
         ]}"#,
     );
-    for target in ["sql", "r", "matlab", "etl", "chase"] {
-        let out = exlc(&["run", p.to_str().unwrap(), d.to_str().unwrap(), target]);
+    let ledger = std::env::temp_dir().join(format!("exlc-tgt-ledger-{}", std::process::id()));
+    let (p, d) = (p.to_str().unwrap(), d.to_str().unwrap());
+    for target in [
+        "native",
+        "chase",
+        "sql",
+        "r",
+        "matlab",
+        "etl",
+        "etl-parallel",
+    ] {
+        let plain = run_stdout(&[], p, d, target);
+        let parsed: serde_json::Value = serde_json::from_str(&plain).unwrap();
+        assert_eq!(parsed["C"][1][1].as_f64(), Some(8.0), "{target}");
+        assert_eq!(
+            run_stdout(&["--retries", "1"], p, d, target),
+            plain,
+            "{target}: --retries 1"
+        );
+        let ledger_flags = ["--ledger-dir", ledger.to_str().unwrap()];
+        assert_eq!(
+            run_stdout(&ledger_flags, p, d, target),
+            plain,
+            "{target}: --ledger-dir"
+        );
+    }
+    std::fs::remove_dir_all(&ledger).unwrap();
+}
+
+/// An operator the SQL target lacks (`addz` needs a full outer join)
+/// falls back to the native engine whatever flags the run carries: the
+/// plain, traced and supervised runs print the native run's stdout.
+#[test]
+fn unsupported_operator_falls_back_on_every_flag_combination() {
+    let p = write_tmp(
+        "addz.exl",
+        "cube A(k: int) -> y; cube B(k: int) -> z; C := addz(A, B);",
+    );
+    let d = write_tmp(
+        "addz.json",
+        r#"{ "A": [ [[{"Int": 1}], 1.0] ], "B": [ [[{"Int": 2}], 5.0] ] }"#,
+    );
+    let t = std::env::temp_dir().join(format!("exlc-test-{}-addz.trace.json", std::process::id()));
+    let (p, d) = (p.to_str().unwrap(), d.to_str().unwrap());
+    let native = run_stdout(&[], p, d, "native");
+    let parsed: serde_json::Value = serde_json::from_str(&native).unwrap();
+    assert_eq!(parsed["C"].as_array().unwrap().len(), 2, "{native}");
+    for flags in [
+        &[][..],
+        &["--trace", t.to_str().unwrap()][..],
+        &["--retries", "1"][..],
+    ] {
+        assert_eq!(run_stdout(flags, p, d, "sql"), native, "sql {flags:?}");
+    }
+    std::fs::remove_file(&t).unwrap();
+}
+
+/// `run --dump-plan` writes the same overview `exlc plan` prints, for
+/// any target: the dump describes the native plans and is written
+/// before the run.
+#[test]
+fn dump_plan_file_equals_plan_stdout() {
+    let p = write_tmp(
+        "dump.exl",
+        "cube A(q: time[quarter]) -> y; B := 2 * (A - shift(A, 1)) / A + 3; C := B * B;",
+    );
+    let d = write_tmp(
+        "dump.json",
+        r#"{ "A": [
+            [[{"Time": {"Quarter": {"year": 2020, "quarter": 1}}}], 1.5],
+            [[{"Time": {"Quarter": {"year": 2020, "quarter": 2}}}], 2.5],
+            [[{"Time": {"Quarter": {"year": 2020, "quarter": 3}}}], 3.5],
+            [[{"Time": {"Quarter": {"year": 2020, "quarter": 4}}}], 4.5]
+        ]}"#,
+    );
+    let (p, d) = (p.to_str().unwrap(), d.to_str().unwrap());
+    let out = exlc(&["plan", p, d]);
+    assert!(out.status.success());
+    let plan = String::from_utf8(out.stdout).unwrap();
+    assert!(plan.contains("fused="), "{plan}");
+    for target in ["native", "sql"] {
+        let dump = std::env::temp_dir().join(format!(
+            "exlc-test-{}-dump-{target}.txt",
+            std::process::id()
+        ));
+        let out = exlc(&["run", p, d, target, "--dump-plan", dump.to_str().unwrap()]);
         assert!(
             out.status.success(),
             "{target}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let parsed: serde_json::Value =
-            serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
-        assert_eq!(parsed["C"][1][1].as_f64(), Some(8.0), "{target}");
+        assert!(String::from_utf8(out.stderr)
+            .unwrap()
+            .contains("plan dumped to"));
+        assert_eq!(std::fs::read_to_string(&dump).unwrap(), plan, "{target}");
+        std::fs::remove_file(&dump).unwrap();
     }
 }
 
@@ -656,30 +759,39 @@ fn bad_inject_fault_spec_is_rejected() {
     }
 }
 
-/// `exlc perf` end to end: two real runs build a ledger, a planted 2×
-/// slowdown in a forged third record trips the sentinel with a non-zero
-/// exit, and the healthy ledger exits clean.
+/// `exlc perf` end to end over a ledger with fixed timings: one real
+/// run supplies a record as the engine writes it, three copies with
+/// every statement at 1 ms form a healthy history that exits clean, and
+/// a planted 10× slowdown in a fourth record trips the sentinel with a
+/// non-zero exit. Fixed times keep wall-clock noise out of the verdict.
 #[test]
 fn perf_sentinel_detects_a_planted_slowdown() {
     let p = write_tmp("perf.exl", PROGRAM);
     let d = write_tmp("perf.json", RUN_DATA);
     let dir = std::env::temp_dir().join(format!("exlc-perf-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    for _ in 0..3 {
-        let out = exlc(&[
-            "--ledger-dir",
-            dir.to_str().unwrap(),
-            "run",
-            p.to_str().unwrap(),
-            d.to_str().unwrap(),
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+    let out = exlc(&[
+        "--ledger-dir",
+        dir.to_str().unwrap(),
+        "run",
+        p.to_str().unwrap(),
+        d.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = dir.join("ledger.jsonl");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut rec: exl_engine::LedgerRecord = serde_json::from_str(text.trim_end()).unwrap();
+    assert!(!rec.statements.is_empty());
+    for stmt in &mut rec.statements {
+        assert_eq!(stmt.status, "computed");
+        stmt.wall_ms = 1.0;
     }
-    // healthy ledger: clean exit
+    let healthy = serde_json::to_string(&rec).unwrap();
+    std::fs::write(&path, format!("{healthy}\n").repeat(3)).unwrap();
     let out = exlc(&["perf", dir.to_str().unwrap(), "--min-runs", "2"]);
     assert!(
         out.status.success(),
@@ -689,14 +801,11 @@ fn perf_sentinel_detects_a_planted_slowdown() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("no regressions"), "{stdout}");
 
-    // plant a 10x slowdown: clone the last record with inflated wall
-    // times, append it, and the sentinel must exit non-zero naming it
-    let path = dir.join("ledger.jsonl");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let last = text.lines().last().unwrap();
-    let mut rec: exl_engine::LedgerRecord = serde_json::from_str(last).unwrap();
-    rec.statements[0].wall_ms *= 10.0;
+    // plant a 10x slowdown in a fourth record: the sentinel must exit
+    // non-zero naming it
+    rec.statements[0].wall_ms = 10.0;
     let forged = serde_json::to_string(&rec).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, format!("{text}{forged}\n")).unwrap();
     let out = exlc(&[
         "perf",

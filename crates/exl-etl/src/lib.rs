@@ -19,8 +19,7 @@ pub use flow::{
 };
 pub use flowgen::{mapping_to_job, tgd_to_flow};
 pub use parallel::{
-    run_flow_parallel, run_flow_parallel_recorded, run_flow_parallel_traced, run_job_parallel,
-    run_job_parallel_recorded, run_job_parallel_traced,
+    run_flow_parallel, run_flow_parallel_traced, run_job_parallel, run_job_parallel_traced,
 };
 pub use row::{Field, Row};
 
@@ -238,14 +237,15 @@ mod tests {
         assert!(err.to_string().contains("no data sources"), "{err}");
     }
 
-    /// The recorded runner emits per-step row counters, the flow count,
+    /// The instrumented runner emits per-step row counters, the flow count,
     /// and the job span.
     #[test]
     fn parallel_runner_records_row_counters() {
         let (_, mapping, _, input) = gdp_setup();
         let job = mapping_to_job(&mapping).unwrap();
         let registry = exl_obs::MetricsRegistry::new();
-        let out = run_job_parallel_recorded(&job, &input, &registry).unwrap();
+        let out =
+            run_job_parallel_traced(&job, &input, &registry, &exl_obs::Span::disabled()).unwrap();
         assert!(out.data(&"GDP".into()).is_some());
         let snap = registry.snapshot();
         assert!(snap.counter("etl.rows.source") > 0);

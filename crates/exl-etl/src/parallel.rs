@@ -37,21 +37,13 @@ type RowResult = Result<Row, EtlError>;
 
 /// Execute a flow with one thread per step.
 pub fn run_flow_parallel(flow: &Flow, data: &Dataset) -> Result<CubeData, EtlError> {
-    run_flow_parallel_recorded(flow, data, &NoopRecorder)
+    run_flow_parallel_traced(flow, data, &NoopRecorder, &exl_obs::Span::disabled())
 }
 
 /// [`run_flow_parallel`] with per-step row counters (`etl.rows.source`,
 /// `etl.rows.merge`, `etl.rows.transform`, `etl.rows.output`) and a
-/// channel-occupancy gauge (`etl.channel.depth`) emitted to `recorder`.
-pub fn run_flow_parallel_recorded(
-    flow: &Flow,
-    data: &Dataset,
-    recorder: &dyn Recorder,
-) -> Result<CubeData, EtlError> {
-    run_flow_parallel_traced(flow, data, recorder, &exl_obs::Span::disabled())
-}
-
-/// [`run_flow_parallel_recorded`] with hierarchical tracing: the flow
+/// channel-occupancy gauge (`etl.channel.depth`) emitted to `recorder`,
+/// and hierarchical tracing: the flow
 /// runs under an `etl.flow` child span of `trace`, and every pipeline
 /// stage records its own span (`etl.source`, `etl.merge`,
 /// `etl.transform`, `etl.output`) *from its worker thread*, so the
@@ -260,21 +252,13 @@ fn is_streaming(t: &TransformStep) -> bool {
 /// Run a whole job with pipeline-parallel flows (flows still execute in
 /// tgd total order, since later flows read earlier results).
 pub fn run_job_parallel(job: &Job, input: &Dataset) -> Result<Dataset, EtlError> {
-    run_job_parallel_recorded(job, input, &NoopRecorder)
+    run_job_parallel_traced(job, input, &NoopRecorder, &exl_obs::Span::disabled())
 }
 
-/// [`run_job_parallel`] with the whole job timed under the `etl.job` span
-/// and per-step row counters emitted to `recorder`.
-pub fn run_job_parallel_recorded(
-    job: &Job,
-    input: &Dataset,
-    recorder: &dyn Recorder,
-) -> Result<Dataset, EtlError> {
-    run_job_parallel_traced(job, input, recorder, &exl_obs::Span::disabled())
-}
-
-/// [`run_job_parallel_recorded`] with each flow traced under an
-/// `etl.flow` child span of `trace` (see [`run_flow_parallel_traced`]).
+/// [`run_job_parallel`] with the whole job timed under the `etl.job` span,
+/// per-step row counters emitted to `recorder`, and each flow traced
+/// under an `etl.flow` child span of `trace` (see
+/// [`run_flow_parallel_traced`]).
 pub fn run_job_parallel_traced(
     job: &Job,
     input: &Dataset,

@@ -61,38 +61,29 @@ pub(crate) const PAR_MIN_ROWS: usize = 4096;
 
 /// Worker count for data-parallel operators (1 on single-core machines,
 /// capped so oversubscription never pays for thread spawns it cannot use).
-/// A per-run [`EvalOptions::threads`] wins; otherwise `EXL_EVAL_THREADS`
-/// overrides the machine probe. Both the variable and the probe are read
-/// once per process: the probe reads cgroup files on Linux, and the
-/// evaluator asks on every operator. Canonical fold order makes the
-/// setting invisible in the results: every float is bit-identical for any
-/// worker count.
+/// A per-run count given to [`run_program_with_threads`] wins; otherwise
+/// the machine probe decides. The probe reads cgroup files on Linux and
+/// the evaluator asks on every operator, so it runs once per process.
+/// Canonical fold order makes the setting invisible in the results: every
+/// float is bit-identical for any worker count.
 pub(crate) fn workers() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     if let Some(n) = THREAD_OVERRIDE.get() {
         return n.max(1);
     }
     *DEFAULT.get_or_init(|| {
-        std::env::var("EXL_EVAL_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(8)
-            })
-            .max(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
     })
 }
 
 thread_local! {
-    /// Per-run worker-count override installed by [`run_program_opts`]
-    /// for the duration of the run. Thread-local rather than process
-    /// global: the sharded dispatcher runs several evaluations
-    /// concurrently with different counts, and a process-global setting
-    /// (like the old `EXL_NO_FUSION` env toggle) would race under the
-    /// parallel test harness.
+    /// Per-run worker-count override installed by
+    /// [`run_program_with_threads`] for the duration of the run.
+    /// Thread-local rather than process global: the sharded dispatcher
+    /// runs several evaluations concurrently with different counts.
     static THREAD_OVERRIDE: std::cell::Cell<Option<usize>> =
         const { std::cell::Cell::new(None) };
 }
@@ -114,25 +105,6 @@ impl Drop for ThreadsGuard {
     fn drop(&mut self) {
         THREAD_OVERRIDE.set(self.0);
     }
-}
-
-/// Per-run evaluation options.
-///
-/// Both switches default to the fast path and exist so that callers — the
-/// engine dispatcher, differential tests, `exlc` — can pin behavior *per
-/// run* instead of through process-global environment variables, which
-/// race under a parallel test harness. `exlc` reads `EXL_NO_FUSION` as a
-/// CLI-level default; it does not read `EXL_EVAL_THREADS`, which only
-/// the process-wide default of [`EvalOptions::threads`] consults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Skip plan compilation and run the statement-at-a-time reference
-    /// evaluator. Bit-identical results either way.
-    pub no_fusion: bool,
-    /// Fixed worker count for data-parallel operators; `None` probes the
-    /// machine (capped at 8). Canonical fold order makes the setting
-    /// invisible in results.
-    pub threads: Option<usize>,
 }
 
 /// Seasonal period implied by a time frequency, shared by every backend so
@@ -237,22 +209,10 @@ impl EvalSession {
 /// Fails when an elementary input is missing or base data is malformed.
 ///
 /// The program is compiled into a fused region plan ([`crate::plan`])
-/// before execution; [`run_program_opts`] with
-/// [`EvalOptions::no_fusion`] falls back to the statement-at-a-time
-/// evaluator. Both paths produce bit-identical results — the escape
-/// hatch exists for differential testing and for isolating fusion when
-/// debugging.
+/// before execution; [`run_program_unfused`] is the statement-at-a-time
+/// reference the plan must reproduce bit for bit.
 pub fn run_program(analyzed: &AnalyzedProgram, input: &Dataset) -> Result<Dataset, EvalError> {
-    run_program_opts(analyzed, input, EvalOptions::default())
-}
-
-/// [`run_program`] with explicit per-run [`EvalOptions`].
-pub fn run_program_opts(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    opts: EvalOptions,
-) -> Result<Dataset, EvalError> {
-    run_program_with_stats_opts(analyzed, input, opts).map(|(env, _)| env)
+    run_program_with_stats(analyzed, input).map(|(env, _)| env)
 }
 
 /// [`run_program`] variant that also reports the compiled plan's
@@ -262,24 +222,7 @@ pub fn run_program_with_stats(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
 ) -> Result<(Dataset, PlanStats), EvalError> {
-    run_program_with_stats_opts(analyzed, input, EvalOptions::default())
-}
-
-/// [`run_program_with_stats`] with explicit per-run [`EvalOptions`].
-/// Unfused runs report only the boundary counters; the plan counters
-/// stay zero.
-pub fn run_program_with_stats_opts(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    opts: EvalOptions,
-) -> Result<(Dataset, PlanStats), EvalError> {
-    let _threads = ThreadsGuard::install(opts.threads);
-    if opts.no_fusion {
-        let mut stats = PlanStats::default();
-        let env = run_unfused(analyzed, input, &mut stats)?;
-        return Ok((env, stats));
-    }
-    run_program_fused(analyzed, input)
+    run_program_with_threads(analyzed, input, None)
 }
 
 /// Check and intern every elementary input into `session` in one pass per
@@ -361,6 +304,11 @@ fn run_unfused(
     Ok(env)
 }
 
+/// [`run_program_with_stats`] on `threads` workers for the data-parallel
+/// operators (`None` probes the machine). The engine's dispatcher calls
+/// this with its per-engine count; the sharded dispatcher pins 1 per
+/// shard worker.
+///
 /// Fused execution: compile the program into a region plan, then run
 /// regions in statement order. Single-consumer map/shift/probe chains
 /// execute as one streaming pass with no intermediate materialization;
@@ -369,12 +317,14 @@ fn run_unfused(
 /// checkpoint per statement turn (plus one per region, so cancellation
 /// lands between fused regions too) and one `charge` per statement at
 /// the statement's output size.
-fn run_program_fused(
+pub fn run_program_with_threads(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
+    threads: Option<usize>,
 ) -> Result<(Dataset, PlanStats), EvalError> {
     use crate::plan::{self, CNode, Region, Step};
 
+    let _threads = ThreadsGuard::install(threads);
     let plan = plan::compile(analyzed, &analyzed.program.statements)?;
     let mut env = Dataset::new();
     let mut session = EvalSession::new();
@@ -2226,14 +2176,12 @@ mod tests {
             analyzed.schemas[&CubeId::new("A")].clone(),
             CubeData::from_tuples(tuples).unwrap(),
         ));
-        for no_fusion in [false, true] {
-            let opts = EvalOptions {
-                no_fusion,
-                threads: None,
-            };
-            let (_, stats) = run_program_with_stats_opts(&analyzed, &input, opts).unwrap();
-            assert_eq!(stats.intern_rows, 4, "no_fusion={no_fusion}");
-            assert_eq!(stats.to_data_rows, 8, "no_fusion={no_fusion}");
+        let (_, fused) = run_program_with_stats(&analyzed, &input).unwrap();
+        let mut unfused = PlanStats::default();
+        run_unfused(&analyzed, &input, &mut unfused).unwrap();
+        for (stats, label) in [(fused, "fused"), (unfused, "unfused")] {
+            assert_eq!(stats.intern_rows, 4, "{label}");
+            assert_eq!(stats.to_data_rows, 8, "{label}");
         }
     }
 

@@ -29,8 +29,8 @@ pub mod shard;
 pub use delta::{changed_keys, delta_shape, diff_rows, eval_statement_delta, DeltaShape};
 pub use error::EvalError;
 pub use eval::{
-    aggregate_data, eval_statement, run_program, run_program_opts, run_program_unfused,
-    run_program_with_stats, run_program_with_stats_opts, series_period, EvalOptions, EvalSession,
+    aggregate_data, eval_statement, run_program, run_program_unfused, run_program_with_stats,
+    run_program_with_threads, series_period, EvalSession,
 };
 pub use plan::{plan_description, PlanDescription, PlanStats, RegionDesc};
 pub use shard::{plan_shards, ShardPlan, ShardSegment};

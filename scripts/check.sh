@@ -86,9 +86,18 @@ cargo test -q -p exl-integration-tests --test fusion_differential
 
 echo "== shard differential (fixed-seed matrix) =="
 # sharded ≡ unsharded bitwise over 100 random programs at shard counts
-# 1/2/4/8 (fused and unfused), the B5 wide workload, and warm one-shard
-# delta replays pinned by `shard.replayed` counters
+# 1/2/4/8, the B5 wide workload, and warm one-shard delta replays pinned
+# by `shard.replayed` counters
 cargo test -q -p exl-integration-tests --test shard_differential
+
+echo "== one run path =="
+# every `exlc run` is one engine run: stdout on every target is the same
+# plain, with `--retries 1` and with `--ledger-dir`; an operator the
+# target lacks falls back to native on every flag combination; and the
+# `--dump-plan` file equals `exlc plan` stdout
+cargo test -q -p exl-engine --test cli -- --exact run_accepts_a_target_argument \
+    unsupported_operator_falls_back_on_every_flag_combination \
+    dump_plan_file_equals_plan_stdout
 
 echo "== sql backend =="
 # the SQL backend loads staged cubes as typed rows: the load must equal

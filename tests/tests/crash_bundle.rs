@@ -281,6 +281,21 @@ fn successful_runs_write_no_bundle() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The bundle's `env.eval_threads` is the worker count the engine ran
+/// its evaluator with (`exec.eval_threads`), as the engine was set up.
+#[test]
+fn bundle_records_the_engines_eval_thread_count() {
+    let dir = bundle_dir("threads");
+    let mut e = gdp_engine(TargetKind::Native);
+    e.exec.eval_threads = Some(4);
+    let _guard = exl_fault::install(FaultPlan::fail_always("exec.native"));
+    e.set_bundle_dir(&dir).unwrap();
+    e.run_all().unwrap_err();
+    let bundle = read_single_bundle(&dir);
+    assert_eq!(bundle.env.eval_threads.as_deref(), Some("4"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A failed run with a ledger dir armed still appends its ledger record
 /// (status = the error kind), so post-mortems and baselines see crashes.
 #[test]

@@ -3,8 +3,8 @@
 //! Sharding is only allowed to change *where* a native subgraph's rows
 //! are computed, never a single bit of what comes out. Each case builds
 //! a seeded random program with matching data and runs it through the
-//! full engine at shard counts 1, 2, 4 and 8 — fused and unfused — and
-//! every run must be bit-identical (`approx_eq` tolerance `0.0`) to the
+//! full engine at shard counts 1, 2, 4 and 8, and every run must be
+//! bit-identical (`approx_eq` tolerance `0.0`) to the
 //! unsharded reference. A corpus-wide tally asserts the matrix is not
 //! vacuous: a healthy fraction of the seeded programs must actually
 //! admit a shard plan and dispatch sharded.
@@ -22,19 +22,15 @@ use exl_model::Dataset;
 use exl_workload::{random_scenario, wide_program, wide_scenario, RandomConfig, WideConfig};
 
 /// A full engine over `src`/`input`, sharded `shards` ways (`None` =
-/// unsharded reference), with the per-run fusion switch set — the
-/// `ExecOpts` route, not an env var, so the parallel test harness never
-/// races on process state.
+/// unsharded reference).
 fn engine_for(
     src: &str,
     analyzed: &AnalyzedProgram,
     input: &Dataset,
     shards: Option<usize>,
-    no_fusion: bool,
 ) -> ExlEngine {
     let mut e = ExlEngine::new();
     e.shards = shards;
-    e.exec.no_fusion = no_fusion;
     e.register_program("p", src).expect("program registers");
     for id in analyzed.elementary_inputs() {
         e.load_elementary(&id, input.data(&id).expect("input data").clone())
@@ -74,8 +70,7 @@ fn assert_bit_identical(analyzed: &AnalyzedProgram, a: &Dataset, b: &Dataset, la
 }
 
 /// The headline matrix: 100 seeded random programs, each executed at
-/// shard counts 1/2/4/8, fused and unfused, all bit-identical to the
-/// unsharded fused reference — with a corpus-wide floor on how many
+/// shard counts 1/2/4/8, all bit-identical to the unsharded reference — with a corpus-wide floor on how many
 /// cases really dispatched sharded, so a planner regression that stops
 /// sharding everything cannot pass vacuously.
 #[test]
@@ -90,25 +85,19 @@ fn sharded_runs_are_bit_identical_over_100_seeded_programs() {
         };
         let (analyzed, input) = random_scenario(cfg);
         let src = exl_lang::program_to_string(&analyzed.program);
-        let mut reference = engine_for(&src, &analyzed, &input, None, false);
+        let mut reference = engine_for(&src, &analyzed, &input, None);
         let (want, _) = run_collect(&mut reference, &analyzed);
         let mut case_sharded = false;
-        for no_fusion in [false, true] {
-            for shards in [1usize, 2, 4, 8] {
-                let label = format!(
-                    "seed {seed}, {} shard(s), fusion {}",
-                    shards,
-                    if no_fusion { "off" } else { "on" }
-                );
-                let mut e = engine_for(&src, &analyzed, &input, Some(shards), no_fusion);
-                let (got, sharded) = run_collect(&mut e, &analyzed);
-                assert_bit_identical(&analyzed, &want, &got, &label);
-                assert!(
-                    shards >= 2 || !sharded,
-                    "{label}: a single-shard run reported shard dispatch"
-                );
-                case_sharded |= sharded;
-            }
+        for shards in [1usize, 2, 4, 8] {
+            let label = format!("seed {seed}, {shards} shard(s)");
+            let mut e = engine_for(&src, &analyzed, &input, Some(shards));
+            let (got, sharded) = run_collect(&mut e, &analyzed);
+            assert_bit_identical(&analyzed, &want, &got, &label);
+            assert!(
+                shards >= 2 || !sharded,
+                "{label}: a single-shard run reported shard dispatch"
+            );
+            case_sharded |= sharded;
         }
         if case_sharded {
             sharded_cases += 1;
@@ -126,7 +115,7 @@ fn sharded_runs_are_bit_identical_over_100_seeded_programs() {
 
 /// The wide workload (the B5 bench shape, scaled down): a five-statement
 /// shard-local chain over `(q, r)` capped by a cross-region merge
-/// barrier, pinned bit-identical across shard counts, fused and unfused.
+/// barrier, pinned bit-identical across shard counts.
 #[test]
 fn wide_workload_is_bit_identical_across_shard_counts() {
     let cfg = WideConfig {
@@ -137,20 +126,13 @@ fn wide_workload_is_bit_identical_across_shard_counts() {
     };
     let (analyzed, input) = wide_scenario(cfg);
     let src = wide_program(cfg.barrier);
-    let mut reference = engine_for(&src, &analyzed, &input, None, false);
+    let mut reference = engine_for(&src, &analyzed, &input, None);
     let (want, _) = run_collect(&mut reference, &analyzed);
-    for no_fusion in [false, true] {
-        for shards in [1usize, 2, 4, 8] {
-            let mut e = engine_for(&src, &analyzed, &input, Some(shards), no_fusion);
-            let (got, sharded) = run_collect(&mut e, &analyzed);
-            assert_eq!(sharded, shards >= 2, "wide workload must shard");
-            assert_bit_identical(
-                &analyzed,
-                &want,
-                &got,
-                &format!("wide, {shards} shard(s), fusion {}", !no_fusion),
-            );
-        }
+    for shards in [1usize, 2, 4, 8] {
+        let mut e = engine_for(&src, &analyzed, &input, Some(shards));
+        let (got, sharded) = run_collect(&mut e, &analyzed);
+        assert_eq!(sharded, shards >= 2, "wide workload must shard");
+        assert_bit_identical(&analyzed, &want, &got, &format!("wide, {shards} shard(s)"));
     }
 }
 
@@ -169,7 +151,7 @@ fn one_region_delta_replays_exactly_one_shard_warm() {
         };
         let (analyzed, input) = wide_scenario(cfg);
         let src = wide_program(cfg.barrier);
-        let mut e = engine_for(&src, &analyzed, &input, Some(shards), false);
+        let mut e = engine_for(&src, &analyzed, &input, Some(shards));
         let registry = e.enable_metrics();
         e.enable_cache();
         e.run_all().expect("cold sharded vintage");
@@ -224,7 +206,7 @@ fn one_region_delta_replays_exactly_one_shard_warm() {
         // unsharded run over the patched vintage
         let mut patched_input = input.clone();
         patched_input.put(exl_model::Cube::new(w_schema, patched));
-        let mut reference = engine_for(&src, &analyzed, &patched_input, None, false);
+        let mut reference = engine_for(&src, &analyzed, &patched_input, None);
         let (want, _) = run_collect(&mut reference, &analyzed);
         for id in analyzed.program.derived_ids() {
             let got = e.data(&id).expect("warm derived");
@@ -254,7 +236,7 @@ fn warm_sharded_delta_runs_stay_bit_identical() {
         let (analyzed, input) = random_scenario(cfg);
         let src = exl_lang::program_to_string(&analyzed.program);
         for shards in [2usize, 4] {
-            let mut warm = engine_for(&src, &analyzed, &input, Some(shards), false);
+            let mut warm = engine_for(&src, &analyzed, &input, Some(shards));
             warm.enable_cache();
             warm.run_all().expect("first vintage");
 
@@ -270,7 +252,7 @@ fn warm_sharded_delta_runs_stay_bit_identical() {
             }
             warm.recompute(&changed).expect("warm delta recompute");
 
-            let mut reference = engine_for(&src, &analyzed, &patched_input, None, false);
+            let mut reference = engine_for(&src, &analyzed, &patched_input, None);
             let (want, _) = run_collect(&mut reference, &analyzed);
             for id in analyzed.program.derived_ids() {
                 let got = warm.data(&id).expect("warm derived");
