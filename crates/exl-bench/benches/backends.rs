@@ -1,8 +1,7 @@
 //! B2 — backend comparison: the GDP program's end-to-end runtime on every
 //! target engine, as data scale grows. Expected shape: native and SQL
 //! lead; the chase pays homomorphism-enumeration overhead; the interpreted
-//! R/Matlab minis trail; ETL pays per-row stream overhead, with the
-//! pipeline-parallel runner recovering part of it on larger inputs.
+//! R/Matlab minis trail; ETL pays per-row stream overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exl_bench::{dataset_rows, gdp_at_scale};

@@ -1,12 +1,9 @@
-//! B5 — §6's parallelism claims: (a) the dispatcher runs independent
-//! subgraphs of a stage concurrently; (b) an ETL flow can pipeline its
-//! steps. Sequential vs parallel in both settings.
+//! B5 — §6's parallelism claim: the dispatcher runs independent
+//! subgraphs of a stage concurrently. Sequential vs parallel dispatch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exl_engine::{ExlEngine, TargetKind};
-use exl_map::generate::{generate_mapping, GenMode};
 use exl_workload::chains::{forest_program, forest_scenario};
-use exl_workload::{gdp_scenario, GdpConfig};
 
 const DEPTH: usize = 3;
 const QUARTERS: usize = 512;
@@ -54,45 +51,11 @@ fn bench_dispatch(c: &mut Criterion) {
     }
     group.finish();
 
-    // ETL: sequential row loop vs pipeline-parallel stages on the GDP job
-    let mut group = c.benchmark_group("B5/etl-pipeline");
-    group.sample_size(10);
-    for (regions, quarters) in [(8usize, 24usize), (16, 48)] {
-        let (analyzed, data) = gdp_scenario(GdpConfig {
-            regions,
-            quarters,
-            days_per_quarter: 8,
-            seed: 42,
-        });
-        let (mapping, _) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
-        let job = exl_etl::mapping_to_job(&mapping).unwrap();
-        let label = format!("{regions}rx{quarters}q");
-        group.bench_with_input(BenchmarkId::new("sequential", &label), &(), |b, _| {
-            b.iter(|| job.run(&data).unwrap())
-        });
-        group.bench_with_input(
-            BenchmarkId::new("pipeline-parallel", &label),
-            &(),
-            |b, _| b.iter(|| exl_etl::run_job_parallel(&job, &data).unwrap()),
-        );
-    }
-    group.finish();
-
-    // one instrumented pass: per-subgraph spans from the dispatcher plus
-    // ETL row counters, written for the B5 section of the collected report
+    // one instrumented pass: per-subgraph spans from the dispatcher,
+    // written for the B5 section of the collected report
     let mut e = build_engine(4, true);
     let registry = e.enable_metrics();
     e.run_all().unwrap();
-    let (analyzed, data) = gdp_scenario(GdpConfig {
-        regions: 8,
-        quarters: 24,
-        days_per_quarter: 8,
-        seed: 42,
-    });
-    let (mapping, _) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
-    let job = exl_etl::mapping_to_job(&mapping).unwrap();
-    exl_etl::run_job_parallel_traced(&job, &data, registry.as_ref(), &exl_obs::Span::disabled())
-        .unwrap();
     exl_bench::write_bench_metrics("B5", &registry);
 }
 

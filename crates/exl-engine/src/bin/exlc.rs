@@ -86,10 +86,11 @@
 //! * `--ledger-dir <dir>` — append one JSONL record per run to
 //!   `<dir>/ledger.jsonl`, the input of `exlc perf`;
 //! * `--inject-fault <site>:<nth>:<action>[:<arg>]` — chaos-testing
-//!   hook: arm one deterministic fault (action `error`, `panic`,
-//!   `cancel`, `delay:<ms>`, or `mem:<bytes>`; `nth` = 0 arms every
-//!   occurrence) for the duration of the run. Used by `scripts/check.sh`
-//!   to validate crash bundles end to end.
+//!   hook: arm one deterministic fault at a site of `exl_fault::SITES`
+//!   (action `error`, `panic`, `cancel`, `delay:<ms>`, or `mem:<bytes>`;
+//!   `nth` = 0 arms every occurrence) for the duration of the run; an
+//!   unknown site is a usage error. Used by `scripts/check.sh` to
+//!   validate crash bundles end to end.
 //!
 //! `data.json` holds `{ "CUBE": [ [[dims…], measure], … ], … }` — dimension
 //! values use the serde encoding of `exl_model::DimValue`. CSV files use the
@@ -381,8 +382,9 @@ fn probe_dir_writable(dir: &str) -> std::io::Result<()> {
 }
 
 /// Parse an `--inject-fault` spec: `<site>:<nth>:<action>[:<arg>]` where
-/// the action is `error`, `panic`, `cancel`, `delay:<ms>` or
-/// `mem:<bytes>`, and `nth` is 1-based (0 = every occurrence).
+/// the site is one of [`exl_fault::SITES`], the action is `error`,
+/// `panic`, `cancel`, `delay:<ms>` or `mem:<bytes>`, and `nth` is 1-based
+/// (0 = every occurrence).
 fn parse_fault_plan(spec: &str) -> Result<exl_fault::FaultPlan, String> {
     let bad = |why: &str| {
         format!("bad --inject-fault spec `{spec}`: {why} (want <site>:<nth>:<action>[:<arg>])")
@@ -391,8 +393,11 @@ fn parse_fault_plan(spec: &str) -> Result<exl_fault::FaultPlan, String> {
     let [site, nth, action @ ..] = parts.as_slice() else {
         return Err(bad("too few fields"));
     };
-    if site.is_empty() {
-        return Err(bad("empty site"));
+    if !exl_fault::SITES.contains(site) {
+        return Err(bad(&format!(
+            "unknown site `{site}` (known sites: {})",
+            exl_fault::SITES.join(", ")
+        )));
     }
     let nth: u64 = nth.parse().map_err(|_| bad("nth is not a number"))?;
     let action = match action {

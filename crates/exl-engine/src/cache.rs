@@ -52,6 +52,12 @@
 //! Fingerprint values do not depend on which way they were computed, so
 //! `CACHE_VERSION` and entries on disk are unaffected.
 //!
+//! **Sharded subgraphs** make the same two calls over their whole
+//! statement list (`crate::shard`), so no key depends on the shard
+//! count. Entries that older builds wrote under per-shard key spaces are
+//! never looked up again; they stay on disk, unreachable, until the
+//! cache directory is cleared.
+//!
 //! **Interaction with plan compilation.** The cache consults and stores
 //! at *statement* granularity, and fusion (`exl_eval::plan`) respects
 //! that boundary: statement targets are always materialization points,
@@ -320,22 +326,6 @@ impl RunCache {
         inputs: &Dataset,
         schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
     ) -> Option<(Vec<(CubeId, CubeData)>, StmtCacheCounts)> {
-        self.resolve_statements_tagged(stmts, target, inputs, schema_of, "")
-    }
-
-    /// [`RunCache::resolve_statements`] under a cache *tag*: a non-empty
-    /// tag (the sharded dispatcher uses `s<i>/<n>`) is folded into every
-    /// statement fingerprint, giving each shard its own key space — a
-    /// vintage delta that dirties one shard leaves every other shard's
-    /// entries hitting exactly.
-    pub fn resolve_statements_tagged(
-        &mut self,
-        stmts: &[Statement],
-        target: TargetKind,
-        inputs: &Dataset,
-        schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
-        tag: &str,
-    ) -> Option<(Vec<(CubeId, CubeData)>, StmtCacheCounts)> {
         let mut env = inputs.clone();
         let mut outputs = Vec::with_capacity(stmts.len());
         let mut counts = StmtCacheCounts::default();
@@ -347,7 +337,7 @@ impl RunCache {
         // statements directly, without re-interning at each boundary
         let mut session = exl_eval::EvalSession::new();
         for stmt in stmts {
-            let stmt_fp = statement_fp(stmt, target, &env, tag)?;
+            let stmt_fp = statement_fp(stmt, target, &env)?;
             let last = self.latest.get(&stmt_fp).cloned();
             let mut input_fps = Vec::new();
             for id in stmt.expr.cube_refs() {
@@ -411,24 +401,10 @@ impl RunCache {
         outputs: &[(CubeId, CubeData)],
         schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
     ) {
-        self.store_statements_tagged(stmts, target, inputs, outputs, schema_of, "")
-    }
-
-    /// [`RunCache::store_statements`] under a cache tag (see
-    /// [`RunCache::resolve_statements_tagged`]).
-    pub fn store_statements_tagged(
-        &mut self,
-        stmts: &[Statement],
-        target: TargetKind,
-        inputs: &Dataset,
-        outputs: &[(CubeId, CubeData)],
-        schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
-        tag: &str,
-    ) {
         let mut env = inputs.clone();
         for (stmt, (id, data)) in stmts.iter().zip(outputs.iter()) {
             debug_assert_eq!(&stmt.target, id);
-            let Some(stmt_fp) = statement_fp(stmt, target, &env, tag) else {
+            let Some(stmt_fp) = statement_fp(stmt, target, &env) else {
                 return;
             };
             let mut input_fps = Vec::new();
@@ -669,21 +645,11 @@ impl RunCache {
 /// Statement fingerprint of one statement against an environment: the
 /// canonical statement text, the target kind, and every input's name and
 /// dimensions. `None` when an input is missing from the environment (the
-/// caller executes normally). A non-empty `tag` (per-shard entries) is
-/// folded in; the empty tag reproduces the untagged key space.
-fn statement_fp(
-    stmt: &Statement,
-    target: TargetKind,
-    env: &Dataset,
-    tag: &str,
-) -> Option<Fingerprint> {
+/// caller executes normally).
+fn statement_fp(stmt: &Statement, target: TargetKind, env: &Dataset) -> Option<Fingerprint> {
     let mut sb = FingerprintBuilder::new("exl.stmt.v1");
     sb.push_str(&exl_lang::pretty::statement_to_string(stmt));
     sb.push_str(target.name());
-    if !tag.is_empty() {
-        sb.push_str("shard");
-        sb.push_str(tag);
-    }
     for id in stmt.expr.cube_refs() {
         let cube = env.get(&id)?;
         sb.push_str(id.as_str());

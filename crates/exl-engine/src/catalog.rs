@@ -311,4 +311,18 @@ mod tests {
         assert_eq!(c, back);
         assert!(Catalog::from_json("not json").is_err());
     }
+
+    /// A persisted affinity naming a target that no longer exists (the
+    /// removed pipeline-parallel ETL runner) is a typed error on load.
+    #[test]
+    fn removed_target_affinity_is_rejected() {
+        let mut c = Catalog::new();
+        c.register_schema(schema("A")).unwrap();
+        c.set_affinity(&"A".into(), Some(TargetKind::Etl)).unwrap();
+        let json = c.to_json().unwrap();
+        let stale = json.replace("\"Etl\"", concat!("\"Etl", "Parallel\""));
+        assert_ne!(stale, json);
+        let err = Catalog::from_json(&stale).unwrap_err();
+        assert!(matches!(err, EngineError::Persistence(_)), "{err}");
+    }
 }

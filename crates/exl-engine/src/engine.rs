@@ -1101,9 +1101,9 @@ impl ExlEngine {
         let schema_of = |id: &CubeId| self.catalog.schema(id).cloned();
         let started = Instant::now();
         // sharded dispatch: a native subgraph whose statements admit a
-        // shard plan runs data-parallel right here, inline — per-shard
-        // cache entries replace the subgraph-level consult below, and the
-        // shard fan-out replaces stage-level parallelism for it
+        // shard plan runs data-parallel right here, inline — it consults
+        // the run cache itself, as below, and the shard fan-out replaces
+        // stage-level parallelism for it
         let shard_plan = (shards >= 2 && p.target == TargetKind::Native)
             .then(|| exl_eval::plan_shards(&p.statements, &schema_of))
             .flatten();

@@ -128,20 +128,22 @@ impl LedgerRecord {
                         cache_misses: r.cache.misses,
                     }]
                 } else {
-                    // sharded subgraphs ledger one entry per shard, keyed
-                    // `<cubes>#s<i>/<n>` — the sentinel then tracks each
-                    // shard as its own timing series
+                    // sharded subgraphs ledger one entry per executed
+                    // shard, keyed `<cubes>#s<i>/<n>` — the sentinel then
+                    // tracks each shard as its own timing series; a shard
+                    // never resolves from the cache, so each statement it
+                    // ran is a miss
                     r.shards
                         .iter()
                         .map(|s| LedgerStatement {
                             key: format!("{cubes}#s{}/{}", s.index, s.count),
                             target: r.target.name().to_string(),
-                            status: s.status.name().to_string(),
+                            status: r.status.name().to_string(),
                             wall_ms: s.wall_nanos as f64 / 1e6,
                             rows_out: s.rows_out,
-                            cache_hits: s.cache.hits,
-                            cache_delta: s.cache.delta_hits,
-                            cache_misses: s.cache.misses,
+                            cache_hits: 0,
+                            cache_delta: 0,
+                            cache_misses: s.statements,
                         })
                         .collect()
                 }

@@ -30,9 +30,8 @@
 //!   versioned disk store;
 //! * [`shard`] — the sharded dispatcher: hash-partitions a native
 //!   subgraph's inputs by one dimension, runs each shard under the full
-//!   supervisor fault boundary with its own per-shard cache entries, and
-//!   concatenates results at merge barriers — bit-identical to the
-//!   unsharded run for any shard count;
+//!   supervisor fault boundary, and concatenates results at merge
+//!   barriers — bit-identical to the unsharded run for any shard count;
 //! * [`bundle`] — crash bundles: on any failed run the engine dumps the
 //!   flight recorder's event tail, metrics, governance state, and
 //!   per-subgraph statuses into one self-describing JSON artifact;

@@ -22,12 +22,13 @@
 //! The shard-invariance differential suite pins shards ∈ {1, 2, 4, 8}
 //! byte-for-byte equal, cold and warm, fused and unfused.
 //!
-//! **Per-shard caching.** With a [`RunCache`] armed, every shard gets its
-//! own key space (tag `s<i>/<n>` folded into the statement fingerprint):
-//! a vintage delta that dirties one shard replays only that shard —
-//! every other shard resolves on exact content hits. The `shard.replayed`
-//! counter (and [`ShardReport::replayed`]) counts shards that did real
-//! work, which is what the warm-delta tests assert on.
+//! **Caching.** The [`RunCache`] sees a sharded subgraph exactly as an
+//! unsharded one: [`dispatch_sharded`] consults it once over the whole
+//! statement list before any split, and stores the merged outputs once
+//! after. Segments and shards never touch it, so no entry depends on the
+//! shard count: a cache filled by an unsharded run serves a sharded one,
+//! and a one-region vintage patches through the delta kernels in
+//! O(changed rows) without running any shard.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -42,7 +43,7 @@ use exl_obs::{MetricsRegistry, NoopRecorder, Recorder};
 
 use crate::cache::{RunCache, StmtCacheCounts};
 use crate::error::EngineError;
-use crate::supervise::{run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
+use crate::supervise::{run_supervised, Attempt, DispatchPolicy};
 use crate::target::{input_schemas, subprogram, translate, ExecOpts, TargetKind};
 
 /// Shared no-op recorder for metric-less dispatch.
@@ -55,17 +56,9 @@ pub struct ShardReport {
     pub index: usize,
     /// Total shard count of the dispatch.
     pub count: usize,
-    /// `Cached` when every local statement of every segment resolved on
-    /// exact content hits; `Computed` otherwise.
-    pub status: SubgraphStatus,
-    /// True when this shard did real work — executed under the
-    /// supervisor, or resolved with delta patches / inline evaluation —
-    /// rather than replaying entirely from its per-shard cache entries.
-    pub replayed: bool,
-    /// Statement-level cache resolution counts for this shard.
-    pub cache: StmtCacheCounts,
-    /// Wall-clock nanoseconds this shard spent (cache resolution and
-    /// execution).
+    /// Shard-local statements this shard executed, across its segments.
+    pub statements: u64,
+    /// Wall-clock nanoseconds this shard spent executing.
     pub wall_nanos: u64,
     /// Rows this shard contributed across its local-statement outputs.
     pub rows_out: u64,
@@ -76,24 +69,17 @@ pub struct ShardReport {
 /// and crash bundle still carry the per-shard picture.
 #[derive(Debug, Clone, Default)]
 pub struct ShardOutcome {
-    /// Per-shard outcomes, index order (empty if the plan had no local
-    /// segment — the caller should then not have sharded at all).
+    /// Per-shard outcomes, index order; empty when the run cache served
+    /// the subgraph or no local segment ran.
     pub reports: Vec<ShardReport>,
-    /// Aggregate statement resolution counts across all shards and
-    /// barrier segments. With `n` shards a local statement contributes
-    /// `n` entries, so totals can exceed the statement count.
+    /// The subgraph's statement resolution counts, as an unsharded
+    /// dispatch reports them: those of the cache consult when it served
+    /// the subgraph, otherwise one miss per statement with a cache armed
+    /// and none without.
     pub counts: StmtCacheCounts,
     /// Supervisor attempt history across every shard and barrier
     /// execution, in completion order.
     pub attempts: Vec<Attempt>,
-}
-
-impl ShardOutcome {
-    fn add_counts(&mut self, c: &StmtCacheCounts) {
-        self.counts.hits += c.hits;
-        self.counts.delta_hits += c.delta_hits;
-        self.counts.misses += c.misses;
-    }
 }
 
 fn recorder_of(metrics: Option<&Arc<MetricsRegistry>>) -> &dyn Recorder {
@@ -120,6 +106,10 @@ fn shard_error(index: usize, count: usize, e: EngineError) -> EngineError {
 
 /// Execute one native subgraph sharded `shards` ways according to `plan`.
 ///
+/// The run cache is consulted over the whole statement list first; when
+/// it serves the subgraph no shard runs. Otherwise the outputs of the
+/// executed segments are stored in it once, merged.
+///
 /// Returns the per-statement outputs in statement order together with the
 /// dispatch's [`ShardOutcome`]; on failure the outcome still carries the
 /// attempts and per-shard reports accumulated so far. The caller (the
@@ -138,20 +128,14 @@ pub fn dispatch_sharded(
     cache: &mut Option<RunCache>,
     exec: ExecOpts,
 ) -> (Result<Vec<(CubeId, CubeData)>, EngineError>, ShardOutcome) {
-    let mut outcome = ShardOutcome {
-        reports: (0..shards)
-            .map(|i| ShardReport {
-                index: i,
-                count: shards,
-                status: SubgraphStatus::Cached,
-                replayed: false,
-                cache: StmtCacheCounts::default(),
-                wall_nanos: 0,
-                rows_out: 0,
-            })
-            .collect(),
-        ..ShardOutcome::default()
-    };
+    let mut outcome = ShardOutcome::default();
+    if let Some((out, counts)) = cache
+        .as_mut()
+        .and_then(|c| c.resolve_statements(stmts, TargetKind::Native, input, schema_of))
+    {
+        outcome.counts = counts;
+        return (Ok(out), outcome);
+    }
     let result = dispatch_inner(
         stmts,
         plan,
@@ -161,10 +145,13 @@ pub fn dispatch_sharded(
         policy,
         metrics,
         trace,
-        cache,
         exec,
         &mut outcome,
     );
+    if let (Ok(out), Some(c)) = (&result, cache.as_mut()) {
+        c.store_statements(stmts, TargetKind::Native, input, out, schema_of);
+        outcome.counts.misses = stmts.len() as u64;
+    }
     (result, outcome)
 }
 
@@ -178,7 +165,6 @@ fn dispatch_inner(
     policy: &DispatchPolicy,
     metrics: Option<&Arc<MetricsRegistry>>,
     trace: &exl_obs::Span,
-    cache: &mut Option<RunCache>,
     exec: ExecOpts,
     outcome: &mut ShardOutcome,
 ) -> Result<Vec<(CubeId, CubeData)>, EngineError> {
@@ -198,9 +184,8 @@ fn dispatch_inner(
         match segment {
             ShardSegment::Global(idxs) => {
                 let seg: Vec<Statement> = idxs.iter().map(|&i| stmts[i].clone()).collect();
-                let (seg_out, counts, attempts) =
-                    run_segment_global(&seg, &env, schema_of, policy, metrics, trace, cache, exec)?;
-                outcome.add_counts(&counts);
+                let (seg_out, attempts) =
+                    run_segment_global(&seg, &env, schema_of, policy, metrics, trace, exec)?;
                 outcome.attempts.extend(attempts);
                 for (id, data) in seg_out {
                     let schema = schema_of(&id).ok_or_else(|| {
@@ -213,7 +198,7 @@ fn dispatch_inner(
             ShardSegment::Local(idxs) => {
                 let seg: Vec<Statement> = idxs.iter().map(|&i| stmts[i].clone()).collect();
                 let seg_out = run_segment_local(
-                    &seg, plan, shards, &env, schema_of, policy, metrics, trace, cache, shard_exec,
+                    &seg, plan, shards, &env, schema_of, policy, metrics, trace, shard_exec,
                     recorder, outcome,
                 )?;
                 for (id, data) in seg_out {
@@ -229,14 +214,12 @@ fn dispatch_inner(
     Ok(outputs)
 }
 
-/// One segment's outputs in statement order, with its cache counts and
-/// the supervisor attempts it took.
-type SegmentResult = Result<(Vec<(CubeId, CubeData)>, StmtCacheCounts, Vec<Attempt>), EngineError>;
+/// One segment's outputs in statement order, with the supervisor
+/// attempts it took.
+type SegmentResult = Result<(Vec<(CubeId, CubeData)>, Vec<Attempt>), EngineError>;
 
 /// Run a merge-barrier segment once over the global (concatenated)
-/// environment: consult the untagged cache, else execute under the
-/// supervisor and record the results untagged.
-#[allow(clippy::too_many_arguments)]
+/// environment under the supervisor.
 fn run_segment_global(
     seg: &[Statement],
     env: &Dataset,
@@ -244,14 +227,8 @@ fn run_segment_global(
     policy: &DispatchPolicy,
     metrics: Option<&Arc<MetricsRegistry>>,
     trace: &exl_obs::Span,
-    cache: &mut Option<RunCache>,
     exec: ExecOpts,
 ) -> SegmentResult {
-    if let Some(c) = cache.as_mut() {
-        if let Some((out, counts)) = c.resolve_statements(seg, TargetKind::Native, env, schema_of) {
-            return Ok((out, counts, Vec::new()));
-        }
-    }
     let schemas = input_schemas(seg, schema_of)?;
     let analyzed = subprogram(seg, &schemas)?;
     let code = translate(&analyzed, TargetKind::Native)?;
@@ -278,20 +255,12 @@ fn run_segment_global(
         })?;
         out.push((id.clone(), data));
     }
-    if let Some(c) = cache.as_mut() {
-        c.store_statements(seg, TargetKind::Native, env, &out, schema_of);
-    }
-    let counts = StmtCacheCounts {
-        misses: seg.len() as u64,
-        ..StmtCacheCounts::default()
-    };
-    Ok((out, counts, attempts))
+    Ok((out, attempts))
 }
 
 /// Run a shard-local segment: split the segment's inputs on the shard
-/// dimension, resolve each shard from its tagged cache entries or
-/// execute it under the supervisor (in parallel), and concatenate the
-/// per-shard outputs in ascending shard order.
+/// dimension, execute every shard under the supervisor (in parallel),
+/// and concatenate the per-shard outputs in ascending shard order.
 #[allow(clippy::too_many_arguments)]
 fn run_segment_local(
     seg: &[Statement],
@@ -302,7 +271,6 @@ fn run_segment_local(
     policy: &DispatchPolicy,
     metrics: Option<&Arc<MetricsRegistry>>,
     trace: &exl_obs::Span,
-    cache: &mut Option<RunCache>,
     shard_exec: ExecOpts,
     recorder: &dyn Recorder,
     outcome: &mut ShardOutcome,
@@ -348,179 +316,110 @@ fn run_segment_local(
         )
     });
 
-    // translate once; every executing shard reuses the same code
+    // translate once; every shard runs the same code
     let schemas = input_schemas(seg, schema_of)?;
     let analyzed = subprogram(seg, &schemas)?;
     let code = translate(&analyzed, TargetKind::Native)?;
     let wanted: Vec<CubeId> = seg.iter().map(|s| s.target.clone()).collect();
-
-    // phase A — per-shard cache consult, sequential (the cache is a
-    // single-threaded structure owned by the dispatcher)
-    type ShardResult = (Vec<(CubeId, CubeData)>, StmtCacheCounts);
-    let mut resolved: Vec<Option<ShardResult>> = (0..shards).map(|_| None).collect();
-    let mut to_run: Vec<usize> = Vec::new();
-    for i in 0..shards {
-        let started = Instant::now();
-        let hit = cache.as_mut().and_then(|c| {
-            c.resolve_statements_tagged(
-                seg,
-                TargetKind::Native,
-                &shard_inputs[i],
-                schema_of,
-                &format!("s{i}/{shards}"),
-            )
-        });
-        match hit {
-            Some((out, counts)) => {
-                outcome.reports[i].wall_nanos +=
-                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                resolved[i] = Some((out, counts));
-            }
-            None => to_run.push(i),
-        }
+    if outcome.reports.is_empty() {
+        outcome.reports = (0..shards)
+            .map(|index| ShardReport {
+                index,
+                count: shards,
+                statements: 0,
+                wall_nanos: 0,
+                rows_out: 0,
+            })
+            .collect();
     }
 
-    // phase B — execute the unresolved shards in parallel, each under
-    // the full supervisor fault boundary with its own child governor
-    if !to_run.is_empty() {
-        let ambient = crate::govern::governor();
-        let ambient = &ambient;
-        let code = &code;
-        let wanted_ref = &wanted;
-        let shard_inputs_ref = &shard_inputs;
-        type RunResult = (usize, Result<Dataset, EngineError>, Vec<Attempt>, u64);
-        let runs: Vec<RunResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = to_run
-                .iter()
-                .map(|&i| {
-                    let span = trace.child("shard");
-                    span.set_attr("shard", i as u64);
-                    span.set_attr("shards", shards as u64);
-                    scope.spawn(move || {
-                        let _governor = ambient
-                            .as_ref()
-                            .map(|g| crate::govern::set_governor(g.child()));
-                        let started = Instant::now();
-                        let (r, attempts) = run_supervised(
-                            code,
-                            None,
-                            &shard_inputs_ref[i],
-                            wanted_ref,
-                            policy,
-                            metrics,
-                            &span,
-                            shard_exec,
-                        );
-                        let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        (i, r, attempts, wall)
-                    })
+    // execute the shards in parallel, each under the full supervisor
+    // fault boundary with its own child governor
+    let ambient = crate::govern::governor();
+    let (ambient, code, wanted_ref) = (&ambient, &code, &wanted);
+    type RunResult = (usize, Result<Dataset, EngineError>, Vec<Attempt>, u64);
+    let runs: Vec<RunResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_inputs
+            .iter()
+            .enumerate()
+            .map(|(i, shard_input)| {
+                let span = trace.child("shard");
+                span.set_attr("shard", i as u64);
+                span.set_attr("shards", shards as u64);
+                scope.spawn(move || {
+                    let _governor = ambient
+                        .as_ref()
+                        .map(|g| crate::govern::set_governor(g.child()));
+                    let started = Instant::now();
+                    let (r, attempts) = run_supervised(
+                        code,
+                        None,
+                        shard_input,
+                        wanted_ref,
+                        policy,
+                        metrics,
+                        &span,
+                        shard_exec,
+                    );
+                    let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    (i, r, attempts, wall)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        (
-                            usize::MAX,
-                            Err(EngineError::Panic {
-                                target: "shard-dispatcher".to_string(),
-                                message: crate::supervise::panic_message(payload),
-                            }),
-                            Vec::new(),
-                            0,
-                        )
-                    })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join().unwrap_or_else(|payload| {
+                    (
+                        usize::MAX,
+                        Err(EngineError::Panic {
+                            target: "shard-dispatcher".to_string(),
+                            message: crate::supervise::panic_message(payload),
+                        }),
+                        Vec::new(),
+                        0,
+                    )
                 })
-                .collect()
-        });
-        let mut first_err: Option<EngineError> = None;
-        for (i, r, attempts, wall) in runs {
-            outcome.attempts.extend(attempts);
-            if i == usize::MAX {
-                return Err(r.expect_err("sentinel index only carries errors"));
-            }
-            outcome.reports[i].wall_nanos += wall;
-            match r {
-                Ok(ds) => {
-                    let mut out = Vec::with_capacity(wanted.len());
-                    for id in &wanted {
-                        match ds.data(id).cloned() {
-                            Some(data) => out.push((id.clone(), data)),
-                            None => {
-                                first_err.get_or_insert_with(|| {
-                                    shard_error(
-                                        i,
-                                        shards,
-                                        EngineError::Execution(format!(
-                                            "shard produced no data for {id}"
-                                        )),
-                                    )
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                    if out.len() != wanted.len() {
-                        continue;
-                    }
-                    if let Some(c) = cache.as_mut() {
-                        c.store_statements_tagged(
-                            seg,
-                            TargetKind::Native,
-                            &shard_inputs[i],
-                            &out,
-                            schema_of,
-                            &format!("s{i}/{shards}"),
-                        );
-                    }
-                    let counts = StmtCacheCounts {
-                        misses: seg.len() as u64,
-                        ..StmtCacheCounts::default()
-                    };
-                    resolved[i] = Some((out, counts));
-                }
-                Err(e) => {
-                    first_err.get_or_insert_with(|| shard_error(i, shards, e));
-                }
-            }
+            })
+            .collect()
+    });
+    let mut per_shard: Vec<Vec<(CubeId, CubeData)>> = Vec::with_capacity(shards);
+    let mut first_err: Option<EngineError> = None;
+    for (i, r, attempts, wall) in runs {
+        outcome.attempts.extend(attempts);
+        if i == usize::MAX {
+            return Err(r.expect_err("sentinel index only carries errors"));
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-    }
-
-    // per-shard accounting: replayed = did real work (executed, delta
-    // patched, or inline-evaluated); a pure exact-hit replay is not
-    for (i, slot) in resolved.iter().enumerate() {
-        let counts = slot.as_ref().expect("every shard resolved").1;
-        outcome.add_counts(&counts);
         let report = &mut outcome.reports[i];
-        report.cache.hits += counts.hits;
-        report.cache.delta_hits += counts.delta_hits;
-        report.cache.misses += counts.misses;
-        if counts.misses + counts.delta_hits > 0 {
-            report.status = SubgraphStatus::Computed;
-            if !report.replayed {
-                report.replayed = true;
-                recorder.incr_counter("shard.replayed", 1);
-                exl_obs::flight::record_with(
-                    exl_obs::flight::FlightKind::ShardReplay,
-                    "native",
-                    || format!("shard {i}/{shards} re-executed"),
-                );
+        report.wall_nanos += wall;
+        let out = r.and_then(|ds| {
+            wanted
+                .iter()
+                .map(|id| match ds.data(id) {
+                    Some(data) => Ok((id.clone(), data.clone())),
+                    None => Err(EngineError::Execution(format!(
+                        "shard produced no data for {id}"
+                    ))),
+                })
+                .collect::<Result<Vec<_>, _>>()
+        });
+        match out {
+            Ok(out) => {
+                report.statements += seg.len() as u64;
+                per_shard.push(out);
             }
-        } else {
-            recorder.incr_counter("shard.cached", 1);
+            Err(e) => {
+                first_err.get_or_insert_with(|| shard_error(i, shards, e));
+            }
         }
     }
+    if let Some(e) = first_err {
+        return Err(e);
+    }
 
-    // phase C — merge: concatenate each statement's per-shard outputs in
-    // ascending shard order (disjoint by construction); the per-shard
-    // outputs are moved into the merge, not cloned
-    let mut per_shard: Vec<Vec<(CubeId, CubeData)>> = resolved
-        .into_iter()
-        .map(|slot| slot.expect("resolved").0)
-        .collect();
+    // merge: concatenate each statement's per-shard outputs in ascending
+    // shard order (disjoint by construction); the per-shard outputs are
+    // moved into the merge, not cloned
     let mut merged = Vec::with_capacity(wanted.len());
     let mut total_rows = 0u64;
     for (k, id) in wanted.iter().enumerate() {

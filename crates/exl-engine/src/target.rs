@@ -35,22 +35,19 @@ pub enum TargetKind {
     R,
     /// Generated Matlab on the mini-Matlab interpreter.
     Matlab,
-    /// Generated ETL job (sequential runner).
+    /// Generated ETL job.
     Etl,
-    /// Generated ETL job on the pipeline-parallel runner.
-    EtlParallel,
 }
 
 impl TargetKind {
     /// All targets.
-    pub const ALL: [TargetKind; 7] = [
+    pub const ALL: [TargetKind; 6] = [
         TargetKind::Native,
         TargetKind::Chase,
         TargetKind::Sql,
         TargetKind::R,
         TargetKind::Matlab,
         TargetKind::Etl,
-        TargetKind::EtlParallel,
     ];
 
     /// Short name for reports.
@@ -62,7 +59,6 @@ impl TargetKind {
             TargetKind::R => "r",
             TargetKind::Matlab => "matlab",
             TargetKind::Etl => "etl",
-            TargetKind::EtlParallel => "etl-parallel",
         }
     }
 }
@@ -115,8 +111,6 @@ pub enum TargetCode {
     Etl {
         /// The job.
         job: Box<exl_etl::Job>,
-        /// Run with the pipeline-parallel runner.
-        parallel: bool,
     },
 }
 
@@ -130,10 +124,7 @@ impl TargetCode {
             TargetCode::Sql { .. } => "sql",
             TargetCode::R { .. } => "r",
             TargetCode::Matlab { .. } => "matlab",
-            TargetCode::Etl {
-                parallel: false, ..
-            } => "etl",
-            TargetCode::Etl { parallel: true, .. } => "etl-parallel",
+            TargetCode::Etl { .. } => "etl",
         }
     }
 
@@ -145,10 +136,7 @@ impl TargetCode {
             TargetCode::Sql { .. } => TargetKind::Sql,
             TargetCode::R { .. } => TargetKind::R,
             TargetCode::Matlab { .. } => TargetKind::Matlab,
-            TargetCode::Etl {
-                parallel: false, ..
-            } => TargetKind::Etl,
-            TargetCode::Etl { parallel: true, .. } => TargetKind::EtlParallel,
+            TargetCode::Etl { .. } => TargetKind::Etl,
         }
     }
 
@@ -257,15 +245,12 @@ pub fn translate(
                 schemas: re.schemas,
             })
         }
-        TargetKind::Etl | TargetKind::EtlParallel => {
+        TargetKind::Etl => {
             let (mapping, _) = generate_mapping(analyzed, GenMode::Fused)
                 .map_err(|e| EngineError::Mapping(e.to_string()))?;
             let job = exl_etl::mapping_to_job(&mapping)
                 .map_err(|e| EngineError::Translation(e.to_string()))?;
-            Ok(TargetCode::Etl {
-                job: Box::new(job),
-                parallel: target == TargetKind::EtlParallel,
-            })
+            Ok(TargetCode::Etl { job: Box::new(job) })
         }
     }
 }
@@ -520,14 +505,9 @@ fn execute_traced_inner(
             exl_fault::govern::checkpoint()?;
             return Ok(out);
         }
-        TargetCode::Etl { job, parallel } => {
-            let run = if *parallel {
-                exl_etl::run_job_parallel_traced(job, input, recorder, trace)
-            } else {
-                job.run_traced(input, trace)
-            };
-            run.map_err(|e| governed_or(e.govern_cause(), &e, None))?
-        }
+        TargetCode::Etl { job } => job
+            .run_traced(input, trace)
+            .map_err(|e| governed_or(e.govern_cause(), &e, None))?,
     };
     Ok(full.restrict(wanted))
 }

@@ -110,15 +110,7 @@ fn run_accepts_a_target_argument() {
     );
     let ledger = std::env::temp_dir().join(format!("exlc-tgt-ledger-{}", std::process::id()));
     let (p, d) = (p.to_str().unwrap(), d.to_str().unwrap());
-    for target in [
-        "native",
-        "chase",
-        "sql",
-        "r",
-        "matlab",
-        "etl",
-        "etl-parallel",
-    ] {
+    for target in ["native", "chase", "sql", "r", "matlab", "etl"] {
         let plain = run_stdout(&[], p, d, target);
         let parsed: serde_json::Value = serde_json::from_str(&plain).unwrap();
         assert_eq!(parsed["C"][1][1].as_f64(), Some(8.0), "{target}");
@@ -239,48 +231,41 @@ fn metrics_flag_writes_registry_json() {
             [[{"Time": {"Quarter": {"year": 2020, "quarter": 2}}}], 2.5]
         ]}"#,
     );
-    for (target, expect_counter) in [
-        ("chase", "chase.applications"),
-        ("etl-parallel", "etl.rows.source"),
-    ] {
-        let m = std::env::temp_dir().join(format!(
-            "exlc-test-{}-metrics-{target}.out.json",
-            std::process::id()
-        ));
-        let out = exlc(&[
-            "--metrics",
-            m.to_str().unwrap(),
-            "run",
-            p.to_str().unwrap(),
-            d.to_str().unwrap(),
-            target,
-        ]);
-        assert!(
-            out.status.success(),
-            "{target}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let metrics: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&m).unwrap()).unwrap();
-        // parser/analyzer spans, per-subgraph timing, per-backend timing
-        assert!(metrics["spans"]["lang.parse"]["count"].as_u64() >= Some(1));
-        assert!(metrics["spans"]["lang.analyze"]["total_ns"].as_u64() > Some(0));
-        assert!(
-            metrics["spans"][format!("engine.subgraph.{target}").as_str()]["count"].as_u64()
-                >= Some(1),
-            "{target}: {metrics:?}"
-        );
-        assert!(
-            metrics["spans"][format!("target.execute.{target}").as_str()]["total_ns"].as_u64()
-                > Some(0),
-            "{target}: {metrics:?}"
-        );
-        // backend-specific counters (chase counters / ETL row counts)
-        assert!(
-            metrics["counters"][expect_counter].as_u64() > Some(0),
-            "{target}: {metrics:?}"
-        );
-    }
+    let m = std::env::temp_dir().join(format!(
+        "exlc-test-{}-metrics-chase.out.json",
+        std::process::id()
+    ));
+    let out = exlc(&[
+        "--metrics",
+        m.to_str().unwrap(),
+        "run",
+        p.to_str().unwrap(),
+        d.to_str().unwrap(),
+        "chase",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let metrics: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&m).unwrap()).unwrap();
+    // parser/analyzer spans, per-subgraph timing, per-backend timing
+    assert!(metrics["spans"]["lang.parse"]["count"].as_u64() >= Some(1));
+    assert!(metrics["spans"]["lang.analyze"]["total_ns"].as_u64() > Some(0));
+    assert!(
+        metrics["spans"]["engine.subgraph.chase"]["count"].as_u64() >= Some(1),
+        "{metrics:?}"
+    );
+    assert!(
+        metrics["spans"]["target.execute.chase"]["total_ns"].as_u64() > Some(0),
+        "{metrics:?}"
+    );
+    // backend-specific counters
+    assert!(
+        metrics["counters"]["chase.applications"].as_u64() > Some(0),
+        "{metrics:?}"
+    );
 }
 
 #[test]
@@ -316,6 +301,28 @@ fn malformed_program_and_data_exit_nonzero_with_diagnostic() {
     assert!(String::from_utf8(out.stderr)
         .unwrap()
         .contains("unknown cube"));
+}
+
+/// The removed pipeline-parallel ETL target is an unknown target like
+/// any other name: the run fails before executing and lists the six
+/// targets that exist.
+#[test]
+fn removed_target_is_an_unknown_target() {
+    let p = write_tmp("gone.exl", PROGRAM);
+    let d = write_tmp("gone.json", RUN_DATA);
+    let gone = concat!("etl", "-parallel");
+    let out = exlc(&["run", p.to_str().unwrap(), d.to_str().unwrap(), gone]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains(&format!("unknown target `{gone}`")),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("native, chase, sql, r, matlab, etl)"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -756,6 +763,39 @@ fn bad_inject_fault_spec_is_rejected() {
                 .contains("--inject-fault"),
             "{spec}"
         );
+    }
+}
+
+/// A site no `exl_fault::check` names would arm a fault that never
+/// fires, and the run would pass: `--inject-fault` rejects it as a usage
+/// error that lists the known sites.
+#[test]
+fn unknown_inject_fault_site_is_rejected() {
+    let p = write_tmp("badsite.exl", PROGRAM);
+    let d = write_tmp("badsite.json", RUN_DATA);
+    for site in ["exec.nativ", "nowhere", concat!("exec.etl", "-parallel")] {
+        let spec = format!("{site}:1:panic");
+        let out = exlc(&[
+            "--inject-fault",
+            &spec,
+            "run",
+            p.to_str().unwrap(),
+            d.to_str().unwrap(),
+        ]);
+        assert!(!out.status.success(), "{spec}");
+        assert!(out.stdout.is_empty(), "{spec}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown site `{site}`")),
+            "{stderr}"
+        );
+        for known in exl_fault::SITES {
+            assert!(
+                stderr.contains(known),
+                "{spec}: {known} not listed: {stderr}"
+            );
+        }
+        assert!(stderr.contains("<site>:<nth>:<action>"), "{stderr}");
     }
 }
 

@@ -309,8 +309,8 @@ impl Job {
     }
 }
 
-/// Read a source cube into rows (shared with the parallel runner).
-pub(crate) fn read_source(s: &DataSourceStep, data: &Dataset) -> Result<Vec<Row>, EtlError> {
+/// Read a source cube into rows.
+fn read_source(s: &DataSourceStep, data: &Dataset) -> Result<Vec<Row>, EtlError> {
     let cube = data
         .get(&s.relation)
         .ok_or_else(|| EtlError::msg(format!("missing input cube {}", s.relation)))?;
@@ -348,12 +348,8 @@ pub(crate) fn read_source(s: &DataSourceStep, data: &Dataset) -> Result<Vec<Row>
     Ok(out)
 }
 
-/// Hash merge-join (shared with the parallel runner).
-pub(crate) fn merge_rows(
-    left: Vec<Row>,
-    right: Vec<Row>,
-    step: &MergeJoinStep,
-) -> Result<Vec<Row>, EtlError> {
+/// Hash merge-join.
+fn merge_rows(left: Vec<Row>, right: Vec<Row>, step: &MergeJoinStep) -> Result<Vec<Row>, EtlError> {
     let mut index: FxHashMap<String, Vec<usize>> = FxHashMap::default();
     for (i, r) in right.iter().enumerate() {
         let key = r
@@ -405,8 +401,8 @@ pub(crate) fn merge_rows(
     Ok(out)
 }
 
-/// Apply one transform step (shared with the parallel runner).
-pub(crate) fn apply_transform(t: &TransformStep, rows: Vec<Row>) -> Result<Vec<Row>, EtlError> {
+/// Apply one transform step.
+fn apply_transform(t: &TransformStep, rows: Vec<Row>) -> Result<Vec<Row>, EtlError> {
     match t {
         TransformStep::Calculator { output, expr } => rows
             .into_iter()
@@ -570,8 +566,8 @@ pub(crate) fn apply_transform(t: &TransformStep, rows: Vec<Row>) -> Result<Vec<R
     }
 }
 
-/// Write the stream into cube data (shared with the parallel runner).
-pub(crate) fn write_output(output: &OutputStep, rows: Vec<Row>) -> Result<CubeData, EtlError> {
+/// Write the stream into cube data.
+fn write_output(output: &OutputStep, rows: Vec<Row>) -> Result<CubeData, EtlError> {
     let mut data = CubeData::new();
     for row in rows {
         let Some(m) = row.get(&output.measure_field).and_then(|f| f.as_num()) else {

@@ -3,24 +3,19 @@
 //! The paper's third target family: schema mappings become executable ETL
 //! jobs, one flow per tgd, with the step vocabulary of Kettle-like tools —
 //! *data source*, *merge join*, *calculator*, *aggregator*, user-defined
-//! (series) steps, and *output*. Flows run either sequentially or
-//! pipeline-parallel (one thread per step, rows streaming through bounded
-//! channels), the comparison benchmark B5 exercises both.
+//! (series) steps, and *output*. Flows run one step after another; a
+//! [`Job`] runs its flows in tgd total order.
 
 #![warn(missing_docs)]
 
 pub mod flow;
 pub mod flowgen;
-pub mod parallel;
 pub mod row;
 
 pub use flow::{
     DataSourceStep, EtlError, Flow, Job, JoinKind, MergeJoinStep, OutputStep, TransformStep,
 };
 pub use flowgen::{mapping_to_job, tgd_to_flow};
-pub use parallel::{
-    run_flow_parallel, run_flow_parallel_traced, run_job_parallel, run_job_parallel_traced,
-};
 pub use row::{Field, Row};
 
 #[cfg(test)]
@@ -131,28 +126,22 @@ mod tests {
         assert!(flow.merges.is_empty());
     }
 
-    /// End-to-end: the job reproduces the reference interpreter, in both
-    /// runners.
+    /// End-to-end: the job reproduces the reference interpreter.
     #[test]
     fn job_matches_reference_sequential_and_parallel() {
-        let (analyzed, mapping, re, input) = gdp_setup();
+        let (analyzed, mapping, _, input) = gdp_setup();
         let job = mapping_to_job(&mapping).unwrap();
         let reference = exl_eval::run_program(&analyzed, &input).unwrap();
-
-        let seq = job.run(&input).unwrap();
-        let par = run_job_parallel(&job, &input).unwrap();
+        let out = job.run(&input).unwrap();
         for id in analyzed.program.derived_ids() {
             let want = reference.data(&id).unwrap();
-            for (label, ds) in [("sequential", &seq), ("parallel", &par)] {
-                let got = ds.data(&id).unwrap();
-                assert!(
-                    got.approx_eq(want, 1e-9),
-                    "{label} {id}: {:?}",
-                    got.diff(want, 1e-9)
-                );
-            }
+            let got = out.data(&id).unwrap();
+            assert!(
+                got.approx_eq(want, 1e-9),
+                "{id}: {:?}",
+                got.diff(want, 1e-9)
+            );
         }
-        let _ = re;
     }
 
     /// ETL is the target that supports the default-value variant (outer
@@ -172,15 +161,11 @@ mod tests {
             CubeData::from_tuples(vec![(vec![DimValue::Int(2)], 5.0)]).unwrap(),
         ));
         let job = mapping_to_job(&mapping).unwrap();
-        for ds in [
-            job.run(&input).unwrap(),
-            run_job_parallel(&job, &input).unwrap(),
-        ] {
-            let c = ds.data(&"C".into()).unwrap();
-            assert_eq!(c.len(), 2);
-            assert_eq!(c.get(&[DimValue::Int(1)]), Some(1.0));
-            assert_eq!(c.get(&[DimValue::Int(2)]), Some(5.0));
-        }
+        let out = job.run(&input).unwrap();
+        let c = out.data(&"C".into()).unwrap();
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&[DimValue::Int(1)]), Some(1.0));
+        assert_eq!(c.get(&[DimValue::Int(2)]), Some(5.0));
     }
 
     #[test]
@@ -188,34 +173,6 @@ mod tests {
         let (_, mapping, _, _) = gdp_setup();
         let job = mapping_to_job(&mapping).unwrap();
         let err = job.run(&Dataset::new()).unwrap_err();
-        assert!(err.to_string().contains("missing input cube"), "{err}");
-        let err = run_job_parallel(&job, &Dataset::new()).unwrap_err();
-        assert!(err.to_string().contains("missing input cube"), "{err}");
-    }
-
-    /// A failing stage must fail the whole flow even while another source
-    /// is producing far more rows than a bounded channel holds: the error
-    /// travels in-band to the output stage and the receiver drops cascade
-    /// upstream, so nothing stays blocked on a full channel. (Regression:
-    /// the old runner parked errors in a side slot and could return after
-    /// draining partial streams.)
-    #[test]
-    fn stage_error_fails_flow_under_backpressure() {
-        let src = "cube A(k: int) -> y; cube B(k: int) -> z; C := A * B;";
-        let analyzed = analyze(&parse_program(src).unwrap(), &[]).unwrap();
-        let (mapping, re) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
-        // A has several channel-capacities worth of rows; B is missing, so
-        // its source stage errors immediately.
-        let mut input = Dataset::new();
-        let a_rows: Vec<_> = (0..5000i64)
-            .map(|k| (vec![DimValue::Int(k)], k as f64))
-            .collect();
-        input.put(Cube::new(
-            re.schemas[&"A".into()].clone(),
-            CubeData::from_tuples(a_rows).unwrap(),
-        ));
-        let job = mapping_to_job(&mapping).unwrap();
-        let err = run_job_parallel(&job, &input).unwrap_err();
         assert!(err.to_string().contains("missing input cube"), "{err}");
     }
 
@@ -233,26 +190,8 @@ mod tests {
                 measure_field: "v".into(),
             },
         };
-        let err = run_flow_parallel(&flow, &Dataset::new()).unwrap_err();
+        let err = flow.run(&Dataset::new()).unwrap_err();
         assert!(err.to_string().contains("no data sources"), "{err}");
-    }
-
-    /// The instrumented runner emits per-step row counters, the flow count,
-    /// and the job span.
-    #[test]
-    fn parallel_runner_records_row_counters() {
-        let (_, mapping, _, input) = gdp_setup();
-        let job = mapping_to_job(&mapping).unwrap();
-        let registry = exl_obs::MetricsRegistry::new();
-        let out =
-            run_job_parallel_traced(&job, &input, &registry, &exl_obs::Span::disabled()).unwrap();
-        assert!(out.data(&"GDP".into()).is_some());
-        let snap = registry.snapshot();
-        assert!(snap.counter("etl.rows.source") > 0);
-        assert!(snap.counter("etl.rows.transform") > 0);
-        assert!(snap.counter("etl.rows.output") > 0);
-        assert_eq!(snap.counter("etl.flows"), job.flows.len() as u64);
-        assert!(snap.span_total_nanos("etl.job") > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # exl-fault — deterministic, seed-driven fault injection
 //!
-//! Chaos testing for the dispatch path: the engine, the parallel ETL
-//! runner, and the mini interpreters call [`check`] at named *sites*
+//! Chaos testing for the dispatch path: the engine, the ETL runner, and
+//! the mini interpreters call [`check`] at named *sites*
 //! (e.g. `exec.sql`, `etl.flow`, `rmini.run`). In production the check is
 //! a single relaxed atomic load and nothing else. In a chaos test, a
 //! [`FaultPlan`] is [`install`]ed — "make the *Nth* execution of site *S*
@@ -30,8 +30,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Injection sites instrumented across the workspace. Seed-driven plans
-/// draw from this list; ad-hoc plans may name any site string.
+/// Injection sites instrumented across the workspace: every [`check`]
+/// call names one of these. Seed-driven plans draw from this list, and
+/// `exlc --inject-fault` rejects any other site; library plans may name
+/// any site string.
 pub const SITES: &[&str] = &[
     "exec.native",
     "eval.worker",
@@ -40,7 +42,6 @@ pub const SITES: &[&str] = &[
     "exec.r",
     "exec.matlab",
     "exec.etl",
-    "exec.etl-parallel",
     "etl.flow",
     "rmini.run",
     "matmini.run",

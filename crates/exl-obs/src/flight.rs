@@ -70,10 +70,6 @@ pub enum FlightKind {
     /// Per-shard outputs were concatenated at a subgraph boundary
     /// (site = target, detail = shard + row counts).
     ShardMerge,
-    /// One shard of a warm run actually re-executed instead of
-    /// replaying from its per-shard cache entry (site = target,
-    /// detail = shard index).
-    ShardReplay,
 }
 
 impl FlightKind {
@@ -98,7 +94,6 @@ impl FlightKind {
             FlightKind::PlanCse => "plan.cse",
             FlightKind::ShardDispatch => "shard.dispatch",
             FlightKind::ShardMerge => "shard.merge",
-            FlightKind::ShardReplay => "shard.replay",
         }
     }
 }
@@ -289,7 +284,6 @@ mod tests {
             FlightKind::PlanCse,
             FlightKind::ShardDispatch,
             FlightKind::ShardMerge,
-            FlightKind::ShardReplay,
         ];
         let names: std::collections::BTreeSet<&str> = kinds.iter().map(|k| k.as_str()).collect();
         assert_eq!(names.len(), kinds.len());
@@ -298,6 +292,6 @@ mod tests {
         assert!(names.contains("plan.fuse"));
         assert!(names.contains("plan.cse"));
         assert!(names.contains("shard.dispatch"));
-        assert!(names.contains("shard.replay"));
+        assert!(names.contains("shard.merge"));
     }
 }

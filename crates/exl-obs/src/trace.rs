@@ -14,7 +14,7 @@
 //! nothing and every operation on it — span creation, attributes, events —
 //! is a branch on an `Option` and an immediate return. Armed tracers share
 //! one mutex-guarded buffer through an `Arc`, so spans can be opened from
-//! worker threads (dispatch workers, pipeline-parallel ETL stages) via
+//! worker threads (dispatch workers, shard workers) via
 //! [`SpanContext`].
 //!
 //! Naming convention: short dotted lowercase names describing the unit of

@@ -86,8 +86,9 @@ cargo test -q -p exl-integration-tests --test fusion_differential
 
 echo "== shard differential (fixed-seed matrix) =="
 # sharded ≡ unsharded bitwise over 100 random programs at shard counts
-# 1/2/4/8, the B5 wide workload, and warm one-shard delta replays pinned
-# by `shard.replayed` counters
+# 1/2/4/8, the B5 wide workload, and warm deltas whose cache counts and
+# disk entries do not depend on the shard count
+# (`shard_count_is_invisible_to_the_run_cache`)
 cargo test -q -p exl-integration-tests --test shard_differential
 
 echo "== one run path =="

@@ -136,12 +136,7 @@ fn outer_variant_feature_matrix() {
         CubeData::from_tuples(vec![(vec![DimValue::Int(2)], 5.0)]).unwrap(),
     ));
 
-    for target in [
-        TargetKind::Native,
-        TargetKind::Chase,
-        TargetKind::Etl,
-        TargetKind::EtlParallel,
-    ] {
+    for target in [TargetKind::Native, TargetKind::Chase, TargetKind::Etl] {
         let out = run_on_target(&analyzed, &input, target).unwrap();
         assert_eq!(out.data(&"C".into()).unwrap().len(), 2, "{target}");
     }

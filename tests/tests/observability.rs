@@ -77,23 +77,6 @@ fn run_report_chase_counters_match_chase_stats() {
     assert!(m.span_total_nanos("engine.recompute") >= m.span_total_nanos("engine.subgraph.chase"));
 }
 
-/// An ETL-parallel run surfaces the per-step row counters through the
-/// same report.
-#[test]
-fn run_report_carries_etl_row_counters() {
-    let _guard = no_faults();
-    let mut e = gdp_engine(TargetKind::EtlParallel);
-    e.enable_metrics();
-    let report = e.run_all().unwrap();
-    let m = &report.metrics;
-    assert_eq!(m.counter("engine.subgraphs"), 1);
-    assert_eq!(m.counter("engine.fallbacks"), 0);
-    assert!(m.counter("etl.rows.source") > 0);
-    assert!(m.counter("etl.rows.output") > 0);
-    assert!(m.counter("etl.flows") > 0);
-    assert!(m.span_total_nanos("target.execute.etl-parallel") > 0);
-}
-
 /// Without `enable_metrics`, runs record nothing and the report's
 /// metrics section stays empty.
 #[test]

@@ -151,12 +151,7 @@ fn outer_variants_on_supporting_targets() {
         "cube A(q: quarter, r: text) -> y; cube B(q: quarter, r: text) -> z;
          C := addz(A, B); D := subz(A, B); E := subz(A, B, 1);",
         12,
-        &[
-            TargetKind::Native,
-            TargetKind::Chase,
-            TargetKind::Etl,
-            TargetKind::EtlParallel,
-        ],
+        &[TargetKind::Native, TargetKind::Chase, TargetKind::Etl],
     );
 }
 

@@ -9,13 +9,13 @@
 //! vacuous: a healthy fraction of the seeded programs must actually
 //! admit a shard plan and dispatch sharded.
 //!
-//! The warm half pins per-shard cache replay: with the run cache armed,
-//! a vintage delta that touches exactly one region replays exactly one
-//! shard (`shard.replayed` counter delta of 1, every other shard an
-//! exact-hit replay), and the patched outputs still match a cold
-//! unsharded run over the patched data bit for bit.
+//! The warm half pins the run cache: a sharded subgraph consults and
+//! stores it exactly as an unsharded one, so cache counts, diffed rows
+//! and disk entries do not depend on the shard count, and warm delta
+//! runs still match a cold unsharded run over the patched data bit for
+//! bit.
 
-use exl_engine::ExlEngine;
+use exl_engine::{ExlEngine, SubgraphStatus};
 use exl_lang::analyze::AnalyzedProgram;
 use exl_model::value::DimValue;
 use exl_model::Dataset;
@@ -136,88 +136,115 @@ fn wide_workload_is_bit_identical_across_shard_counts() {
     }
 }
 
-/// Warm-cache shard replay: after a cold sharded run, a vintage delta
-/// touching exactly one region must replay exactly one shard — the
-/// other shards resolve on per-shard exact hits — and the patched
-/// outputs must match a cold unsharded run over the patched data.
+/// The shard count is invisible to the run cache. On the wide workload,
+/// at 2, 4 and 8 shards:
+///
+/// * (a) a warm one-region delta is bit-identical to a cold unsharded
+///   run on the patched data;
+/// * (b) its cache counts and `diff_rows` equal those of an unsharded
+///   cached engine on the same vintage — the sharded subgraph consults
+///   and stores the cache exactly as an unsharded one does;
+/// * (c) a disk cache filled by an unsharded run serves a sharded
+///   engine's first run entirely from exact hits.
 #[test]
-fn one_region_delta_replays_exactly_one_shard_warm() {
-    for shards in [2usize, 4, 8] {
-        let cfg = WideConfig {
-            regions: 40,
-            quarters: 12,
-            seed: 3,
-            barrier: true,
-        };
-        let (analyzed, input) = wide_scenario(cfg);
-        let src = wide_program(cfg.barrier);
-        let mut e = engine_for(&src, &analyzed, &input, Some(shards));
-        let registry = e.enable_metrics();
+fn shard_count_is_invisible_to_the_run_cache() {
+    let cfg = WideConfig {
+        regions: 40,
+        quarters: 12,
+        seed: 3,
+        barrier: true,
+    };
+    let (analyzed, input) = wide_scenario(cfg);
+    let src = wide_program(cfg.barrier);
+    let w: exl_model::schema::CubeId = "W".into();
+    let mut patched = input.data(&w).expect("wide input").clone();
+    patched.insert_overwrite(
+        vec![
+            DimValue::Time(exl_model::TimePoint::Quarter {
+                year: 2000,
+                quarter: 1,
+            }),
+            DimValue::Str("r00007".into()),
+        ],
+        999.25,
+    );
+    // cold run, then the one-region vintage on the same cached engine
+    let vintage = |shards: Option<usize>| {
+        let mut e = engine_for(&src, &analyzed, &input, shards);
         e.enable_cache();
-        e.run_all().expect("cold sharded vintage");
-        let cold = registry.snapshot();
-        assert_eq!(
-            cold.counter("shard.replayed"),
-            shards as u64,
-            "cold run: every shard executes"
-        );
+        let cold = e.run_all().expect("cold vintage");
+        let sharded = cold.subgraphs.iter().any(|s| !s.shards.is_empty());
+        assert_eq!(sharded, shards.is_some(), "{shards:?}: cold run sharding");
+        e.load_elementary(&w, patched.clone()).expect("patch loads");
+        let warm = e
+            .recompute(std::slice::from_ref(&w))
+            .expect("warm delta recompute");
+        (e, warm)
+    };
+    let (_, unsharded) = vintage(None);
+    assert!(unsharded.cache.delta_hits > 0, "{:?}", unsharded.cache);
 
-        // patch one region's first observation; the region pins which
-        // shard goes dirty
-        let region = DimValue::Str("r00007".into());
-        let dirty = exl_model::shard::shard_of(&region, shards);
-        let w_schema = analyzed.schemas[&"W".into()].clone();
-        let mut patched = input.data(&"W".into()).expect("wide input").clone();
-        patched.insert_overwrite(
-            vec![
-                exl_model::value::DimValue::Time(exl_model::TimePoint::Quarter {
-                    year: 2000,
-                    quarter: 1,
-                }),
-                region,
-            ],
-            999.25,
-        );
-        e.load_elementary(&"W".into(), patched.clone())
-            .expect("patch loads");
-        let report = e.recompute(&["W".into()]).expect("warm delta recompute");
-        let warm = registry.snapshot();
-        assert_eq!(
-            warm.counter("shard.replayed") - cold.counter("shard.replayed"),
-            1,
-            "{shards} shards: a one-region delta must replay exactly one shard"
-        );
-        let sharded_report = report
-            .subgraphs
-            .iter()
-            .find(|s| !s.shards.is_empty())
-            .expect("warm run dispatched sharded");
-        for shard in &sharded_report.shards {
-            assert_eq!(
-                shard.replayed,
-                shard.index == dirty,
-                "shard {}/{shards}: replayed={} but dirty shard is {dirty}",
-                shard.index,
-                shard.replayed
-            );
-        }
+    let mut patched_input = input.clone();
+    patched_input.put(exl_model::Cube::new(
+        analyzed.schemas[&w].clone(),
+        patched.clone(),
+    ));
+    let mut reference = engine_for(&src, &analyzed, &patched_input, None);
+    let (want, _) = run_collect(&mut reference, &analyzed);
 
-        // and the mixed replay must still be bit-identical to a cold
-        // unsharded run over the patched vintage
-        let mut patched_input = input.clone();
-        patched_input.put(exl_model::Cube::new(w_schema, patched));
-        let mut reference = engine_for(&src, &analyzed, &patched_input, None);
-        let (want, _) = run_collect(&mut reference, &analyzed);
+    let dir = std::env::temp_dir().join(format!("exl-shard-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut filler = engine_for(&src, &analyzed, &input, None);
+    filler.enable_disk_cache(&dir).expect("cache dir opens");
+    filler.run_all().expect("unsharded run fills the cache");
+    let statements = analyzed.program.derived_ids().len() as u64;
+
+    for shards in [2usize, 4, 8] {
+        // (a) bit-identical to cold unsharded on the patched data
+        let (e, warm) = vintage(Some(shards));
         for id in analyzed.program.derived_ids() {
             let got = e.data(&id).expect("warm derived");
             let x = want.data(&id).expect("cold derived");
             assert!(
                 got.approx_eq(x, 0.0),
-                "{shards} shards: {id} diverged after the one-shard replay\n{:?}",
+                "{shards} shards: {id} diverged on the warm delta\n{:?}",
                 got.diff(x, 0.0)
             );
         }
+        // (b) the same cache work as the unsharded engine
+        assert_eq!(
+            (warm.cache.hits, warm.cache.delta_hits, warm.cache.misses),
+            (
+                unsharded.cache.hits,
+                unsharded.cache.delta_hits,
+                unsharded.cache.misses
+            ),
+            "{shards} shards: cache counts"
+        );
+        assert_eq!(
+            warm.diff_rows, unsharded.diff_rows,
+            "{shards} shards: diff_rows"
+        );
+
+        // (c) an unsharded disk cache serves the sharded first run
+        let mut e = engine_for(&src, &analyzed, &input, Some(shards));
+        e.enable_disk_cache(&dir).expect("cache dir opens");
+        let report = e.run_all().expect("sharded run from the disk cache");
+        assert_eq!(
+            (
+                report.cache.hits,
+                report.cache.delta_hits,
+                report.cache.misses
+            ),
+            (statements, 0, 0),
+            "{shards} shards: not served by exact hits"
+        );
+        for sub in &report.subgraphs {
+            assert_eq!(sub.status, SubgraphStatus::Cached, "{shards} shards");
+            assert!(sub.shards.is_empty(), "{shards} shards: a shard ran");
+        }
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Warm invariance on the random corpus: a 25-seed delta matrix — cold
