@@ -112,7 +112,9 @@ macro_rules! out {
 
 use std::sync::Arc;
 
-use exl_engine::{translate, DispatchPolicy, ExlEngine, LineageReport, ProgressSink, TargetKind};
+use exl_engine::{
+    translate, AttemptOutcome, DispatchPolicy, ExlEngine, LineageReport, ProgressSink, TargetKind,
+};
 use exl_model::{Cube, CubeData, Dataset, DimTuple};
 use exl_obs::{MetricsRegistry, NoopRecorder, Recorder, Tracer};
 
@@ -450,10 +452,15 @@ fn load_program(
     recorder: &dyn Recorder,
 ) -> Result<(String, exl_lang::AnalyzedProgram), String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let program =
-        exl_lang::parse_program_recorded(&source, recorder).map_err(|e| format!("{path}: {e}"))?;
-    let analyzed =
-        exl_lang::analyze_recorded(&program, &[], recorder).map_err(|e| format!("{path}: {e}"))?;
+    let program = {
+        let _span = exl_obs::span(recorder, "lang.parse");
+        exl_lang::parse_program(&source).map_err(|e| format!("{path}: {e}"))?
+    };
+    recorder.incr_counter("lang.statements", program.statements.len() as u64);
+    let analyzed = {
+        let _span = exl_obs::span(recorder, "lang.analyze");
+        exl_lang::analyze(&program, &[]).map_err(|e| format!("{path}: {e}"))?
+    };
     Ok((source, analyzed))
 }
 
@@ -690,9 +697,16 @@ fn do_run(
         eprintln!("exlc: crash bundle written to {}", bundle.display());
     }
     let report = run_result.map_err(|e| e.to_string())?;
-    if report.failed.is_empty() && report.subgraphs.iter().any(|s| s.attempts.len() > 1) {
-        let attempts: usize = report.subgraphs.iter().map(|s| s.attempts.len()).sum();
-        eprintln!("exlc: run succeeded after {attempts} attempts");
+    // a sharded subgraph records one successful attempt per shard and
+    // per barrier: only attempts that did not succeed mean a retry
+    let failed_attempts = report
+        .subgraphs
+        .iter()
+        .flat_map(|s| &s.attempts)
+        .filter(|a| a.outcome != AttemptOutcome::Success)
+        .count();
+    if report.failed.is_empty() && failed_attempts > 0 {
+        eprintln!("exlc: run succeeded after {failed_attempts} failed attempt(s)");
     }
     if globals.cache_dir.is_some() && !globals.no_cache {
         eprintln!(

@@ -22,10 +22,10 @@ use crate::catalog::Catalog;
 use crate::determination::{GlobalGraph, Subgraph};
 use crate::error::EngineError;
 use crate::govern::GovernConfig;
-use crate::shard::{dispatch_sharded, ShardReport};
+use crate::shard::{dispatch_sharded_in, ShardReport};
 use crate::supervise::{run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
 use crate::target::{
-    dataset_rows, input_schemas, subprogram, translate, ExecOpts, TargetCode, TargetKind,
+    dataset_rows, input_schemas, subprogram, translate, ExecCtx, ExecOpts, TargetCode, TargetKind,
 };
 
 /// A callback invoked as each subgraph finishes during a run — the
@@ -214,9 +214,6 @@ impl Default for ExlEngine {
         }
     }
 }
-
-/// Shared no-op recorder used when metrics are disabled.
-static NOOP: NoopRecorder = NoopRecorder;
 
 /// Comma-joined cube list for the `cubes` span attribute.
 fn join_ids(ids: &[CubeId]) -> String {
@@ -840,8 +837,11 @@ impl ExlEngine {
         let registry = self.metrics.clone();
         let recorder: &dyn Recorder = match &registry {
             Some(r) => r.as_ref(),
-            None => &NOOP,
+            None => &NoopRecorder,
         };
+        // the run's context borrows a copy of the policy: the run mutates
+        // `self` (cache, catalog) while the context is alive
+        let policy = self.policy.clone();
         let tracer = self.tracer.clone();
         // every run gets its own governor (a child of the external token
         // over a fresh budget), installed as the dispatching thread's
@@ -863,14 +863,13 @@ impl ExlEngine {
                 // so the dispatcher can consult it mutably while borrowing
                 // the catalog
                 let mut cache = self.cache.take();
-                let result = self.recompute_inner(
-                    changed,
-                    registry.as_ref(),
+                let ctx = ExecCtx {
                     recorder,
-                    &run_span,
-                    &mut cache,
-                    &mut obs,
-                );
+                    trace: &run_span,
+                    opts: self.exec,
+                    policy: &policy,
+                };
+                let result = self.recompute_inner(changed, &ctx, &mut cache, &mut obs);
                 self.cache = cache;
                 result
             };
@@ -969,21 +968,20 @@ impl ExlEngine {
     /// either ends when it starts (skipped, inputs unavailable, sharded,
     /// cache-served) or runs as a supervised job, and each outcome goes
     /// through [`RunState::finish_subgraph`]. Commits the staged cubes
-    /// when no outcome asked for a rollback.
+    /// when no outcome asked for a rollback. `ctx.trace` is the run span.
     fn recompute_inner(
         &mut self,
         changed: &[CubeId],
-        registry: Option<&Arc<MetricsRegistry>>,
-        recorder: &dyn Recorder,
-        run_span: &exl_obs::Span,
+        ctx: &ExecCtx,
         cache: &mut Option<RunCache>,
         obs: &mut RunObservation,
     ) -> Result<RunReport, EngineError> {
+        let recorder = ctx.recorder;
         let cache_io_start = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         let diff_rows_start = cache.as_ref().map_or(0, RunCache::diff_rows);
         let planned = {
             let _span = exl_obs::span(recorder, "engine.plan_and_translate");
-            let plan_span = run_span.child("plan");
+            let plan_span = ctx.trace.child("plan");
             let planned = self.plan_and_translate(changed)?;
             plan_span.set_attr("subgraphs", planned.len() as u64);
             planned
@@ -1006,7 +1004,7 @@ impl ExlEngine {
             planned: &planned,
             recorder,
             progress: self.progress.as_ref(),
-            keep_going: self.policy.keep_going,
+            keep_going: ctx.policy.keep_going,
             obs,
             report: RunReport {
                 stages: stages.len(),
@@ -1023,18 +1021,19 @@ impl ExlEngine {
             // checked here: they surface per subgraph, where keep_going
             // can degrade around them.
             run_checkpoint(recorder)?;
-            let stage_span = run_span.child("stage");
+            let stage_span = ctx.trace.child("stage");
             stage_span.set_attr("index", stage_no as u64);
             stage_span.set_attr("subgraphs", stage.len() as u64);
+            let stage_ctx = ctx.under(&stage_span);
             // each subgraph's inputs are satisfied by earlier stages
             let mut jobs = Vec::new();
             for &si in stage {
-                match self.start_subgraph(si, &stage_span, &run, registry, cache, shards) {
+                match self.start_subgraph(si, &stage_ctx, &run, cache, shards) {
                     Start::Ended(outcome) => run.finish_subgraph(outcome)?,
                     Start::Dispatch(job) => jobs.push(job),
                 }
             }
-            for outcome in self.dispatch(jobs, &planned, registry, cache) {
+            for outcome in self.dispatch(jobs, &planned, ctx, cache) {
                 run.finish_subgraph(outcome)?;
             }
         }
@@ -1074,17 +1073,17 @@ impl ExlEngine {
     /// Start one subgraph. It ends right here when an input is poisoned,
     /// its inputs cannot be staged, it runs sharded, or the run cache
     /// serves it; otherwise it becomes a job for supervised dispatch.
+    /// `ctx.trace` is the stage span.
     fn start_subgraph(
         &self,
         si: usize,
-        stage_span: &exl_obs::Span,
+        ctx: &ExecCtx,
         run: &RunState,
-        registry: Option<&Arc<MetricsRegistry>>,
         cache: &mut Option<RunCache>,
         shards: usize,
     ) -> Start {
         let p = &run.planned[si];
-        let span = stage_span.child("subgraph");
+        let span = ctx.trace.child("subgraph");
         span.set_attr("cubes", join_ids(&p.cubes));
         span.set_attr("target", p.code.target_name());
         span.set_attr("fallback", p.fallback);
@@ -1110,17 +1109,14 @@ impl ExlEngine {
         if let Some(plan) = shard_plan {
             span.set_attr("shards", shards as u64);
             span.set_attr("shard_dim", plan.dim.as_str());
-            let (result, shard) = dispatch_sharded(
+            let (result, shard) = dispatch_sharded_in(
                 &p.statements,
                 &plan,
                 shards,
                 &input,
                 &schema_of,
-                &self.policy,
-                registry,
-                &span,
                 cache,
-                self.exec,
+                &ctx.under(&span),
             );
             return Start::Ended(SubgraphOutcome {
                 cache: shard.counts,
@@ -1154,14 +1150,13 @@ impl ExlEngine {
         &self,
         jobs: Vec<Job>,
         planned: &[PlannedSubgraph],
-        registry: Option<&Arc<MetricsRegistry>>,
+        ctx: &ExecCtx,
         cache: &mut Option<RunCache>,
     ) -> Vec<SubgraphOutcome> {
         // every job runs under its own child of the dispatching thread's
         // governor, which scopes injected cancels and subgraph deadlines
         // to that subgraph (workers cannot see the ambient governor)
         let ambient = crate::govern::governor();
-        let (policy, exec) = (&self.policy, self.exec);
         let run = |job: &Job| {
             let p = &planned[job.si];
             let _governor = ambient
@@ -1173,10 +1168,7 @@ impl ExlEngine {
                 p.native.as_ref(),
                 &job.input,
                 &p.cubes,
-                policy,
-                registry,
-                &job.span,
-                exec,
+                &ctx.under(&job.span),
             );
             (result, attempts, nanos_since(started))
         };
@@ -1208,17 +1200,6 @@ impl ExlEngine {
             .zip(results)
             .map(|(job, (result, attempts, wall_nanos))| {
                 let p = &planned[job.si];
-                let result = result.and_then(|ds| {
-                    p.cubes
-                        .iter()
-                        .map(|id| match ds.data(id) {
-                            Some(data) => Ok((id.clone(), data.clone())),
-                            None => Err(EngineError::Execution(format!(
-                                "target produced no data for {id}"
-                            ))),
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                });
                 let mut counts = StmtCacheCounts::default();
                 if let (Ok(items), Some(c)) = (&result, cache.as_mut()) {
                     counts.misses = items.len() as u64;

@@ -68,7 +68,7 @@ pub use lineage::{LineageReport, LineageStep};
 pub use shard::{dispatch_sharded, ShardOutcome, ShardReport};
 pub use supervise::{run_supervised, Attempt, AttemptOutcome, DispatchPolicy, SubgraphStatus};
 pub use target::{
-    execute, execute_in_context, run_on_target, translate, ExecOpts, TargetCode, TargetKind,
+    execute, execute_in, run_on_target, translate, ExecCtx, ExecOpts, TargetCode, TargetKind,
 };
 
 #[cfg(test)]

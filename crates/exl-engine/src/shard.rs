@@ -43,11 +43,8 @@ use exl_obs::{MetricsRegistry, NoopRecorder, Recorder};
 
 use crate::cache::{RunCache, StmtCacheCounts};
 use crate::error::EngineError;
-use crate::supervise::{run_supervised, Attempt, DispatchPolicy};
-use crate::target::{input_schemas, subprogram, translate, ExecOpts, TargetKind};
-
-/// Shared no-op recorder for metric-less dispatch.
-static NOOP: NoopRecorder = NoopRecorder;
+use crate::supervise::{run_supervised, Attempt, DispatchPolicy, Supervised};
+use crate::target::{input_schemas, subprogram, translate, ExecCtx, ExecOpts, TargetKind};
 
 /// What happened to one shard of a sharded subgraph dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,13 +77,6 @@ pub struct ShardOutcome {
     /// Supervisor attempt history across every shard and barrier
     /// execution, in completion order.
     pub attempts: Vec<Attempt>,
-}
-
-fn recorder_of(metrics: Option<&Arc<MetricsRegistry>>) -> &dyn Recorder {
-    match metrics {
-        Some(m) => m.as_ref(),
-        None => &NOOP,
-    }
 }
 
 /// Attribute a shard-local failure to its shard, so run reports and
@@ -128,6 +118,29 @@ pub fn dispatch_sharded(
     cache: &mut Option<RunCache>,
     exec: ExecOpts,
 ) -> (Result<Vec<(CubeId, CubeData)>, EngineError>, ShardOutcome) {
+    let recorder: &dyn Recorder = match metrics {
+        Some(m) => m.as_ref(),
+        None => &NoopRecorder,
+    };
+    let ctx = ExecCtx {
+        recorder,
+        trace,
+        opts: exec,
+        policy,
+    };
+    dispatch_sharded_in(stmts, plan, shards, input, schema_of, cache, &ctx)
+}
+
+/// [`dispatch_sharded`] in the dispatcher's context.
+pub(crate) fn dispatch_sharded_in(
+    stmts: &[Statement],
+    plan: &ShardPlan,
+    shards: usize,
+    input: &Dataset,
+    schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
+    cache: &mut Option<RunCache>,
+    ctx: &ExecCtx,
+) -> (Result<Vec<(CubeId, CubeData)>, EngineError>, ShardOutcome) {
     let mut outcome = ShardOutcome::default();
     if let Some((out, counts)) = cache
         .as_mut()
@@ -136,18 +149,7 @@ pub fn dispatch_sharded(
         outcome.counts = counts;
         return (Ok(out), outcome);
     }
-    let result = dispatch_inner(
-        stmts,
-        plan,
-        shards,
-        input,
-        schema_of,
-        policy,
-        metrics,
-        trace,
-        exec,
-        &mut outcome,
-    );
+    let result = run_segments(stmts, plan, shards, input, schema_of, ctx, &mut outcome);
     if let (Ok(out), Some(c)) = (&result, cache.as_mut()) {
         c.store_statements(stmts, TargetKind::Native, input, out, schema_of);
         outcome.counts.misses = stmts.len() as u64;
@@ -155,124 +157,73 @@ pub fn dispatch_sharded(
     (result, outcome)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_inner(
+/// Run the plan's segments in order, each over the outputs of the ones
+/// before it.
+fn run_segments(
     stmts: &[Statement],
     plan: &ShardPlan,
     shards: usize,
     input: &Dataset,
     schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-    exec: ExecOpts,
+    ctx: &ExecCtx,
     outcome: &mut ShardOutcome,
 ) -> Result<Vec<(CubeId, CubeData)>, EngineError> {
-    let recorder = recorder_of(metrics);
-    // shard workers run the evaluator single-threaded: shard parallelism
-    // must not multiply with intra-evaluator parallelism
-    let shard_exec = ExecOpts {
-        eval_threads: if shards > 1 {
-            Some(1)
-        } else {
-            exec.eval_threads
-        },
-    };
     let mut env = input.clone();
     let mut outputs: Vec<(CubeId, CubeData)> = Vec::with_capacity(stmts.len());
     for segment in &plan.segments {
-        match segment {
+        let seg_out = match segment {
             ShardSegment::Global(idxs) => {
                 let seg: Vec<Statement> = idxs.iter().map(|&i| stmts[i].clone()).collect();
-                let (seg_out, attempts) =
-                    run_segment_global(&seg, &env, schema_of, policy, metrics, trace, exec)?;
-                outcome.attempts.extend(attempts);
-                for (id, data) in seg_out {
-                    let schema = schema_of(&id).ok_or_else(|| {
-                        EngineError::Catalog(format!("no schema for shard output {id}"))
-                    })?;
-                    env.put(Cube::new(schema, data.clone()));
-                    outputs.push((id, data));
-                }
+                run_segment_global(&seg, &env, schema_of, ctx, outcome)?
             }
             ShardSegment::Local(idxs) => {
                 let seg: Vec<Statement> = idxs.iter().map(|&i| stmts[i].clone()).collect();
-                let seg_out = run_segment_local(
-                    &seg, plan, shards, &env, schema_of, policy, metrics, trace, shard_exec,
-                    recorder, outcome,
-                )?;
-                for (id, data) in seg_out {
-                    let schema = schema_of(&id).ok_or_else(|| {
-                        EngineError::Catalog(format!("no schema for shard output {id}"))
-                    })?;
-                    env.put(Cube::new(schema, data.clone()));
-                    outputs.push((id, data));
-                }
+                run_segment_local(&seg, plan, shards, &env, schema_of, ctx, outcome)?
             }
+        };
+        for (id, data) in seg_out {
+            let schema = schema_of(&id)
+                .ok_or_else(|| EngineError::Catalog(format!("no schema for shard output {id}")))?;
+            env.put(Cube::new(schema, data.clone()));
+            outputs.push((id, data));
         }
     }
     Ok(outputs)
 }
 
-/// One segment's outputs in statement order, with the supervisor
-/// attempts it took.
-type SegmentResult = Result<(Vec<(CubeId, CubeData)>, Vec<Attempt>), EngineError>;
-
 /// Run a merge-barrier segment once over the global (concatenated)
-/// environment under the supervisor.
+/// environment under the supervisor. Its attempts join `outcome`'s,
+/// failed ones included.
 fn run_segment_global(
     seg: &[Statement],
     env: &Dataset,
     schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-    exec: ExecOpts,
-) -> SegmentResult {
+    ctx: &ExecCtx,
+    outcome: &mut ShardOutcome,
+) -> Result<Vec<(CubeId, CubeData)>, EngineError> {
     let schemas = input_schemas(seg, schema_of)?;
     let analyzed = subprogram(seg, &schemas)?;
     let code = translate(&analyzed, TargetKind::Native)?;
     let wanted: Vec<CubeId> = seg.iter().map(|s| s.target.clone()).collect();
     let inputs: Vec<CubeId> = schemas.iter().map(|s| s.id.clone()).collect();
     let restricted = env.restrict(&inputs);
-    let span = trace.child("shard-barrier");
+    let span = ctx.trace.child("shard-barrier");
     span.set_attr("statements", seg.len() as u64);
-    let (result, attempts) = run_supervised(
-        &code,
-        None,
-        &restricted,
-        &wanted,
-        policy,
-        metrics,
-        &span,
-        exec,
-    );
-    let ds = result?;
-    let mut out = Vec::with_capacity(wanted.len());
-    for id in &wanted {
-        let data = ds.data(id).cloned().ok_or_else(|| {
-            EngineError::Execution(format!("barrier segment produced no data for {id}"))
-        })?;
-        out.push((id.clone(), data));
-    }
-    Ok((out, attempts))
+    let (result, attempts) = run_supervised(&code, None, &restricted, &wanted, &ctx.under(&span));
+    outcome.attempts.extend(attempts);
+    result
 }
 
 /// Run a shard-local segment: split the segment's inputs on the shard
 /// dimension, execute every shard under the supervisor (in parallel),
 /// and concatenate the per-shard outputs in ascending shard order.
-#[allow(clippy::too_many_arguments)]
 fn run_segment_local(
     seg: &[Statement],
     plan: &ShardPlan,
     shards: usize,
     env: &Dataset,
     schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-    shard_exec: ExecOpts,
-    recorder: &dyn Recorder,
+    ctx: &ExecCtx,
     outcome: &mut ShardOutcome,
 ) -> Result<Vec<(CubeId, CubeData)>, EngineError> {
     // the segment's external inputs: everything read but not defined
@@ -307,7 +258,7 @@ fn run_segment_local(
             shard_inputs[i].put(Cube::new(cube.schema.clone(), part));
         }
     }
-    recorder.incr_counter("shard.dispatched", shards as u64);
+    ctx.recorder.incr_counter("shard.dispatched", shards as u64);
     exl_obs::flight::record_with(exl_obs::flight::FlightKind::ShardDispatch, "native", || {
         format!(
             "dim {} across {shards} shard(s), {} statement(s)",
@@ -334,16 +285,28 @@ fn run_segment_local(
     }
 
     // execute the shards in parallel, each under the full supervisor
-    // fault boundary with its own child governor
+    // fault boundary with its own child governor. Shard workers run the
+    // evaluator single-threaded: shard parallelism must not multiply with
+    // intra-evaluator parallelism
+    let shard_ctx = ExecCtx {
+        opts: ExecOpts {
+            eval_threads: if shards > 1 {
+                Some(1)
+            } else {
+                ctx.opts.eval_threads
+            },
+        },
+        ..*ctx
+    };
     let ambient = crate::govern::governor();
     let (ambient, code, wanted_ref) = (&ambient, &code, &wanted);
-    type RunResult = (usize, Result<Dataset, EngineError>, Vec<Attempt>, u64);
+    type RunResult = (usize, Supervised, u64);
     let runs: Vec<RunResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = shard_inputs
             .iter()
             .enumerate()
             .map(|(i, shard_input)| {
-                let span = trace.child("shard");
+                let span = ctx.trace.child("shard");
                 span.set_attr("shard", i as u64);
                 span.set_attr("shards", shards as u64);
                 scope.spawn(move || {
@@ -351,18 +314,15 @@ fn run_segment_local(
                         .as_ref()
                         .map(|g| crate::govern::set_governor(g.child()));
                     let started = Instant::now();
-                    let (r, attempts) = run_supervised(
+                    let supervised = run_supervised(
                         code,
                         None,
                         shard_input,
                         wanted_ref,
-                        policy,
-                        metrics,
-                        &span,
-                        shard_exec,
+                        &shard_ctx.under(&span),
                     );
                     let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    (i, r, attempts, wall)
+                    (i, supervised, wall)
                 })
             })
             .collect();
@@ -370,13 +330,11 @@ fn run_segment_local(
             .into_iter()
             .map(|h| {
                 h.join().unwrap_or_else(|payload| {
+                    let message = crate::supervise::panic_message(payload);
+                    let target = "shard-dispatcher".to_string();
                     (
                         usize::MAX,
-                        Err(EngineError::Panic {
-                            target: "shard-dispatcher".to_string(),
-                            message: crate::supervise::panic_message(payload),
-                        }),
-                        Vec::new(),
+                        (Err(EngineError::Panic { target, message }), Vec::new()),
                         0,
                     )
                 })
@@ -385,25 +343,14 @@ fn run_segment_local(
     });
     let mut per_shard: Vec<Vec<(CubeId, CubeData)>> = Vec::with_capacity(shards);
     let mut first_err: Option<EngineError> = None;
-    for (i, r, attempts, wall) in runs {
+    for (i, (r, attempts), wall) in runs {
         outcome.attempts.extend(attempts);
         if i == usize::MAX {
             return Err(r.expect_err("sentinel index only carries errors"));
         }
         let report = &mut outcome.reports[i];
         report.wall_nanos += wall;
-        let out = r.and_then(|ds| {
-            wanted
-                .iter()
-                .map(|id| match ds.data(id) {
-                    Some(data) => Ok((id.clone(), data.clone())),
-                    None => Err(EngineError::Execution(format!(
-                        "shard produced no data for {id}"
-                    ))),
-                })
-                .collect::<Result<Vec<_>, _>>()
-        });
-        match out {
+        match r {
             Ok(out) => {
                 report.statements += seg.len() as u64;
                 per_shard.push(out);
@@ -435,7 +382,7 @@ fn run_segment_local(
         );
         merged.push((id.clone(), data));
     }
-    recorder.incr_counter("shard.merges", 1);
+    ctx.recorder.incr_counter("shard.merges", 1);
     exl_obs::flight::record_with(exl_obs::flight::FlightKind::ShardMerge, "native", || {
         format!(
             "dim {}: {} statement(s), {total_rows} row(s) across {shards} shard(s)",

@@ -25,18 +25,14 @@
 //! [`SubgraphReport::attempts`](crate::engine::SubgraphReport).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use exl_model::schema::CubeId;
-use exl_model::Dataset;
-use exl_obs::{MetricsRegistry, NoopRecorder, Recorder};
+use exl_model::{CubeData, Dataset};
 
 use crate::error::EngineError;
-use crate::target::{execute_in_context, ExecOpts, TargetCode, TargetKind};
-
-/// Shared no-op recorder for metric-less supervision.
-static NOOP: NoopRecorder = NoopRecorder;
+use crate::target::{execute_in, ExecCtx, TargetCode, TargetKind};
 
 /// How the dispatcher behaves when a subgraph execution fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,106 +126,81 @@ impl SubgraphStatus {
     }
 }
 
+/// What [`run_supervised`] returns: the wanted cubes in order (or the
+/// error that ended the chain) and the attempt history.
+pub type Supervised = (Result<Vec<(CubeId, CubeData)>, EngineError>, Vec<Attempt>);
+
 /// Execute translated code under the full fault boundary: panic
 /// containment, deadline, retry with backoff, and the native fallback
-/// chain. Returns the result together with the per-attempt history.
+/// chain, all as `ctx.policy` says. Returns the cubes named in `wanted`,
+/// in that order, together with the per-attempt history.
 ///
 /// Every execution attempt (retries and runtime-fallback attempts
-/// included) becomes an `attempt` child span of `trace`, siblings of each
-/// other, carrying `target`, `attempt` (ordinal) and `status` attributes;
-/// pass [`Span::disabled`](exl_obs::Span::disabled) to trace nothing.
-/// Every attempt executes with `opts` (the sharded dispatcher runs each
-/// shard worker with `eval_threads = Some(1)`).
-#[allow(clippy::too_many_arguments)]
+/// included) becomes an `attempt` child span of `ctx.trace`, siblings of
+/// each other, carrying `target`, `attempt` (ordinal) and `status`
+/// attributes. A backend that succeeds without producing a wanted cube
+/// fails the call after the chain: that is deterministic, so it is
+/// neither retried nor sent to the fallback.
 pub fn run_supervised(
     code: &TargetCode,
     native: Option<&TargetCode>,
     input: &Dataset,
     wanted: &[CubeId],
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
-) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
-    let recorder: &dyn Recorder = match metrics {
-        Some(m) => m.as_ref(),
-        None => &NOOP,
-    };
+    ctx: &ExecCtx,
+) -> Supervised {
     let mut attempts = Vec::new();
-    let primary = attempt_chain(
-        code,
-        input,
-        wanted,
-        policy,
-        metrics,
-        &mut attempts,
-        trace,
-        opts,
-    );
+    let primary = attempt_chain(code, input, wanted, &mut attempts, ctx);
     let result = match primary {
-        Err(e) if e.is_retryable() && policy.runtime_fallback => match native {
+        Err(e) if e.is_retryable() && ctx.policy.runtime_fallback => match native {
             Some(native) => {
-                recorder.incr_counter("engine.runtime_fallbacks", 1);
+                ctx.recorder.incr_counter("engine.runtime_fallbacks", 1);
                 exl_obs::flight::record_with(
                     exl_obs::flight::FlightKind::Fallback,
                     code.target_name(),
                     || format!("runtime fallback to {}: {e}", native.target_name()),
                 );
-                trace.add_event(format!(
+                ctx.trace.add_event(format!(
                     "runtime fallback: {} -> {}",
                     code.target_name(),
                     native.target_name()
                 ));
-                attempt_chain(
-                    native,
-                    input,
-                    wanted,
-                    policy,
-                    metrics,
-                    &mut attempts,
-                    trace,
-                    opts,
-                )
+                attempt_chain(native, input, wanted, &mut attempts, ctx)
             }
             None => Err(e),
         },
         other => other,
     };
-    (result, attempts)
+    let items = result.and_then(|ds| {
+        wanted
+            .iter()
+            .map(|id| match ds.data(id) {
+                Some(data) => Ok((id.clone(), data.clone())),
+                None => Err(EngineError::Execution(format!(
+                    "target produced no data for {id}"
+                ))),
+            })
+            .collect()
+    });
+    (items, attempts)
 }
 
 /// Try one target up to `1 + retries` times, backing off exponentially
 /// between retryable failures.
-#[allow(clippy::too_many_arguments)]
 fn attempt_chain(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
     attempts: &mut Vec<Attempt>,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
+    ctx: &ExecCtx,
 ) -> Result<Dataset, EngineError> {
-    let recorder: &dyn Recorder = match metrics {
-        Some(m) => m.as_ref(),
-        None => &NOOP,
-    };
+    let (policy, recorder) = (ctx.policy, ctx.recorder);
     let target = code.target_kind();
     let mut attempt = 0u32;
     loop {
-        let span = trace.child("attempt");
+        let span = ctx.trace.child("attempt");
         span.set_attr("target", target.name());
         span.set_attr("attempt", attempts.len() as u64 + 1);
-        let result = execute_guarded(
-            code,
-            input,
-            wanted,
-            policy.subgraph_timeout,
-            metrics,
-            &span,
-            opts,
-        );
+        let result = execute_guarded(code, input, wanted, &ctx.under(&span));
         let outcome = match &result {
             Ok(_) => AttemptOutcome::Success,
             Err(EngineError::Panic { message, .. }) => {
@@ -288,50 +259,38 @@ fn attempt_chain(
 
 /// One execution attempt behind the fault boundary. Without a deadline
 /// the backend runs on the calling thread under `catch_unwind` (and under
-/// whatever governor the caller installed); with one it runs on a worker
-/// thread holding a **child** governor. When the deadline passes the
-/// supervisor cancels the child's token and joins the worker: the
-/// backend observes the cancellation at its next checkpoint and exits,
-/// so the thread is reclaimed instead of abandoned. The child token
-/// keeps the cancellation local to this attempt — a retry (or the
-/// native fallback) starts with a fresh, uncancelled child.
-#[allow(clippy::too_many_arguments)]
+/// whatever governor the caller installed); with one it runs on a scoped
+/// worker thread holding a **child** governor, borrowing the code, the
+/// input and `ctx` (so its `execute.<target>` span nests under the
+/// attempt span). When the deadline passes the supervisor cancels the
+/// child's token and joins the worker: the backend observes the
+/// cancellation at its next checkpoint and exits, so the thread is
+/// reclaimed instead of abandoned. The child token keeps the
+/// cancellation local to this attempt — a retry (or the native fallback)
+/// starts with a fresh, uncancelled child.
 fn execute_guarded(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
-    timeout: Option<Duration>,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
+    ctx: &ExecCtx,
 ) -> Result<Dataset, EngineError> {
     let target = code.target_name();
     // the one attempt body of both branches: the backend runs under the
     // `engine.subgraph.<target>` metrics span, a panic becomes
     // `EngineError::Panic`
-    let attempt = move |code: &TargetCode,
-                        input: &Dataset,
-                        wanted: &[CubeId],
-                        metrics: Option<&Arc<MetricsRegistry>>,
-                        ctx: &exl_obs::SpanContext|
-          -> Result<Dataset, EngineError> {
-        let recorder: &dyn Recorder = match metrics {
-            Some(m) => m.as_ref(),
-            None => &NOOP,
-        };
-        let _span = exl_obs::span(recorder, format!("engine.subgraph.{}", code.target_name()));
-        catch_unwind(AssertUnwindSafe(|| {
-            execute_in_context(code, input, wanted, recorder, ctx, opts)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(EngineError::Panic {
-                target: code.target_name().to_string(),
-                message: panic_message(payload),
-            })
-        })
+    let attempt = || {
+        let _span = exl_obs::span(ctx.recorder, format!("engine.subgraph.{target}"));
+        catch_unwind(AssertUnwindSafe(|| execute_in(code, input, wanted, ctx))).unwrap_or_else(
+            |payload| {
+                Err(EngineError::Panic {
+                    target: target.to_string(),
+                    message: panic_message(payload),
+                })
+            },
+        )
     };
-    let Some(deadline) = timeout else {
-        return attempt(code, input, wanted, metrics, &trace.context());
+    let Some(deadline) = ctx.policy.subgraph_timeout else {
+        return attempt();
     };
 
     // the worker governs under a child of the caller's governor: run-level
@@ -340,49 +299,42 @@ fn execute_guarded(
         .unwrap_or_else(crate::govern::Governor::detached)
         .child();
     let attempt_token = attempt_governor.token().clone();
-
-    let code = code.clone();
-    let input = input.clone();
-    let wanted = wanted.to_vec();
-    let metrics = metrics.cloned();
-    // keep the worker's spans parented under the attempt span even though
-    // it runs on its own thread
-    let ctx = trace.context();
     let (tx, rx) = mpsc::channel();
-    let worker = std::thread::Builder::new()
-        .name(format!("exl-dispatch-{target}"))
-        .spawn(move || {
-            let _governor = crate::govern::set_governor(attempt_governor);
-            let result = attempt(&code, &input, &wanted, metrics.as_ref(), &ctx);
-            // the receiver may have given up on us: ignore send failure
-            let _ = tx.send(result);
-        })
-        .map_err(|e| EngineError::Execution(format!("cannot spawn dispatch worker: {e}")))?;
-    let result = match rx.recv_timeout(deadline) {
-        Ok(result) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            attempt_token.cancel(format!(
-                "subgraph deadline of {} ms exceeded",
-                deadline.as_millis()
-            ));
-            Err(EngineError::Timeout {
-                target: target.to_string(),
-                millis: deadline.as_millis() as u64,
+    std::thread::scope(|scope| {
+        let worker = std::thread::Builder::new()
+            .name(format!("exl-dispatch-{target}"))
+            .spawn_scoped(scope, move || {
+                let _governor = crate::govern::set_governor(attempt_governor);
+                // the receiver may have given up on us: ignore send failure
+                let _ = tx.send(attempt());
             })
-        }
-        // unreachable in practice: the worker always sends (panics are
-        // caught), but a vanished worker must not hang the dispatcher
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(EngineError::Panic {
-            target: target.to_string(),
-            message: "dispatch worker vanished without a result".to_string(),
-        }),
-    };
-    // cancel-then-join: after a timeout the worker sees the cancelled
-    // token at its next checkpoint (injected delays are sliced and abort
-    // early) and exits; on the success/error paths it has already sent,
-    // so the join is immediate either way
-    let _ = worker.join();
-    result
+            .map_err(|e| EngineError::Execution(format!("cannot spawn dispatch worker: {e}")))?;
+        let result = match rx.recv_timeout(deadline) {
+            Ok(result) => result,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                attempt_token.cancel(format!(
+                    "subgraph deadline of {} ms exceeded",
+                    deadline.as_millis()
+                ));
+                Err(EngineError::Timeout {
+                    target: target.to_string(),
+                    millis: deadline.as_millis() as u64,
+                })
+            }
+            // unreachable in practice: the worker always sends (panics are
+            // caught), but a vanished worker must not hang the dispatcher
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(EngineError::Panic {
+                target: target.to_string(),
+                message: "dispatch worker vanished without a result".to_string(),
+            }),
+        };
+        // cancel-then-join: after a timeout the worker sees the cancelled
+        // token at its next checkpoint (injected delays are sliced and abort
+        // early) and exits; on the success/error paths it has already sent,
+        // so the join is immediate either way
+        let _ = worker.join();
+        result
+    })
 }
 
 /// Render a `catch_unwind` payload as text.
@@ -399,7 +351,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::translate;
+    use crate::target::{translate, ExecOpts};
+    use exl_obs::MetricsRegistry;
     use exl_workload::{gdp_scenario, GdpConfig};
 
     fn native_setup() -> (TargetCode, Dataset, Vec<CubeId>) {
@@ -416,11 +369,19 @@ mod tests {
         input: &Dataset,
         wanted: &[CubeId],
         policy: &DispatchPolicy,
-        metrics: Option<&Arc<MetricsRegistry>>,
-    ) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
-        let trace = exl_obs::Span::disabled();
-        let opts = ExecOpts::default();
-        run_supervised(code, native, input, wanted, policy, metrics, &trace, opts)
+        metrics: Option<&MetricsRegistry>,
+    ) -> Supervised {
+        let recorder: &dyn exl_obs::Recorder = match metrics {
+            Some(m) => m,
+            None => &exl_obs::NoopRecorder,
+        };
+        let ctx = ExecCtx {
+            recorder,
+            trace: &exl_obs::Span::disabled(),
+            opts: ExecOpts::default(),
+            policy,
+        };
+        run_supervised(code, native, input, wanted, &ctx)
     }
 
     #[test]
@@ -529,7 +490,7 @@ mod tests {
             backoff_base: Duration::ZERO,
             ..DispatchPolicy::default()
         };
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = MetricsRegistry::new();
         let (result, attempts) = supervise(&code, None, &input, &wanted, &policy, Some(&registry));
         assert!(result.is_ok(), "{result:?}");
         assert_eq!(attempts.len(), 2);
@@ -552,7 +513,7 @@ mod tests {
             runtime_fallback: true,
             ..DispatchPolicy::default()
         };
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = MetricsRegistry::new();
         let input = input.restrict(&analyzed.elementary_inputs());
         let (result, attempts) = supervise(
             &sql,
@@ -582,12 +543,15 @@ mod tests {
             backoff_base: Duration::ZERO,
             ..DispatchPolicy::default()
         };
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = MetricsRegistry::new();
         let (result, attempts) = supervise(&code, None, &input, &wanted, &policy, Some(&registry));
-        // native restrict() just yields an empty dataset for unknown ids,
-        // so this run can succeed; the property under test is only that
-        // retryable classification drives the attempt count
-        let _ = result;
-        assert!(attempts.len() <= 4);
+        let err = result.unwrap_err();
+        assert!(
+            err.to_string().contains("produced no data for NOPE"),
+            "{err}"
+        );
+        assert_eq!(attempts.len(), 1);
+        assert_eq!(attempts[0].outcome, AttemptOutcome::Success);
+        assert_eq!(registry.counter("engine.retries"), 0);
     }
 }

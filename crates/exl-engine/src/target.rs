@@ -19,6 +19,7 @@ use exl_model::schema::{CubeId, CubeKind, CubeSchema};
 use exl_model::{CubeData, Dataset};
 
 use crate::error::EngineError;
+use crate::supervise::DispatchPolicy;
 
 /// The available target systems.
 #[derive(
@@ -255,9 +256,10 @@ pub fn translate(
     }
 }
 
-/// Per-dispatch execution options, threaded from the engine down to the
-/// native evaluator, so parallel test harnesses (and parallel shard
-/// workers) pick their settings per run instead of through process state.
+/// Per-dispatch execution options, carried in [`ExecCtx`] from the
+/// engine down to the native evaluator, so parallel test harnesses (and
+/// parallel shard workers) pick their settings per run instead of
+/// through process state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOpts {
     /// Fixed native-evaluator worker count (`None` probes the machine).
@@ -266,45 +268,235 @@ pub struct ExecOpts {
     pub eval_threads: Option<usize>,
 }
 
+/// The execution context of one dispatch, passed by reference from the
+/// engine through the supervisor to the backend: where metrics go, the
+/// span the work nests under, the execution options and the fault
+/// policy. It only borrows, so scoped workers (shards, parallel jobs,
+/// the deadline worker) share their dispatcher's context as is.
+#[derive(Clone, Copy)]
+pub struct ExecCtx<'a> {
+    /// Metrics sink (the no-op recorder when metrics are off).
+    pub recorder: &'a dyn exl_obs::Recorder,
+    /// The span new work opens its children under
+    /// ([`Span::disabled`](exl_obs::Span::disabled) traces nothing).
+    pub trace: &'a exl_obs::Span,
+    /// Execution options.
+    pub opts: ExecOpts,
+    /// Retry, deadline and fallback policy.
+    pub policy: &'a DispatchPolicy,
+}
+
+impl<'a> ExecCtx<'a> {
+    /// The same context, nested under `trace`.
+    pub fn under<'b>(&self, trace: &'b exl_obs::Span) -> ExecCtx<'b>
+    where
+        'a: 'b,
+    {
+        ExecCtx { trace, ..*self }
+    }
+}
+
 /// Execute translated code against input data, returning the cubes named
 /// in `wanted` (normally the subgraph's statement targets — rewrite
-/// auxiliaries are filtered out here).
+/// auxiliaries are filtered out here). Untraced, with default options.
 pub fn execute(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
 ) -> Result<Dataset, EngineError> {
-    execute_in_context(
-        code,
-        input,
-        wanted,
-        &exl_obs::NoopRecorder,
-        &exl_obs::Span::disabled().context(),
-        ExecOpts::default(),
-    )
+    let ctx = ExecCtx {
+        recorder: &exl_obs::NoopRecorder,
+        trace: &exl_obs::Span::disabled(),
+        opts: ExecOpts::default(),
+        policy: &DispatchPolicy::default(),
+    };
+    execute_in(code, input, wanted, &ctx)
 }
 
-/// [`execute`] instrumented and parameterized: the whole call runs under
-/// the `target.execute.<name>` metrics span and an `execute.<target>`
-/// child span of `ctx` (a [`SpanContext`](exl_obs::SpanContext), so the
-/// supervisor keeps the span tree connected across its worker threads);
-/// each backend records its internal steps as grandchildren
-/// (`chase.tgd`, `sql.stmt`, `rmini.stmt`, `matmini.stmt`, `etl.flow`, …)
-/// and the chase / parallel-ETL backends emit their own counters to
-/// `recorder`. `opts` sets the native evaluator's worker count per run.
-pub fn execute_in_context(
+/// [`execute`] in a context: the whole call runs under the
+/// `target.execute.<name>` metrics span and an `execute.<target>` child
+/// of `ctx.trace`; each backend records its internal steps as
+/// grandchildren (`chase.tgd`, `sql.stmt`, `rmini.stmt`, `matmini.stmt`,
+/// `etl.flow`, …), the native and chase backends emit their counters to
+/// `ctx.recorder`, and `ctx.opts` sets the native evaluator's worker
+/// count.
+pub fn execute_in(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    ctx: &exl_obs::SpanContext,
-    opts: ExecOpts,
+    ctx: &ExecCtx,
 ) -> Result<Dataset, EngineError> {
+    let (recorder, opts) = (ctx.recorder, ctx.opts);
     let _span = exl_obs::span(recorder, format!("target.execute.{}", code.target_name()));
-    let exec = ctx.child(format!("execute.{}", code.target_name()));
+    let exec = ctx.trace.child(format!("execute.{}", code.target_name()));
     exec.set_attr("target", code.target_name());
     exec.set_attr("rows_in", dataset_rows(input));
-    let out = execute_traced_inner(code, input, wanted, recorder, &exec, opts);
+    // the backend call: every exit, early ones included, lands in `out`
+    // so the span is stamped on every path; backends nest their steps
+    // under it
+    let trace = &exec;
+    let out = (|| -> Result<Dataset, EngineError> {
+        // chaos hook: `exec.<target>` covers the whole backend execution
+        exl_fault::check(&format!("exec.{}", code.target_name()))
+            .map_err(|e| EngineError::Execution(e.to_string()))?;
+        // governance checkpoint before dispatch: a run cancelled while this
+        // subgraph was queued never starts its backend at all
+        exl_fault::govern::checkpoint()?;
+        let full = match code {
+            TargetCode::Native { analyzed } => {
+                let (full, plan) =
+                    exl_eval::run_program_with_threads(analyzed, input, opts.eval_threads)
+                        .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
+                // plan-compilation telemetry: counters accumulate per run,
+                // flight events mark which subgraphs actually fused or CSE'd
+                recorder.incr_counter("plan.regions", plan.regions);
+                recorder.incr_counter("plan.fused_statements", plan.fused_statements);
+                recorder.incr_counter("plan.fused_ops", plan.fused_ops);
+                recorder.incr_counter("plan.cse_reuses", plan.cse_reuses);
+                recorder.incr_counter("plan.bytes_not_materialized", plan.bytes_not_materialized);
+                // the evaluator's own `CubeData` boundary: inputs in, outputs out
+                recorder.incr_counter("eval.intern.rows", plan.intern_rows);
+                recorder.incr_counter("eval.intern.ns", plan.intern_ns);
+                recorder.incr_counter("eval.to_data.rows", plan.to_data_rows);
+                recorder.incr_counter("eval.to_data.ns", plan.to_data_ns);
+                if plan.fused_ops > 0 {
+                    exl_obs::flight::record_with(
+                        exl_obs::flight::FlightKind::PlanFuse,
+                        "native",
+                        || {
+                            format!(
+                                "regions={} fused_statements={} fused_ops={} bytes_not_materialized={}",
+                                plan.regions,
+                                plan.fused_statements,
+                                plan.fused_ops,
+                                plan.bytes_not_materialized
+                            )
+                        },
+                    );
+                }
+                if plan.cse_reuses > 0 {
+                    exl_obs::flight::record_with(
+                        exl_obs::flight::FlightKind::PlanCse,
+                        "native",
+                        || format!("cse_reuses={}", plan.cse_reuses),
+                    );
+                }
+                full
+            }
+            TargetCode::Chase { mapping, schemas } => {
+                let result = exl_chase::chase_traced(
+                    mapping,
+                    schemas,
+                    input,
+                    ChaseMode::Stratified,
+                    recorder,
+                    trace,
+                )
+                .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
+                let mut solution = result.solution;
+                // relations the chase never derived a fact for are still part
+                // of the target schema: surface them as empty cubes
+                for id in wanted {
+                    if !solution.contains(id) {
+                        if let Some(schema) = schemas.get(id) {
+                            solution.put(exl_model::Cube::new(
+                                schema.clone(),
+                                exl_model::CubeData::new(),
+                            ));
+                        }
+                    }
+                }
+                solution
+            }
+            TargetCode::Sql {
+                statements,
+                schemas,
+            } => {
+                // staged inputs go in as typed rows, in storage order
+                let mut engine = exl_sqlengine::Engine::new();
+                for (_, cube) in input.iter() {
+                    engine
+                        .db
+                        .create_table(exl_sqlengine::Table::from_cube(cube))
+                        .map_err(|e| EngineError::Execution(e.to_string()))?;
+                }
+                for stmt in statements {
+                    engine.execute(stmt, trace).map_err(|e| {
+                        governed_or(e.govern_cause(), &e, Some(&format!("statement:\n{stmt}")))
+                    })?;
+                }
+                let mut out = Dataset::new();
+                for id in wanted {
+                    let schema = schemas
+                        .get(id)
+                        .ok_or_else(|| EngineError::Execution(format!("no schema for {id}")))?;
+                    let table = engine
+                        .db
+                        .table(id.as_str())
+                        .ok_or_else(|| EngineError::Execution(format!("no table for {id}")))?;
+                    let data = table
+                        .to_cube_data(schema)
+                        .map_err(|e| EngineError::Execution(e.to_string()))?;
+                    out.put(exl_model::Cube::new(schema.clone(), data));
+                }
+                return Ok(out);
+            }
+            TargetCode::R { script, schemas } => {
+                let mut interp = exl_rmini::RInterp::new();
+                for (id, cube) in input.iter() {
+                    interp.bind_frame(id.as_str(), exl_rmini::frame_from_cube(cube));
+                }
+                interp.run(script, trace).map_err(|e| {
+                    governed_or(e.govern_cause(), &e, Some(&format!("script:\n{script}")))
+                })?;
+                let mut out = Dataset::new();
+                for id in wanted {
+                    let schema = schemas
+                        .get(id)
+                        .ok_or_else(|| EngineError::Execution(format!("no schema for {id}")))?;
+                    let frame = interp
+                        .frame(id.as_str())
+                        .ok_or_else(|| EngineError::Execution(format!("no frame for {id}")))?;
+                    let data = exl_rmini::frame_to_cube_data(frame, schema)
+                        .map_err(|e| EngineError::Execution(e.to_string()))?;
+                    charge_output(&data, schema);
+                    out.put(exl_model::Cube::new(schema.clone(), data));
+                }
+                exl_fault::govern::checkpoint()?;
+                return Ok(out);
+            }
+            TargetCode::Matlab { script, schemas } => {
+                let mut session = exl_matmini::MatSession::new();
+                let mut interp = exl_matmini::MatInterp::new();
+                for (id, cube) in input.iter() {
+                    interp.bind(id.as_str(), session.encode(cube));
+                }
+                interp.run(script, trace).map_err(|e| {
+                    governed_or(e.govern_cause(), &e, Some(&format!("script:\n{script}")))
+                })?;
+                let mut out = Dataset::new();
+                for id in wanted {
+                    let schema = schemas
+                        .get(id)
+                        .ok_or_else(|| EngineError::Execution(format!("no schema for {id}")))?;
+                    let matrix = interp
+                        .matrix(id.as_str())
+                        .ok_or_else(|| EngineError::Execution(format!("no matrix for {id}")))?;
+                    let data = session
+                        .decode(matrix, schema)
+                        .map_err(|e| EngineError::Execution(e.to_string()))?;
+                    charge_output(&data, schema);
+                    out.put(exl_model::Cube::new(schema.clone(), data));
+                }
+                exl_fault::govern::checkpoint()?;
+                return Ok(out);
+            }
+            TargetCode::Etl { job } => job
+                .run(input, trace)
+                .map_err(|e| governed_or(e.govern_cause(), &e, None))?,
+        };
+        Ok(full.restrict(wanted))
+    })();
     match &out {
         Ok(ds) => {
             exec.set_attr("rows_out", dataset_rows(ds));
@@ -340,176 +532,6 @@ fn governed_or<E: std::fmt::Display>(
         Some(d) => EngineError::Execution(format!("{e}\n{d}")),
         None => EngineError::Execution(e.to_string()),
     }
-}
-
-fn execute_traced_inner(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
-) -> Result<Dataset, EngineError> {
-    // chaos hook: `exec.<target>` covers the whole backend execution
-    exl_fault::check(&format!("exec.{}", code.target_name()))
-        .map_err(|e| EngineError::Execution(e.to_string()))?;
-    // governance checkpoint before dispatch: a run cancelled while this
-    // subgraph was queued never starts its backend at all
-    exl_fault::govern::checkpoint()?;
-    let full = match code {
-        TargetCode::Native { analyzed } => {
-            let (full, plan) =
-                exl_eval::run_program_with_threads(analyzed, input, opts.eval_threads)
-                    .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
-            // plan-compilation telemetry: counters accumulate per run,
-            // flight events mark which subgraphs actually fused or CSE'd
-            recorder.incr_counter("plan.regions", plan.regions);
-            recorder.incr_counter("plan.fused_statements", plan.fused_statements);
-            recorder.incr_counter("plan.fused_ops", plan.fused_ops);
-            recorder.incr_counter("plan.cse_reuses", plan.cse_reuses);
-            recorder.incr_counter("plan.bytes_not_materialized", plan.bytes_not_materialized);
-            // the evaluator's own `CubeData` boundary: inputs in, outputs out
-            recorder.incr_counter("eval.intern.rows", plan.intern_rows);
-            recorder.incr_counter("eval.intern.ns", plan.intern_ns);
-            recorder.incr_counter("eval.to_data.rows", plan.to_data_rows);
-            recorder.incr_counter("eval.to_data.ns", plan.to_data_ns);
-            if plan.fused_ops > 0 {
-                exl_obs::flight::record_with(
-                    exl_obs::flight::FlightKind::PlanFuse,
-                    "native",
-                    || {
-                        format!(
-                            "regions={} fused_statements={} fused_ops={} bytes_not_materialized={}",
-                            plan.regions,
-                            plan.fused_statements,
-                            plan.fused_ops,
-                            plan.bytes_not_materialized
-                        )
-                    },
-                );
-            }
-            if plan.cse_reuses > 0 {
-                exl_obs::flight::record_with(
-                    exl_obs::flight::FlightKind::PlanCse,
-                    "native",
-                    || format!("cse_reuses={}", plan.cse_reuses),
-                );
-            }
-            full
-        }
-        TargetCode::Chase { mapping, schemas } => {
-            let result = exl_chase::chase_traced(
-                mapping,
-                schemas,
-                input,
-                ChaseMode::Stratified,
-                recorder,
-                trace,
-            )
-            .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
-            let mut solution = result.solution;
-            // relations the chase never derived a fact for are still part
-            // of the target schema: surface them as empty cubes
-            for id in wanted {
-                if !solution.contains(id) {
-                    if let Some(schema) = schemas.get(id) {
-                        solution.put(exl_model::Cube::new(
-                            schema.clone(),
-                            exl_model::CubeData::new(),
-                        ));
-                    }
-                }
-            }
-            solution
-        }
-        TargetCode::Sql {
-            statements,
-            schemas,
-        } => {
-            // staged inputs go in as typed rows, in storage order
-            let mut engine = exl_sqlengine::Engine::new();
-            for (_, cube) in input.iter() {
-                engine
-                    .db
-                    .create_table(exl_sqlengine::Table::from_cube(cube))
-                    .map_err(|e| EngineError::Execution(e.to_string()))?;
-            }
-            for stmt in statements {
-                engine.execute_traced(stmt, trace).map_err(|e| {
-                    governed_or(e.govern_cause(), &e, Some(&format!("statement:\n{stmt}")))
-                })?;
-            }
-            let mut out = Dataset::new();
-            for id in wanted {
-                let schema = schemas
-                    .get(id)
-                    .ok_or_else(|| EngineError::Execution(format!("no schema for {id}")))?;
-                let table = engine
-                    .db
-                    .table(id.as_str())
-                    .ok_or_else(|| EngineError::Execution(format!("no table for {id}")))?;
-                let data = table
-                    .to_cube_data(schema)
-                    .map_err(|e| EngineError::Execution(e.to_string()))?;
-                out.put(exl_model::Cube::new(schema.clone(), data));
-            }
-            return Ok(out);
-        }
-        TargetCode::R { script, schemas } => {
-            let mut interp = exl_rmini::RInterp::new();
-            for (id, cube) in input.iter() {
-                interp.bind_frame(id.as_str(), exl_rmini::frame_from_cube(cube));
-            }
-            interp.run_traced(script, trace).map_err(|e| {
-                governed_or(e.govern_cause(), &e, Some(&format!("script:\n{script}")))
-            })?;
-            let mut out = Dataset::new();
-            for id in wanted {
-                let schema = schemas
-                    .get(id)
-                    .ok_or_else(|| EngineError::Execution(format!("no schema for {id}")))?;
-                let frame = interp
-                    .frame(id.as_str())
-                    .ok_or_else(|| EngineError::Execution(format!("no frame for {id}")))?;
-                let data = exl_rmini::frame_to_cube_data(frame, schema)
-                    .map_err(|e| EngineError::Execution(e.to_string()))?;
-                charge_output(&data, schema);
-                out.put(exl_model::Cube::new(schema.clone(), data));
-            }
-            exl_fault::govern::checkpoint()?;
-            return Ok(out);
-        }
-        TargetCode::Matlab { script, schemas } => {
-            let mut session = exl_matmini::MatSession::new();
-            let mut interp = exl_matmini::MatInterp::new();
-            for (id, cube) in input.iter() {
-                interp.bind(id.as_str(), session.encode(cube));
-            }
-            interp.run_traced(script, trace).map_err(|e| {
-                governed_or(e.govern_cause(), &e, Some(&format!("script:\n{script}")))
-            })?;
-            let mut out = Dataset::new();
-            for id in wanted {
-                let schema = schemas
-                    .get(id)
-                    .ok_or_else(|| EngineError::Execution(format!("no schema for {id}")))?;
-                let matrix = interp
-                    .matrix(id.as_str())
-                    .ok_or_else(|| EngineError::Execution(format!("no matrix for {id}")))?;
-                let data = session
-                    .decode(matrix, schema)
-                    .map_err(|e| EngineError::Execution(e.to_string()))?;
-                charge_output(&data, schema);
-                out.put(exl_model::Cube::new(schema.clone(), data));
-            }
-            exl_fault::govern::checkpoint()?;
-            return Ok(out);
-        }
-        TargetCode::Etl { job } => job
-            .run_traced(input, trace)
-            .map_err(|e| governed_or(e.govern_cause(), &e, None))?,
-    };
-    Ok(full.restrict(wanted))
 }
 
 /// Charge one decoded backend output against the run budget, as the

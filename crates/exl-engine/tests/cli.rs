@@ -396,6 +396,66 @@ fn fault_flags_run_through_the_supervisor() {
     assert!(String::from_utf8(out.stderr).unwrap().contains("--retries"));
 }
 
+/// The wide program of `scripts/check.sh`: `A` is shard-local, `T` a
+/// merge barrier, so a sharded run records several successful attempts.
+const WIDE_PROGRAM: &str = r#"
+cube W(q: time[quarter], r: text) -> v;
+A := 2 * W;
+T := sum(A, group by q);
+"#;
+
+const WIDE_DATA: &str = r#"{ "W": [
+    [[{"Time": {"Quarter": {"year": 2020, "quarter": 1}}}, {"Str": "north"}], 1.0],
+    [[{"Time": {"Quarter": {"year": 2020, "quarter": 1}}}, {"Str": "south"}], 2.0],
+    [[{"Time": {"Quarter": {"year": 2020, "quarter": 2}}}, {"Str": "north"}], 3.0],
+    [[{"Time": {"Quarter": {"year": 2020, "quarter": 2}}}, {"Str": "south"}], 4.0]
+]}"#;
+
+/// "run succeeded after …" reports retries, so it needs an attempt that
+/// did not succeed: a clean sharded run (one successful attempt per shard
+/// and per barrier) prints nothing, a retried fault prints one failure.
+#[test]
+fn retry_line_counts_only_failed_attempts() {
+    let p = write_tmp("retry-line.exl", WIDE_PROGRAM);
+    let d = write_tmp("retry-line.json", WIDE_DATA);
+    let dir = std::env::temp_dir().join(format!("exlc-retry-line-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (p, d) = (p.to_str().unwrap(), d.to_str().unwrap());
+
+    let clean = exlc(&[
+        "--shards",
+        "2",
+        "--cache-dir",
+        dir.to_str().unwrap(),
+        "run",
+        p,
+        d,
+    ]);
+    let stderr = String::from_utf8_lossy(&clean.stderr);
+    assert!(clean.status.success(), "{stderr}");
+    assert!(!stderr.contains("run succeeded after"), "{stderr}");
+
+    let retried = exlc(&[
+        "--retries",
+        "1",
+        "--inject-fault",
+        "exec.native:1:error",
+        "--shards",
+        "2",
+        "run",
+        p,
+        d,
+    ]);
+    let stderr = String::from_utf8_lossy(&retried.stderr);
+    assert!(retried.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("run succeeded after 1 failed attempt"),
+        "{stderr}"
+    );
+    assert_eq!(clean.stdout, retried.stdout);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn trace_flag_writes_chrome_trace_json() {
     let p = write_tmp("trace.exl", PROGRAM);

@@ -207,16 +207,12 @@ pub struct Job {
 
 impl Flow {
     /// Execute the flow sequentially against a dataset, returning the
-    /// produced cube data.
-    pub fn run(&self, data: &Dataset) -> Result<CubeData, EtlError> {
-        self.run_traced(data, &exl_obs::Span::disabled())
-    }
-
-    /// [`Flow::run`] with hierarchical tracing: the flow runs under an
-    /// `etl.flow` child span of `trace`, with one child span per step
-    /// (`etl.source`, `etl.merge`, `etl.transform`, `etl.output`)
-    /// carrying the step's row counts.
-    pub fn run_traced(&self, data: &Dataset, trace: &exl_obs::Span) -> Result<CubeData, EtlError> {
+    /// produced cube data. The flow runs under an `etl.flow` child span
+    /// of `trace`, with one child span per step (`etl.source`,
+    /// `etl.merge`, `etl.transform`, `etl.output`) carrying the step's
+    /// row counts; pass [`Span::disabled`](exl_obs::Span::disabled) to
+    /// trace nothing.
+    pub fn run(&self, data: &Dataset, trace: &exl_obs::Span) -> Result<CubeData, EtlError> {
         if self.sources.is_empty() {
             return Err(EtlError::msg(format!("flow {}: no data sources", self.id)));
         }
@@ -288,16 +284,12 @@ impl TransformStep {
 }
 
 impl Job {
-    /// Run every flow in order, extending the dataset with each result.
-    pub fn run(&self, input: &Dataset) -> Result<Dataset, EtlError> {
-        self.run_traced(input, &exl_obs::Span::disabled())
-    }
-
-    /// [`Job::run`] with per-flow and per-step trace spans under `trace`.
-    pub fn run_traced(&self, input: &Dataset, trace: &exl_obs::Span) -> Result<Dataset, EtlError> {
+    /// Run every flow in order, extending the dataset with each result,
+    /// with per-flow and per-step trace spans under `trace`.
+    pub fn run(&self, input: &Dataset, trace: &exl_obs::Span) -> Result<Dataset, EtlError> {
         let mut ds = input.clone();
         for flow in &self.flows {
-            let data = flow.run_traced(&ds, trace)?;
+            let data = flow.run(&ds, trace)?;
             let schema = self
                 .schemas
                 .get(&flow.output.relation)

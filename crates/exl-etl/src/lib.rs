@@ -25,6 +25,7 @@ mod tests {
     use exl_map::generate::{generate_mapping, GenMode};
     use exl_model::value::DimValue;
     use exl_model::{Cube, CubeData, Dataset, TimePoint};
+    use exl_obs::Span;
 
     const GDP_SRC: &str = r#"
         cube PDR(d: time[day], r: text) -> p;
@@ -132,7 +133,7 @@ mod tests {
         let (analyzed, mapping, _, input) = gdp_setup();
         let job = mapping_to_job(&mapping).unwrap();
         let reference = exl_eval::run_program(&analyzed, &input).unwrap();
-        let out = job.run(&input).unwrap();
+        let out = job.run(&input, &Span::disabled()).unwrap();
         for id in analyzed.program.derived_ids() {
             let want = reference.data(&id).unwrap();
             let got = out.data(&id).unwrap();
@@ -161,7 +162,7 @@ mod tests {
             CubeData::from_tuples(vec![(vec![DimValue::Int(2)], 5.0)]).unwrap(),
         ));
         let job = mapping_to_job(&mapping).unwrap();
-        let out = job.run(&input).unwrap();
+        let out = job.run(&input, &Span::disabled()).unwrap();
         let c = out.data(&"C".into()).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(&[DimValue::Int(1)]), Some(1.0));
@@ -172,7 +173,7 @@ mod tests {
     fn missing_input_cube_reported() {
         let (_, mapping, _, _) = gdp_setup();
         let job = mapping_to_job(&mapping).unwrap();
-        let err = job.run(&Dataset::new()).unwrap_err();
+        let err = job.run(&Dataset::new(), &Span::disabled()).unwrap_err();
         assert!(err.to_string().contains("missing input cube"), "{err}");
     }
 
@@ -190,7 +191,7 @@ mod tests {
                 measure_field: "v".into(),
             },
         };
-        let err = flow.run(&Dataset::new()).unwrap_err();
+        let err = flow.run(&Dataset::new(), &Span::disabled()).unwrap_err();
         assert!(err.to_string().contains("no data sources"), "{err}");
     }
 
@@ -217,7 +218,7 @@ mod tests {
             .unwrap(),
         ));
         let job = mapping_to_job(&mapping).unwrap();
-        let out = job.run(&input).unwrap();
+        let out = job.run(&input, &Span::disabled()).unwrap();
         let c = out.data(&"C".into()).unwrap();
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(&[DimValue::Int(2)]), Some(2.0));

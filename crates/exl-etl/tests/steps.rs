@@ -51,7 +51,7 @@ fn run(flow: &Flow, cubes: Vec<Cube>) -> Result<CubeData, EtlError> {
     for c in cubes {
         ds.put(c);
     }
-    flow.run(&ds)
+    flow.run(&ds, &exl_obs::Span::disabled())
 }
 
 #[test]

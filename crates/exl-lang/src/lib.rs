@@ -34,25 +34,3 @@ pub use error::LangError;
 pub use normalize::normalize;
 pub use parser::{parse_expr, parse_program};
 pub use pretty::{expr_to_string, program_to_string, statement_to_string};
-
-/// [`parse_program`] timed under the `lang.parse` span, with the
-/// statement count mirrored into the `lang.statements` counter.
-pub fn parse_program_recorded(
-    source: &str,
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<Program, LangError> {
-    let _span = exl_obs::span(recorder, "lang.parse");
-    let program = parse_program(source)?;
-    recorder.incr_counter("lang.statements", program.statements.len() as u64);
-    Ok(program)
-}
-
-/// [`analyze()`](fn@analyze) timed under the `lang.analyze` span.
-pub fn analyze_recorded(
-    program: &Program,
-    external: &[exl_model::schema::CubeSchema],
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<AnalyzedProgram, LangError> {
-    let _span = exl_obs::span(recorder, "lang.analyze");
-    analyze(program, external)
-}

@@ -417,7 +417,7 @@ mod tests {
         }
         let script = mapping_to_matlab(&mapping).unwrap();
         interp
-            .run(&script)
+            .run(&script, &exl_obs::Span::disabled())
             .unwrap_or_else(|e| panic!("{e}\nscript:\n{script}"));
 
         let reference = exl_eval::run_program(&analyzed, &input).unwrap();

@@ -447,14 +447,10 @@ impl MatInterp {
         self.env.get(name)
     }
 
-    /// Run a script.
-    pub fn run(&mut self, src: &str) -> Result<(), MatError> {
-        self.run_traced(src, &exl_obs::Span::disabled())
-    }
-
-    /// [`run`](MatInterp::run) with one `matmini.stmt` child span of
-    /// `trace` per executed statement (attrs: `index`, `var`).
-    pub fn run_traced(&mut self, src: &str, trace: &exl_obs::Span) -> Result<(), MatError> {
+    /// Run a script, with one `matmini.stmt` child span of `trace` per
+    /// executed statement (attrs: `index`, `var`); pass
+    /// [`Span::disabled`](exl_obs::Span::disabled) to trace nothing.
+    pub fn run(&mut self, src: &str, trace: &exl_obs::Span) -> Result<(), MatError> {
         exl_fault::check("matmini.run").map_err(|e| MatError::eval(e.to_string()))?;
         for (i, stmt) in parse(src)?.iter().enumerate() {
             // governance checkpoint per statement: a cancelled or
@@ -961,6 +957,7 @@ fn series(m: &Matrix, tcol: usize, op: SeriesOp, period: usize) -> Result<MVal, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exl_obs::Span;
 
     fn interp_with(ms: Vec<(&str, Matrix)>) -> MatInterp {
         let mut i = MatInterp::new();
@@ -989,6 +986,7 @@ mod tests {
             "tmp = join(PQR, 1:2, RGDPPC, 1:2)\n\
              tmp(:,5) = tmp(:,3) .* tmp(:,4)\n\
              TGDP = [tmp(:,1) tmp(:,2) tmp(:,5)]",
+            &Span::disabled(),
         )
         .unwrap();
         let t = i.matrix("TGDP").unwrap();
@@ -1010,7 +1008,8 @@ mod tests {
             ncols: 2,
         };
         let mut i = interp_with(vec![("GDP", gdp)]);
-        i.run("GDPC = isolateTrend(GDP, 1, 4)").unwrap();
+        i.run("GDPC = isolateTrend(GDP, 1, 4)", &Span::disabled())
+            .unwrap();
         let t = i.matrix("GDPC").unwrap();
         assert_eq!(t.nrows(), 12);
         assert!(t.rows.iter().all(|r| r[1].is_finite()));
@@ -1020,10 +1019,12 @@ mod tests {
     fn aggregate_groups_and_applies() {
         let m = mat(&[&[1.0, 10.0], &[1.0, 20.0], &[2.0, 5.0]]);
         let mut i = interp_with(vec![("M", m)]);
-        i.run("A = aggregate(M, 1:1, 2, 'sum')").unwrap();
+        i.run("A = aggregate(M, 1:1, 2, 'sum')", &Span::disabled())
+            .unwrap();
         let a = i.matrix("A").unwrap();
         assert_eq!(a.rows, vec![vec![1.0, 30.0], vec![2.0, 5.0]]);
-        i.run("B = aggregate(M, 1:1, 2, 'avg')").unwrap();
+        i.run("B = aggregate(M, 1:1, 2, 'avg')", &Span::disabled())
+            .unwrap();
         assert_eq!(i.matrix("B").unwrap().rows[0][1], 15.0);
     }
 
@@ -1037,6 +1038,7 @@ mod tests {
              tmp(:,4) = tmp(:,2) ./ tmp(:,3)\n\
              tmp = tmp(isfinite(tmp(:,4)),:)\n\
              C = [tmp(:,1) tmp(:,4)]",
+            &Span::disabled(),
         )
         .unwrap();
         let c = i.matrix("C").unwrap();
@@ -1050,7 +1052,8 @@ mod tests {
         let d = exl_model::TimePoint::Day(Date::from_ymd(2020, 5, 3).unwrap());
         let m = Matrix::column(vec![d.index() as f64]);
         let mut i = interp_with(vec![("D", m)]);
-        i.run("Q = convertTime(D, 'day', 'quarter')").unwrap();
+        i.run("Q = convertTime(D, 'day', 'quarter')", &Span::disabled())
+            .unwrap();
         let q = i.matrix("Q").unwrap().rows[0][0];
         let expect = exl_model::TimePoint::Quarter {
             year: 2020,
@@ -1069,7 +1072,7 @@ mod tests {
         };
         let m = Matrix::column(vec![q4.index() as f64]);
         let mut i = interp_with(vec![("Q", m)]);
-        i.run("Q2 = Q + 1").unwrap();
+        i.run("Q2 = Q + 1", &Span::disabled()).unwrap();
         let got = i.matrix("Q2").unwrap().rows[0][0] as i64;
         assert_eq!(
             exl_model::TimePoint::from_index(exl_model::Frequency::Quarterly, got),
@@ -1090,7 +1093,7 @@ mod tests {
             &[1.0, 8.0, 20.0],
         ]);
         let mut i = interp_with(vec![("M", m)]);
-        i.run("C = cumsumSeries(M, 1)").unwrap();
+        i.run("C = cumsumSeries(M, 1)", &Span::disabled()).unwrap();
         let c = i.matrix("C").unwrap();
         assert_eq!(c.rows[1][2], 3.0);
         assert_eq!(c.rows[3][2], 30.0);
@@ -1100,8 +1103,11 @@ mod tests {
     fn remaining_series_builtins() {
         let m = mat(&[&[0.0, 2.0], &[1.0, 4.0], &[2.0, 6.0], &[3.0, 8.0]]);
         let mut i = interp_with(vec![("M", m)]);
-        i.run("Z = zscoreSeries(M, 1)\nL = linTrendSeries(M, 1)\nA = movavgSeries(M, 1, 2)")
-            .unwrap();
+        i.run(
+            "Z = zscoreSeries(M, 1)\nL = linTrendSeries(M, 1)\nA = movavgSeries(M, 1, 2)",
+            &Span::disabled(),
+        )
+        .unwrap();
         let z = i.matrix("Z").unwrap();
         let mean: f64 = z.rows.iter().map(|r| r[1]).sum::<f64>() / 4.0;
         assert!(mean.abs() < 1e-12);
@@ -1117,8 +1123,11 @@ mod tests {
     #[test]
     fn math_functions_and_scalars() {
         let mut i = interp_with(vec![("M", mat(&[&[1.0, 4.0]]))]);
-        i.run("S = sqrt(M(:,2))\nE = exp(0)\nA = abs(0 - 3)")
-            .unwrap();
+        i.run(
+            "S = sqrt(M(:,2))\nE = exp(0)\nA = abs(0 - 3)",
+            &Span::disabled(),
+        )
+        .unwrap();
         assert_eq!(i.matrix("S").unwrap().rows[0][0], 2.0);
         assert_eq!(i.matrix("E").unwrap().rows[0][0], 1.0);
         assert_eq!(i.matrix("A").unwrap().rows[0][0], 3.0);
@@ -1127,24 +1136,30 @@ mod tests {
     #[test]
     fn errors() {
         let mut i = MatInterp::new();
-        assert!(i.run("x = missing").is_err());
-        assert!(i.run("x = nosuchfn(1)").is_err());
+        assert!(i.run("x = missing", &Span::disabled()).is_err());
+        assert!(i.run("x = nosuchfn(1)", &Span::disabled()).is_err());
         i.bind("M", mat(&[&[1.0, 2.0]]));
-        assert!(i.run("x = M(:,9)").is_err());
-        assert!(i.run("M(:,9) = 1").is_err());
-        assert!(i.run("x = M .* [1 2 3]").is_err());
-        assert!(i.run("x = join(M, 1:1, M, 1:2)").is_err());
-        assert!(i.run("x = aggregate(M, 1:1, 9, 'sum')").is_err());
-        assert!(i.run("x = aggregate(M, 1:1, 2, 'zzz')").is_err());
-        assert!(i.run("x = 'unterminated").is_err());
+        assert!(i.run("x = M(:,9)", &Span::disabled()).is_err());
+        assert!(i.run("M(:,9) = 1", &Span::disabled()).is_err());
+        assert!(i.run("x = M .* [1 2 3]", &Span::disabled()).is_err());
+        assert!(i
+            .run("x = join(M, 1:1, M, 1:2)", &Span::disabled())
+            .is_err());
+        assert!(i
+            .run("x = aggregate(M, 1:1, 9, 'sum')", &Span::disabled())
+            .is_err());
+        assert!(i
+            .run("x = aggregate(M, 1:1, 2, 'zzz')", &Span::disabled())
+            .is_err());
+        assert!(i.run("x = 'unterminated", &Span::disabled()).is_err());
     }
 
     #[test]
     fn column_append_and_overwrite() {
         let mut i = interp_with(vec![("M", mat(&[&[1.0], &[2.0]]))]);
-        i.run("M(:,2) = M(:,1) * 10").unwrap();
+        i.run("M(:,2) = M(:,1) * 10", &Span::disabled()).unwrap();
         assert_eq!(i.matrix("M").unwrap().rows[1], vec![2.0, 20.0]);
-        i.run("M(:,1) = M(:,2) + 1").unwrap();
+        i.run("M(:,1) = M(:,2) + 1", &Span::disabled()).unwrap();
         assert_eq!(i.matrix("M").unwrap().rows[0], vec![11.0, 10.0]);
     }
 }

@@ -19,9 +19,7 @@ pub mod flight;
 pub mod trace;
 
 pub use flight::{FlightEvent, FlightKind};
-pub use trace::{
-    fmt_duration, AttrValue, Span, SpanContext, TraceEvent, TraceSnapshot, TraceSpan, Tracer,
-};
+pub use trace::{fmt_duration, AttrValue, Span, TraceEvent, TraceSnapshot, TraceSpan, Tracer};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

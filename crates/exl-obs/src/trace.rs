@@ -13,9 +13,9 @@
 //! disarmed tracer ([`Tracer::disabled`], also the `Default`) allocates
 //! nothing and every operation on it — span creation, attributes, events —
 //! is a branch on an `Option` and an immediate return. Armed tracers share
-//! one mutex-guarded buffer through an `Arc`, so spans can be opened from
-//! worker threads (dispatch workers, shard workers) via
-//! [`SpanContext`].
+//! one mutex-guarded buffer through an `Arc`, and a [`Span`] is `Sync`:
+//! scoped worker threads (dispatch workers, shard workers) open children
+//! of a span their dispatcher lends them.
 //!
 //! Naming convention: short dotted lowercase names describing the unit of
 //! work, not the specific instance — `run`, `plan`, `stage`, `subgraph`,
@@ -299,8 +299,8 @@ impl Tracer {
 }
 
 /// RAII handle on an open span: ends (records `end_nanos`) when dropped.
-/// Obtained from [`Tracer::root`], [`Span::child`], or
-/// [`SpanContext::child`]; a handle from a disabled tracer is inert.
+/// Obtained from [`Tracer::root`] or [`Span::child`]; a handle from a
+/// disabled tracer is inert.
 #[must_use = "a span ends when its handle drops"]
 #[derive(Debug)]
 pub struct Span {
@@ -368,15 +368,6 @@ impl Span {
             }
         });
     }
-
-    /// A cloneable, `Send` reference to this span, for opening children
-    /// from other threads. The context does not keep the span open.
-    pub fn context(&self) -> SpanContext {
-        SpanContext {
-            tracer: self.tracer.clone(),
-            id: self.id,
-        }
-    }
 }
 
 impl Drop for Span {
@@ -386,24 +377,6 @@ impl Drop for Span {
                 span.end_nanos = Some(now);
             }
         });
-    }
-}
-
-/// A detached reference to a span, for parenting work on other threads.
-#[derive(Debug, Clone)]
-pub struct SpanContext {
-    tracer: Tracer,
-    id: u64,
-}
-
-impl SpanContext {
-    /// Open a child of the referenced span (inert when the tracer is
-    /// disabled).
-    pub fn child(&self, name: impl Into<String>) -> Span {
-        if !self.tracer.is_enabled() {
-            return Span::disabled();
-        }
-        self.tracer.start_span(Some(self.id), name)
     }
 }
 
@@ -632,7 +605,7 @@ mod tests {
         span.set_attr("k", 1u64);
         span.add_event("nothing");
         let child = span.child("y");
-        let grandchild = child.context().child("z");
+        let grandchild = child.child("z");
         drop(grandchild);
         drop(child);
         drop(span);
@@ -647,19 +620,15 @@ mod tests {
     fn cross_thread_children_attach_to_their_parent() {
         let tracer = Tracer::new();
         let root = tracer.root("run");
-        let ctx = root.context();
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                let ctx = ctx.clone();
-                std::thread::spawn(move || {
-                    let span = ctx.child("worker");
-                    span.set_attr("index", i as u64);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        std::thread::scope(|scope| {
+            for i in 0..3u64 {
+                let root = &root;
+                scope.spawn(move || {
+                    let span = root.child("worker");
+                    span.set_attr("index", i);
+                });
+            }
+        });
         drop(root);
         let snap = tracer.snapshot();
         let workers = snap.spans_named("worker");

@@ -135,7 +135,7 @@ fn generated_r_matches_reference() {
     }
     let script = mapping_to_r(&mapping).unwrap();
     interp
-        .run(&script)
+        .run(&script, &exl_obs::Span::disabled())
         .unwrap_or_else(|e| panic!("{e}\nscript:\n{script}"));
 
     let reference = exl_eval::run_program(&analyzed, &input).unwrap();
@@ -188,7 +188,7 @@ fn normalized_mode_r_matches_reference() {
     interp.bind_frame("A", frame_from_cube(input.get(&"A".into()).unwrap()));
     let script = mapping_to_r(&mapping).unwrap();
     interp
-        .run(&script)
+        .run(&script, &exl_obs::Span::disabled())
         .unwrap_or_else(|e| panic!("{e}\nscript:\n{script}"));
 
     let reference = exl_eval::run_program(&analyzed, &input).unwrap();

@@ -69,14 +69,10 @@ impl RInterp {
         }
     }
 
-    /// Run a script.
-    pub fn run(&mut self, src: &str) -> Result<(), RError> {
-        self.run_traced(src, &exl_obs::Span::disabled())
-    }
-
-    /// [`run`](RInterp::run) with one `rmini.stmt` child span of `trace`
-    /// per executed statement (attrs: `index`, `var` for assignments).
-    pub fn run_traced(&mut self, src: &str, trace: &exl_obs::Span) -> Result<(), RError> {
+    /// Run a script, with one `rmini.stmt` child span of `trace` per
+    /// executed statement (attrs: `index`, `var` for assignments); pass
+    /// [`Span::disabled`](exl_obs::Span::disabled) to trace nothing.
+    pub fn run(&mut self, src: &str, trace: &exl_obs::Span) -> Result<(), RError> {
         exl_fault::check("rmini.run").map_err(|e| RError::eval(e.to_string()))?;
         for (i, stmt) in parse(src)?.iter().enumerate() {
             // governance checkpoint per statement: a cancelled or
@@ -678,6 +674,7 @@ fn cube_shape(f: &Frame) -> Result<(usize, usize, usize), RError> {
 mod tests {
     use super::*;
     use exl_model::TimePoint;
+    use exl_obs::Span;
 
     fn q(y: i32, n: u32) -> Cell {
         Cell::Time(TimePoint::Quarter {
@@ -744,6 +741,7 @@ tmp <- merge(PQR,RGDPPC,by=c("q","r"))
 tmp$i <- tmp["p"] * tmp["g"]
 TGDP <- tmp[-c("p","g")]
 "#,
+            &Span::disabled(),
         )
         .unwrap();
         let f = i.frame("TGDP").unwrap();
@@ -777,8 +775,11 @@ TGDP <- tmp[-c("p","g")]
             ],
         };
         let mut i = interp_with(vec![("GDP", gdp)]);
-        i.run("GDPC=stl(GDP,\"periodic\")\nGDPT=GDPC$time.series[ ,\"trend\"]")
-            .unwrap();
+        i.run(
+            "GDPC=stl(GDP,\"periodic\")\nGDPT=GDPC$time.series[ ,\"trend\"]",
+            &Span::disabled(),
+        )
+        .unwrap();
         let f = i.frame("GDPT").unwrap();
         assert_eq!(f.nrow(), 12);
         assert!(f
@@ -797,6 +798,7 @@ tmp <- PQR
 tmp$y <- 2 * tmp$p
 agg <- aggregate(tmp[c("q","y")], by=c("q"), FUN="sum")
 "#,
+            &Span::disabled(),
         )
         .unwrap();
         let f = i.frame("agg").unwrap();
@@ -820,6 +822,7 @@ agg <- aggregate(tmp[c("q","y")], by=c("q"), FUN="sum")
 X$m <- X$a / X$b
 OUT <- X[is.finite(X$m), ]
 "#,
+            &Span::disabled(),
         )
         .unwrap();
         let out = i.frame("OUT").unwrap();
@@ -836,7 +839,8 @@ OUT <- X[is.finite(X$m), ]
             ],
         };
         let mut i = interp_with(vec![("A", f)]);
-        i.run("A$q <- shift.time(A$q, 1)").unwrap();
+        i.run("A$q <- shift.time(A$q, 1)", &Span::disabled())
+            .unwrap();
         assert_eq!(i.frame("A").unwrap().col("q").unwrap()[0], q(2021, 1));
     }
 
@@ -855,7 +859,7 @@ OUT <- X[is.finite(X$m), ]
             ],
         };
         let mut i = interp_with(vec![("A", f)]);
-        i.run("A$d <- quarter(A$d)").unwrap();
+        i.run("A$d <- quarter(A$d)", &Span::disabled()).unwrap();
         assert_eq!(i.frame("A").unwrap().col("d").unwrap()[0], q(2020, 2));
     }
 
@@ -888,7 +892,8 @@ OUT <- X[is.finite(X$m), ]
             ],
         };
         let mut i = interp_with(vec![("A", f)]);
-        i.run("B <- series(A, \"cumsum\")").unwrap();
+        i.run("B <- series(A, \"cumsum\")", &Span::disabled())
+            .unwrap();
         let b = i.frame("B").unwrap();
         assert_eq!(b.col("m").unwrap()[1], Cell::Num(3.0));
         assert_eq!(b.col("m").unwrap()[3], Cell::Num(30.0));
@@ -909,7 +914,8 @@ OUT <- X[is.finite(X$m), ]
             ],
         };
         let mut i = interp_with(vec![("A", f)]);
-        i.run("A$mo <- month(A$d)\nA$yr <- year(A$d)").unwrap();
+        i.run("A$mo <- month(A$d)\nA$yr <- year(A$d)", &Span::disabled())
+            .unwrap();
         let a = i.frame("A").unwrap();
         assert_eq!(
             a.col("mo").unwrap()[0],
@@ -927,7 +933,7 @@ OUT <- X[is.finite(X$m), ]
             ],
         };
         let mut j = interp_with(vec![("B", g)]);
-        assert!(j.run("B$q <- quarter(B$y)").is_err());
+        assert!(j.run("B$q <- quarter(B$y)", &Span::disabled()).is_err());
     }
 
     #[test]
@@ -939,31 +945,40 @@ OUT <- X[is.finite(X$m), ]
             ],
         };
         let mut i = interp_with(vec![("A", f)]);
-        i.run("A$k <- shift.time(A$k, -2)").unwrap();
+        i.run("A$k <- shift.time(A$k, -2)", &Span::disabled())
+            .unwrap();
         assert_eq!(i.frame("A").unwrap().col("k").unwrap()[0], Cell::Num(3.0));
     }
 
     #[test]
     fn error_cases() {
         let mut i = RInterp::new();
-        assert!(i.run("x <- missing.object").is_err());
-        assert!(i.run("x <- unknown.fn(1)").is_err());
+        assert!(i.run("x <- missing.object", &Span::disabled()).is_err());
+        assert!(i.run("x <- unknown.fn(1)", &Span::disabled()).is_err());
         i.bind_frame("F", pqr());
-        assert!(i.run("x <- F$nope").is_err());
-        assert!(i.run("x <- F[c(\"nope\")]").is_err());
-        assert!(i.run("x <- merge(F, 3, by=c(\"q\"))").is_err());
+        assert!(i.run("x <- F$nope", &Span::disabled()).is_err());
+        assert!(i.run("x <- F[c(\"nope\")]", &Span::disabled()).is_err());
         assert!(i
-            .run("x <- aggregate(F, by=c(\"zzz\"), FUN=\"sum\")")
+            .run("x <- merge(F, 3, by=c(\"q\"))", &Span::disabled())
             .is_err());
         assert!(i
-            .run("x <- aggregate(F, by=c(\"q\"), FUN=\"zzz\")")
+            .run(
+                "x <- aggregate(F, by=c(\"zzz\"), FUN=\"sum\")",
+                &Span::disabled()
+            )
+            .is_err());
+        assert!(i
+            .run(
+                "x <- aggregate(F, by=c(\"q\"), FUN=\"zzz\")",
+                &Span::disabled()
+            )
             .is_err());
     }
 
     #[test]
     fn scalar_broadcast_in_arithmetic() {
         let mut i = interp_with(vec![("F", pqr())]);
-        i.run("F$m <- 100 * F$p / 2").unwrap();
+        i.run("F$m <- 100 * F$p / 2", &Span::disabled()).unwrap();
         assert_eq!(
             i.frame("F").unwrap().col("m").unwrap()[0],
             Cell::Num(5000.0)
@@ -973,7 +988,8 @@ OUT <- X[is.finite(X$m), ]
     #[test]
     fn math_functions_elementwise() {
         let mut i = interp_with(vec![("F", pqr())]);
-        i.run("F$l <- log(F$p)\nF$e <- abs(F$p - 100)").unwrap();
+        i.run("F$l <- log(F$p)\nF$e <- abs(F$p - 100)", &Span::disabled())
+            .unwrap();
         let f = i.frame("F").unwrap();
         assert!((f.col("l").unwrap()[0].as_num().unwrap() - 100f64.ln()).abs() < 1e-12);
         assert_eq!(f.col("e").unwrap()[1], Cell::Num(50.0));

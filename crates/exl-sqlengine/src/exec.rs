@@ -59,18 +59,11 @@ impl Engine {
         Engine::default()
     }
 
-    /// Execute one SQL statement; `Some(table)` is returned for SELECT.
-    pub fn execute(&mut self, sql: &str) -> Result<Option<Table>, SqlError> {
-        self.execute_traced(sql, &exl_obs::Span::disabled())
-    }
-
-    /// [`execute`](Engine::execute) with one `sql.stmt` child span of
-    /// `trace` per executed statement (attrs: `index`, `kind`, `table`).
-    pub fn execute_traced(
-        &mut self,
-        sql: &str,
-        trace: &exl_obs::Span,
-    ) -> Result<Option<Table>, SqlError> {
+    /// Execute SQL, with one `sql.stmt` child span of `trace` per
+    /// executed statement (attrs: `index`, `kind`, `table`); pass
+    /// [`Span::disabled`](exl_obs::Span::disabled) to trace nothing.
+    /// `Some(table)` is returned for a final SELECT.
+    pub fn execute(&mut self, sql: &str, trace: &exl_obs::Span) -> Result<Option<Table>, SqlError> {
         exl_fault::check("sqlengine.execute").map_err(|e| SqlError::Execution(e.to_string()))?;
         let mut last = None;
         for (i, stmt) in parse_script(sql)?.into_iter().enumerate() {
@@ -102,7 +95,7 @@ impl Engine {
 
     /// Execute a multi-statement script, discarding SELECT results.
     pub fn execute_script(&mut self, sql: &str) -> Result<(), SqlError> {
-        self.execute(sql).map(|_| ())
+        self.execute(sql, &exl_obs::Span::disabled()).map(|_| ())
     }
 
     fn execute_stmt(&mut self, stmt: SqlStmt) -> Result<Option<Table>, SqlError> {

@@ -32,6 +32,7 @@ pub use value::{SqlType, SqlValue};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exl_obs::Span;
 
     fn engine_with_rgdp_inputs() -> Engine {
         let mut e = Engine::new();
@@ -66,7 +67,7 @@ mod tests {
         )
         .unwrap();
         let t = e
-            .execute("SELECT Q, R, P FROM RGDP ORDER BY Q, R")
+            .execute("SELECT Q, R, P FROM RGDP ORDER BY Q, R", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(t.len(), 3); // 2020-Q2/south has no PQR row: inner join
@@ -95,7 +96,7 @@ mod tests {
         )
         .unwrap();
         let t = e
-            .execute("SELECT Q, G FROM GDP ORDER BY Q")
+            .execute("SELECT Q, G FROM GDP ORDER BY Q", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(t.len(), 2);
@@ -120,7 +121,7 @@ mod tests {
         e.execute_script("INSERT INTO GDPT(Q,G) SELECT Q, G FROM STL_TREND(GDP)")
             .unwrap();
         let t = e
-            .execute("SELECT Q, G FROM GDPT ORDER BY Q")
+            .execute("SELECT Q, G FROM GDPT ORDER BY Q", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(t.len(), 12);
@@ -145,7 +146,7 @@ mod tests {
         )
         .unwrap();
         let t = e
-            .execute("SELECT Q, P FROM PCHNG ORDER BY Q")
+            .execute("SELECT Q, P FROM PCHNG ORDER BY Q", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(t.len(), 2);
@@ -170,7 +171,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        let t = e.execute("SELECT K, V FROM C").unwrap().unwrap();
+        let t = e
+            .execute("SELECT K, V FROM C", &Span::disabled())
+            .unwrap()
+            .unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.rows[0][1].as_f64(), Some(2.0));
     }
@@ -193,7 +197,7 @@ mod tests {
         )
         .unwrap();
         let t = e
-            .execute("SELECT Q, R, P FROM PQR ORDER BY Q, R")
+            .execute("SELECT Q, R, P FROM PQR ORDER BY Q, R", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(t.len(), 3);
@@ -213,7 +217,7 @@ mod tests {
         )
         .unwrap();
         let t = e
-            .execute("SELECT K, MEDIAN(V) AS M, STDDEV(V) AS S, COUNT(V) AS C, PRODUCT(V) AS P FROM T GROUP BY K")
+            .execute("SELECT K, MEDIAN(V) AS M, STDDEV(V) AS S, COUNT(V) AS C, PRODUCT(V) AS P FROM T GROUP BY K", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(t.rows[0][1].as_f64(), Some(2.5));
@@ -228,29 +232,41 @@ mod tests {
         let mut e = Engine::new();
         e.execute_script("CREATE TABLE T (V DOUBLE); INSERT INTO T (V) VALUES (1), (2), (3);")
             .unwrap();
-        let t = e.execute("SELECT SUM(V) AS S FROM T").unwrap().unwrap();
+        let t = e
+            .execute("SELECT SUM(V) AS S FROM T", &Span::disabled())
+            .unwrap()
+            .unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.rows[0][0].as_f64(), Some(6.0));
         // ... and over an empty table: no rows at all (EXL bag semantics)
         let mut e2 = Engine::new();
         e2.execute_script("CREATE TABLE T (V DOUBLE);").unwrap();
-        let t2 = e2.execute("SELECT SUM(V) AS S FROM T").unwrap().unwrap();
+        let t2 = e2
+            .execute("SELECT SUM(V) AS S FROM T", &Span::disabled())
+            .unwrap()
+            .unwrap();
         assert_eq!(t2.len(), 0);
     }
 
     #[test]
     fn execution_errors() {
         let mut e = Engine::new();
-        assert!(e.execute("SELECT X FROM NOPE").is_err());
+        assert!(e.execute("SELECT X FROM NOPE", &Span::disabled()).is_err());
         e.execute_script("CREATE TABLE T (A DOUBLE)").unwrap();
-        assert!(e.execute("SELECT B FROM T").is_err());
-        assert!(e.execute("CREATE TABLE T (A DOUBLE)").is_err());
-        assert!(e.execute("DROP TABLE Z").is_err());
-        assert!(e.execute("INSERT INTO T (Z) VALUES (1)").is_err());
+        assert!(e.execute("SELECT B FROM T", &Span::disabled()).is_err());
+        assert!(e
+            .execute("CREATE TABLE T (A DOUBLE)", &Span::disabled())
+            .is_err());
+        assert!(e.execute("DROP TABLE Z", &Span::disabled()).is_err());
+        assert!(e
+            .execute("INSERT INTO T (Z) VALUES (1)", &Span::disabled())
+            .is_err());
         // aggregate mixed with a non-grouped column
         e.execute_script("INSERT INTO T (A) VALUES (1), (2)")
             .unwrap();
-        assert!(e.execute("SELECT A, SUM(A) FROM T").is_err());
+        assert!(e
+            .execute("SELECT A, SUM(A) FROM T", &Span::disabled())
+            .is_err());
     }
 
     #[test]
@@ -262,7 +278,7 @@ mod tests {
         )
         .unwrap();
         let t = e
-            .execute("SELECT X, Y FROM A, B ORDER BY X, Y")
+            .execute("SELECT X, Y FROM A, B ORDER BY X, Y", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(t.len(), 4);
@@ -283,7 +299,10 @@ mod tests {
         )
         .unwrap();
         let t = e
-            .execute("SELECT A.K, V + W + U AS S FROM A, B, C WHERE A.K = B.K AND B.K = C.K")
+            .execute(
+                "SELECT A.K, V + W + U AS S FROM A, B, C WHERE A.K = B.K AND B.K = C.K",
+                &Span::disabled(),
+            )
             .unwrap()
             .unwrap();
         assert_eq!(t.len(), 1);
@@ -299,17 +318,27 @@ mod tests {
              CREATE VIEW W AS SELECT K, V * 10 AS V FROM T;",
         )
         .unwrap();
-        let t = e.execute("SELECT K, V FROM W ORDER BY K").unwrap().unwrap();
+        let t = e
+            .execute("SELECT K, V FROM W ORDER BY K", &Span::disabled())
+            .unwrap()
+            .unwrap();
         assert_eq!(t.rows[0][1].as_f64(), Some(20.0));
         assert_eq!(t.rows[1][1].as_f64(), Some(40.0));
         // views see later inserts into their base table
         e.execute_script("INSERT INTO T (K, V) VALUES (3, 8.0)")
             .unwrap();
-        let t = e.execute("SELECT K, V FROM W").unwrap().unwrap();
+        let t = e
+            .execute("SELECT K, V FROM W", &Span::disabled())
+            .unwrap()
+            .unwrap();
         assert_eq!(t.len(), 3);
         // name clash rejected
-        assert!(e.execute("CREATE VIEW T AS SELECT K FROM T").is_err());
-        assert!(e.execute("CREATE VIEW W AS SELECT K FROM T").is_err());
+        assert!(e
+            .execute("CREATE VIEW T AS SELECT K FROM T", &Span::disabled())
+            .is_err());
+        assert!(e
+            .execute("CREATE VIEW W AS SELECT K FROM T", &Span::disabled())
+            .is_err());
     }
 
     #[test]
@@ -331,7 +360,10 @@ mod tests {
              CREATE VIEW C AS SELECT Q, V FROM CUMSUM(D);",
         )
         .unwrap();
-        let t = e.execute("SELECT Q, V FROM C ORDER BY Q").unwrap().unwrap();
+        let t = e
+            .execute("SELECT Q, V FROM C ORDER BY Q", &Span::disabled())
+            .unwrap()
+            .unwrap();
         assert_eq!(t.len(), 8);
         assert_eq!(t.rows[0][1].as_f64(), Some(20.0));
         assert_eq!(t.rows[1][1].as_f64(), Some(42.0));
@@ -354,18 +386,27 @@ mod tests {
         );
         // hash join, residual filter, and the comparison operators
         let joined = e
-            .execute("SELECT A.K, V, W FROM A, B WHERE A.K = B.K")
+            .execute(
+                "SELECT A.K, V, W FROM A, B WHERE A.K = B.K",
+                &Span::disabled(),
+            )
             .unwrap()
             .unwrap();
         assert_eq!(joined.len(), 0);
         let filtered = e
-            .execute("SELECT A.K, V, W FROM A, B WHERE A.K + 0 = B.K + 0 AND V < W")
+            .execute(
+                "SELECT A.K, V, W FROM A, B WHERE A.K + 0 = B.K + 0 AND V < W",
+                &Span::disabled(),
+            )
             .unwrap()
             .unwrap();
         assert_eq!(filtered.len(), 0);
         for (op, want) in [("<>", 1), (">", 1), (">=", 1), ("<", 0), ("<=", 0)] {
             let t = e
-                .execute(&format!("SELECT A.K FROM A, B WHERE A.K {op} B.K"))
+                .execute(
+                    &format!("SELECT A.K FROM A, B WHERE A.K {op} B.K"),
+                    &Span::disabled(),
+                )
                 .unwrap()
                 .unwrap();
             assert_eq!(t.len(), want, "A.K {op} B.K");
@@ -374,7 +415,7 @@ mod tests {
         e.execute_script("INSERT INTO A (K, V) VALUES (9007199254740992, 3.0)")
             .unwrap();
         let g = e
-            .execute("SELECT K, SUM(V) AS S FROM A GROUP BY K")
+            .execute("SELECT K, SUM(V) AS S FROM A GROUP BY K", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(g.len(), 2);
@@ -400,12 +441,18 @@ mod tests {
         .unwrap();
         // A.K * -1 is -0.0 for K = 0.0; B.K - 1 is 0.0 for K = 1.0
         let hashed = e
-            .execute("SELECT V, W FROM A, B WHERE A.K * -1 = B.K - 1 ORDER BY V, W")
+            .execute(
+                "SELECT V, W FROM A, B WHERE A.K * -1 = B.K - 1 ORDER BY V, W",
+                &Span::disabled(),
+            )
             .unwrap()
             .unwrap();
         // the same predicate, kept out of the join by a second source-side term
         let filtered = e
-            .execute("SELECT V, W FROM A, B WHERE A.K * -1 + 0 * B.K = B.K - 1 ORDER BY V, W")
+            .execute(
+                "SELECT V, W FROM A, B WHERE A.K * -1 + 0 * B.K = B.K - 1 ORDER BY V, W",
+                &Span::disabled(),
+            )
             .unwrap()
             .unwrap();
         assert_eq!(hashed.rows, filtered.rows);
@@ -421,7 +468,7 @@ mod tests {
         )
         .unwrap();
         let g = e
-            .execute("SELECT K, SUM(V) AS S FROM M GROUP BY K")
+            .execute("SELECT K, SUM(V) AS S FROM M GROUP BY K", &Span::disabled())
             .unwrap()
             .unwrap();
         assert_eq!(g.len(), 1);

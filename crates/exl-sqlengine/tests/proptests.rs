@@ -1,6 +1,7 @@
 //! Property tests for the SQL executor: the hash-join and grouping paths
 //! must agree with brute-force reference computations on random data.
 
+use exl_obs::Span;
 use exl_sqlengine::{Engine, SqlValue};
 use proptest::prelude::*;
 
@@ -33,7 +34,7 @@ proptest! {
         load(&mut e, "L", &left);
         load(&mut e, "R", &right);
         let t = e
-            .execute("SELECT L.K, L.V + R.V AS S FROM L, R WHERE L.K = R.K ORDER BY K, S")
+            .execute("SELECT L.K, L.V + R.V AS S FROM L, R WHERE L.K = R.K ORDER BY K, S", &Span::disabled())
             .unwrap()
             .unwrap();
 
@@ -62,7 +63,7 @@ proptest! {
         let mut e = Engine::new();
         load(&mut e, "T", &rows);
         let t = e
-            .execute("SELECT K, SUM(V) AS S, COUNT(V) AS C FROM T GROUP BY K ORDER BY K")
+            .execute("SELECT K, SUM(V) AS S, COUNT(V) AS C FROM T GROUP BY K ORDER BY K", &Span::disabled())
             .unwrap()
             .unwrap();
         let mut sums: std::collections::BTreeMap<i64, (f64, usize)> = Default::default();
@@ -86,7 +87,7 @@ proptest! {
         let mut e = Engine::new();
         load(&mut e, "T", &rows);
         let t = e
-            .execute(&format!("SELECT K, V FROM T WHERE V > {cut}"))
+            .execute(&format!("SELECT K, V FROM T WHERE V > {cut}"), &Span::disabled())
             .unwrap()
             .unwrap();
         let expected = rows.iter().filter(|(_, v)| *v > cut).count();
@@ -99,9 +100,9 @@ proptest! {
         let mut e = Engine::new();
         load(&mut e, "T", &rows);
         e.execute_script("CREATE VIEW W AS SELECT K, V * 2 AS V FROM T").unwrap();
-        let via_view = e.execute("SELECT K, V FROM W ORDER BY K, V").unwrap().unwrap();
+        let via_view = e.execute("SELECT K, V FROM W ORDER BY K, V", &Span::disabled()).unwrap().unwrap();
         let inline = e
-            .execute("SELECT K, V * 2 AS V FROM T ORDER BY K, V")
+            .execute("SELECT K, V * 2 AS V FROM T ORDER BY K, V", &Span::disabled())
             .unwrap()
             .unwrap();
         prop_assert_eq!(via_view.rows, inline.rows);

@@ -17,8 +17,9 @@ cargo build --release && cargo test -q
 
 echo "== benchmark package =="
 # the benchmark is its own workspace calling the engine API directly:
-# its smoke and stats tests catch engine changes that break it
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# its smoke and stats tests catch engine changes that break it, and
+# `--locked` fails an engine change that would rewrite its lockfile
+cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "== crash bundles, repeated =="
 # the crash-bundle tests share the process-global flight ring; ten green

@@ -9,7 +9,9 @@
 
 use std::time::Duration;
 
-use exl_engine::{DispatchPolicy, EngineError, ExlEngine, SubgraphStatus, TargetKind};
+use exl_engine::{
+    AttemptOutcome, DispatchPolicy, EngineError, ExlEngine, SubgraphStatus, TargetKind,
+};
 use exl_fault::FaultPlan;
 use exl_model::value::DimValue;
 use exl_model::CubeData;
@@ -1084,6 +1086,32 @@ fn sharded_panic_is_contained_and_names_the_shard() {
         "panic message does not name the failing shard: {message}"
     );
     assert_eq!(e.catalog.to_json().unwrap(), before);
+}
+
+/// A failing merge barrier keeps its attempt in the subgraph's report:
+/// four successful shard attempts, then the barrier's failed one.
+#[test]
+fn failed_barrier_attempt_is_reported() {
+    let mut e = wide_sharded_engine(4);
+    e.policy.keep_going = true;
+    let _guard = exl_fault::install(FaultPlan::one(
+        "exec.native",
+        5,
+        exl_fault::FaultAction::Error,
+    ));
+    let report = e.run_all().unwrap();
+    let failing = report
+        .subgraphs
+        .iter()
+        .find(|s| s.status == SubgraphStatus::Failed)
+        .expect("failed subgraph reported");
+    let outcomes: Vec<_> = failing.attempts.iter().map(|a| &a.outcome).collect();
+    assert_eq!(outcomes.len(), 5, "{outcomes:?}");
+    assert!(outcomes[..4].iter().all(|o| **o == AttemptOutcome::Success));
+    assert!(
+        matches!(outcomes[4], AttemptOutcome::Error(_)),
+        "{outcomes:?}"
+    );
 }
 
 /// A stalled shard worker is cut off by the per-subgraph deadline. The

@@ -194,3 +194,35 @@ fn f2_catalog_probe() {
     assert_eq!(e.catalog.programs(), restored.programs(), "programs");
     assert_eq!(e.catalog.clock(), restored.clock(), "clock");
 }
+
+/// With a subgraph deadline every attempt executes on a worker thread;
+/// its `execute.<target>` span must still hang under the `attempt` span
+/// that opened it, while recording the worker's own thread.
+#[test]
+fn deadline_worker_spans_nest_under_their_attempt() {
+    for target in TargetKind::ALL {
+        let mut e = full_engine();
+        e.default_target = target;
+        e.policy.subgraph_timeout = Some(std::time::Duration::from_secs(60));
+        let tracer = e.enable_tracing();
+        e.run_all().unwrap();
+        let snap = tracer.snapshot();
+        let executes: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("execute."))
+            .collect();
+        assert!(!executes.is_empty(), "{target}: no execute spans");
+        for exec in executes {
+            let parent = snap
+                .span(exec.parent.expect("execute span has a parent"))
+                .unwrap();
+            assert_eq!(parent.name, "attempt", "{target}: {}", exec.name);
+            assert_ne!(
+                parent.thread, exec.thread,
+                "{target}: {} ran on its attempt's thread",
+                exec.name
+            );
+        }
+    }
+}

@@ -46,8 +46,8 @@ fn fig1_every_tuple_treated_exactly_once() {
     let (analyzed, input) = gdp_scenario(GdpConfig::default());
     let (mapping, _) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
     let job = mapping_to_job(&mapping).unwrap();
-    let once = job.run(&input).unwrap();
-    let twice = job.run(&input).unwrap();
+    let once = job.run(&input, &exl_obs::Span::disabled()).unwrap();
+    let twice = job.run(&input, &exl_obs::Span::disabled()).unwrap();
     assert!(once.approx_eq_report(&twice, 0.0).is_ok());
     // RGDP has one tuple per (quarter, region)
     let cfg = GdpConfig::default();

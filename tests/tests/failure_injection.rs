@@ -106,7 +106,10 @@ fn sql_engine_rejects_malformed_scripts() {
         "INSERT INTO missing (a) VALUES (1)",
         "SELECT x FROM missing",
     ] {
-        assert!(e.execute(bad).is_err(), "accepted: {bad}");
+        assert!(
+            e.execute(bad, &exl_obs::Span::disabled()).is_err(),
+            "accepted: {bad}"
+        );
     }
 }
 
@@ -119,7 +122,10 @@ fn r_interpreter_rejects_malformed_scripts() {
         "x <- undefined.object",
         "x <- df[is.finite(",
     ] {
-        assert!(i.run(bad).is_err(), "accepted: {bad}");
+        assert!(
+            i.run(bad, &exl_obs::Span::disabled()).is_err(),
+            "accepted: {bad}"
+        );
     }
 }
 
@@ -127,7 +133,10 @@ fn r_interpreter_rejects_malformed_scripts() {
 fn matlab_interpreter_rejects_malformed_scripts() {
     let mut i = exl_matmini::MatInterp::new();
     for bad in ["x =", "x = nosuch(1)", "x = undefinedvar", "x = [1 2"] {
-        assert!(i.run(bad).is_err(), "accepted: {bad}");
+        assert!(
+            i.run(bad, &exl_obs::Span::disabled()).is_err(),
+            "accepted: {bad}"
+        );
     }
 }
 

@@ -118,7 +118,7 @@ fn c3_r_translation_matches_paper_idioms_and_runs() {
             exl_rmini::frame_from_cube(input.get(&id).unwrap()),
         );
     }
-    interp.run(&script).unwrap();
+    interp.run(&script, &exl_obs::Span::disabled()).unwrap();
     for id in analyzed.program.derived_ids() {
         let got =
             exl_rmini::frame_to_cube_data(interp.frame(id.as_str()).unwrap(), &re.schemas[&id])
@@ -149,7 +149,7 @@ fn c4_matlab_translation_matches_paper_idioms_and_runs() {
     for id in exl_matgen::required_inputs(&mapping) {
         interp.bind(id.as_str(), session.encode(input.get(&id).unwrap()));
     }
-    interp.run(&script).unwrap();
+    interp.run(&script, &exl_obs::Span::disabled()).unwrap();
     for id in analyzed.program.derived_ids() {
         let got = session
             .decode(interp.matrix(id.as_str()).unwrap(), &re.schemas[&id])
