@@ -1,4 +1,4 @@
-//! Runtime errors of the reference interpreter.
+//! Runtime errors of the reference evaluator.
 
 use std::fmt;
 

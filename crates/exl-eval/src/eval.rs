@@ -1,5 +1,14 @@
 //! Expression and program evaluation.
 //!
+//! There is one evaluator. Every entry compiles what it evaluates into a
+//! region plan ([`crate::plan`]) and runs it through one
+//! region-execution loop (`run_plan`): a whole program
+//! ([`run_program_with_threads`], and [`run_program_unfused`], the same
+//! plan with fusion and CSE off) or one statement over a session
+//! ([`EvalSession::eval`], [`eval_statement`], which the run cache and
+//! the delta kernels use). The worker count is an argument of the loop:
+//! a program run takes the caller's, a statement takes the machine's.
+//!
 //! The evaluator executes on columnar batches ([`CubeBatch`]): each run
 //! owns an [`EvalSession`] with a run-local [`DimPool`], every operand
 //! cube is interned into a batch once, and derived batches cross
@@ -26,9 +35,9 @@
 //! so every float is bit-identical for any worker count (pinned against a
 //! `DimTuple`-sorted reference by the interned differential suite).
 //!
-//! Interning, tuple-level operators, group-by partitions, and series
-//! slices fan out across [`std::thread::scope`] workers when the machine
-//! has more than one core and the operand is large enough
+//! Interning, stream regions, outer joins, group-by partitions, and
+//! series slices fan out across [`std::thread::scope`] workers when the
+//! run has more than one worker and the operand is large enough
 //! (`PAR_MIN_ROWS`). A worker
 //! that panics (or trips the `eval.worker` fault site) surfaces as
 //! [`EvalError::WorkerPanicked`] — a typed, per-statement error the
@@ -41,7 +50,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use exl_lang::analyze::AnalyzedProgram;
-use exl_lang::ast::{Expr, GroupKey, JoinPolicy, Statement};
+use exl_lang::ast::{GroupKey, Statement};
 use exl_model::batch::{intern_rows, remap_syms, CubeBatch, RowCheck};
 use exl_model::hash::{FxHashMap, FxHasher};
 use exl_model::intern::{DimPool, IDim, RankedDim};
@@ -54,57 +63,24 @@ use exl_stats::seriesop::SeriesOp;
 use exl_stats::state::{AggState, ExactState};
 
 use crate::error::EvalError;
-use crate::plan::PlanStats;
+use crate::plan::{self, CNode, CompiledPlan, NodeId, PlanStats, Region, Step};
 
 /// Minimum operand rows before an operator fans out across threads.
 pub(crate) const PAR_MIN_ROWS: usize = 4096;
 
-/// Worker count for data-parallel operators (1 on single-core machines,
-/// capped so oversubscription never pays for thread spawns it cannot use).
-/// A per-run count given to [`run_program_with_threads`] wins; otherwise
-/// the machine probe decides. The probe reads cgroup files on Linux and
-/// the evaluator asks on every operator, so it runs once per process.
-/// Canonical fold order makes the setting invisible in the results: every
-/// float is bit-identical for any worker count.
+/// The machine's worker count for data-parallel operators (1 on
+/// single-core machines, capped so oversubscription never pays for thread
+/// spawns it cannot use). The probe reads cgroup files on Linux, so it
+/// runs once per process. Canonical fold order makes the count invisible
+/// in the results: every float is bit-identical for any worker count.
 pub(crate) fn workers() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    if let Some(n) = THREAD_OVERRIDE.get() {
-        return n.max(1);
-    }
-    *DEFAULT.get_or_init(|| {
+    static PROBE: OnceLock<usize> = OnceLock::new();
+    *PROBE.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8)
     })
-}
-
-thread_local! {
-    /// Per-run worker-count override installed by
-    /// [`run_program_with_threads`] for the duration of the run.
-    /// Thread-local rather than process global: the sharded dispatcher
-    /// runs several evaluations concurrently with different counts.
-    static THREAD_OVERRIDE: std::cell::Cell<Option<usize>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// RAII restore of the thread-local worker override.
-struct ThreadsGuard(Option<usize>);
-
-impl ThreadsGuard {
-    fn install(n: Option<usize>) -> ThreadsGuard {
-        let prev = THREAD_OVERRIDE.get();
-        if n.is_some() {
-            THREAD_OVERRIDE.set(n);
-        }
-        ThreadsGuard(prev)
-    }
-}
-
-impl Drop for ThreadsGuard {
-    fn drop(&mut self) {
-        THREAD_OVERRIDE.set(self.0);
-    }
 }
 
 /// Seasonal period implied by a time frequency, shared by every backend so
@@ -116,7 +92,7 @@ pub fn series_period(freq: Frequency) -> usize {
 /// One evaluation run's working set: a run-local interning pool plus the
 /// columnar batch of every cube loaded or derived so far.
 ///
-/// The engine's dispatcher keeps one session per recomputation and feeds
+/// The run cache keeps one session per subgraph it resolves and feeds
 /// each statement's result to the next without leaving the interned
 /// representation; [`run_program`] does the same internally. Loading is
 /// idempotent per id (a reload replaces the batch), and
@@ -179,21 +155,23 @@ impl EvalSession {
     /// Evaluate one statement over the loaded batches and store the
     /// result batch under the statement's target. Every cube the
     /// expression references must have been loaded (or derived) first.
+    /// The statement compiles into a one-statement plan and runs on the
+    /// machine's worker count; nothing loaded is evicted, so a caller can
+    /// evaluate statement after statement over one session.
     pub fn eval(&mut self, stmt: &Statement) -> Result<(), EvalError> {
-        // governance checkpoint at the statement boundary: a cancelled or
-        // over-budget run stops before the next batch is materialized
-        exl_fault::govern::checkpoint()?;
-        let (dims, batch) = match eval_expr(&stmt.expr, self)? {
-            BVal::Batch { dims, batch } => (dims, batch.into_owned()),
-            BVal::Scalar(_) => unreachable!("analysis rejects constant statements"),
+        let sources = |id: &CubeId| match self.cubes.get(id) {
+            Some(c) => Ok(c.dims.clone()),
+            None => Err(self
+                .failed
+                .get(id)
+                .cloned()
+                .unwrap_or_else(|| EvalError::MissingInput {
+                    cube: id.to_string(),
+                })),
         };
-        exl_fault::govern::charge(
-            batch.len() as u64,
-            exl_fault::govern::approx_cube_bytes(batch.len() as u64, dims.len() as u64),
-        );
-        self.cubes
-            .insert(stmt.target.clone(), SessionCube { dims, batch });
-        Ok(())
+        let plan = plan::compile(std::slice::from_ref(stmt), &sources, true)?;
+        let mut stats = PlanStats::default();
+        run_plan(&plan, self, workers(), &mut stats, Roots::Keep)
     }
 
     /// Resolve a loaded or derived cube back to hash-stored data.
@@ -209,8 +187,8 @@ impl EvalSession {
 /// Fails when an elementary input is missing or base data is malformed.
 ///
 /// The program is compiled into a fused region plan ([`crate::plan`])
-/// before execution; [`run_program_unfused`] is the statement-at-a-time
-/// reference the plan must reproduce bit for bit.
+/// before execution; [`run_program_unfused`] runs the same program with
+/// fusion and CSE off, and must agree bit for bit.
 pub fn run_program(analyzed: &AnalyzedProgram, input: &Dataset) -> Result<Dataset, EvalError> {
     run_program_with_stats(analyzed, input).map(|(env, _)| env)
 }
@@ -232,6 +210,7 @@ pub fn run_program_with_stats(
 fn load_inputs(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
+    threads: usize,
     session: &mut EvalSession,
     env: &mut Dataset,
     stats: &mut PlanStats,
@@ -243,7 +222,7 @@ fn load_inputs(
         })?;
         let schema = analyzed.schemas[&id].clone();
         let check = RowCheck::Schema(&schema);
-        let batch = intern_batch(&cube.data, check, &mut session.pool, workers())?;
+        let batch = intern_batch(&cube.data, check, &mut session.pool, threads)?;
         stats.intern_rows += batch.len() as u64;
         let dims = schema.dims.clone();
         session.cubes.insert(id, SessionCube { dims, batch });
@@ -263,73 +242,83 @@ fn to_data_counted(batch: &CubeBatch, pool: &DimPool, stats: &mut PlanStats) -> 
     data
 }
 
-/// Statement-at-a-time evaluation: every intermediate cube is
-/// materialized as its own batch. This is the reference semantics the
-/// fused plan must reproduce bit for bit, kept public for differential
-/// tests and the `B1/execute-native-unfused` bench guard.
+/// [`run_program`] with fusion and CSE off: every operator node of every
+/// statement materializes as its own region, running the same kernels the
+/// fused plan runs. The differential suites pin fused ≡ unfused bit for
+/// bit, which pins both plan rewrites; the `B1/execute-native-unfused`
+/// bench guards what they save.
 pub fn run_program_unfused(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
 ) -> Result<Dataset, EvalError> {
-    run_unfused(analyzed, input, &mut PlanStats::default())
-}
-
-fn run_unfused(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    stats: &mut PlanStats,
-) -> Result<Dataset, EvalError> {
-    let mut env = Dataset::new();
-    let mut session = EvalSession::new();
-    load_inputs(analyzed, input, &mut session, &mut env, stats)?;
-    // last statement index referencing each cube: a batch whose last
-    // reader has run is dead weight (its hash storage already lives in
-    // `env`), and evicting it keeps the session's footprint proportional
-    // to the program's live width instead of its length
-    let mut last_use: FxHashMap<CubeId, usize> = FxHashMap::default();
-    for (i, stmt) in analyzed.program.statements.iter().enumerate() {
-        for id in stmt.expr.cube_refs() {
-            last_use.insert(id, i);
-        }
-    }
-    for (i, stmt) in analyzed.program.statements.iter().enumerate() {
-        session.eval(stmt)?;
-        let data = to_data_counted(&session.cubes[&stmt.target].batch, &session.pool, stats);
-        let schema = analyzed.schemas[&stmt.target].clone();
-        env.put(Cube::new(schema, data));
-        session
-            .cubes
-            .retain(|id, _| last_use.get(id).is_some_and(|&l| l > i));
-    }
-    Ok(env)
+    run_compiled(analyzed, input, workers(), false).map(|(env, _)| env)
 }
 
 /// [`run_program_with_stats`] on `threads` workers for the data-parallel
 /// operators (`None` probes the machine). The engine's dispatcher calls
 /// this with its per-engine count; the sharded dispatcher pins 1 per
 /// shard worker.
-///
-/// Fused execution: compile the program into a region plan, then run
-/// regions in statement order. Single-consumer map/shift/probe chains
-/// execute as one streaming pass with no intermediate materialization;
-/// barriers (aggregation, series, outer joins) and statement targets
-/// still materialize. Governance parity with the unfused path: one
-/// checkpoint per statement turn (plus one per region, so cancellation
-/// lands between fused regions too) and one `charge` per statement at
-/// the statement's output size.
 pub fn run_program_with_threads(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
     threads: Option<usize>,
 ) -> Result<(Dataset, PlanStats), EvalError> {
-    use crate::plan::{self, CNode, Region, Step};
+    let threads = threads.unwrap_or_else(workers).max(1);
+    run_compiled(analyzed, input, threads, true)
+}
 
-    let _threads = ThreadsGuard::install(threads);
-    let plan = plan::compile(analyzed, &analyzed.program.statements)?;
+/// Compile a whole program (fused or not), intern its elementary inputs
+/// and run the plan, exporting every statement output to the returned
+/// dataset.
+fn run_compiled(
+    analyzed: &AnalyzedProgram,
+    input: &Dataset,
+    threads: usize,
+    fuse: bool,
+) -> Result<(Dataset, PlanStats), EvalError> {
+    let plan = plan::compile_program(analyzed, fuse)?;
     let mut env = Dataset::new();
     let mut session = EvalSession::new();
     let mut stats = plan.stats;
-    load_inputs(analyzed, input, &mut session, &mut env, &mut stats)?;
+    load_inputs(analyzed, input, threads, &mut session, &mut env, &mut stats)?;
+    let roots = Roots::Export {
+        analyzed,
+        env: &mut env,
+    };
+    run_plan(&plan, &mut session, threads, &mut stats, roots)?;
+    Ok((env, stats))
+}
+
+/// Where [`run_plan`] puts each statement's result.
+enum Roots<'a> {
+    /// Resolve each result to `CubeData` into `env` under the statement's
+    /// analyzed schema, and drop every batch, in the session or not, once
+    /// its last reading statement has run: the footprint stays
+    /// proportional to the program's live width, not its length.
+    Export {
+        analyzed: &'a AnalyzedProgram,
+        env: &'a mut Dataset,
+    },
+    /// Keep each result batch in the session under the statement's
+    /// target, and evict nothing from the session.
+    Keep,
+}
+
+/// Run a compiled plan over the sources loaded in `session`: the
+/// evaluator's one region-execution loop. Regions run in statement order
+/// on `threads` workers. Single-consumer map/shift/probe chains execute
+/// as one streaming pass with no intermediate materialization; barriers
+/// (aggregation, series, outer joins) and statement targets still
+/// materialize. Governance: one checkpoint per statement turn, plus one
+/// per region so cancellation lands between regions of one statement,
+/// and one `charge` per statement at the statement's output size.
+fn run_plan(
+    plan: &CompiledPlan,
+    session: &mut EvalSession,
+    threads: usize,
+    stats: &mut PlanStats,
+    mut roots: Roots<'_>,
+) -> Result<(), EvalError> {
     // source lifetimes come from the plan, not the statement text: CSE
     // can alias a later statement's root to a source node (`B := A`), so
     // the textual last-reference underestimates how long the batch is
@@ -344,9 +333,9 @@ pub fn run_program_with_threads(
     // interior node results live here until their last consuming
     // statement has run; sources resolve straight from the session
     let mut store: Vec<Option<CubeBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
-    let threads = workers();
     let mut cursor = 0usize;
-    for (i, stmt) in analyzed.program.statements.iter().enumerate() {
+    for (i, (target, root)) in plan.roots.iter().enumerate() {
+        let root = *root;
         exl_fault::govern::checkpoint()?;
         let node_end = plan.stmt_node_end[i];
         while cursor < plan.regions.len() && plan.regions[cursor].out() < node_end {
@@ -354,96 +343,111 @@ pub fn run_program_with_threads(
             // regions serve one statement
             exl_fault::govern::checkpoint()?;
             let region = &plan.regions[cursor];
-            let out = match region {
-                Region::Stream(sr) => {
-                    let base = resolve_node(&plan, &store, &session, sr.base)?;
-                    let mut probes: Vec<(plan::NodeId, &CubeBatch)> = Vec::new();
-                    for step in &sr.steps {
-                        if let Step::Probe { input, .. } = step {
-                            probes.push((*input, resolve_node(&plan, &store, &session, *input)?));
-                        }
-                    }
-                    let rows = base.len() as u64;
-                    let out = plan::run_stream(sr, base, &probes, &session.pool, threads)?;
-                    stats.bytes_not_materialized += sr.fused
-                        * exl_fault::govern::approx_cube_bytes(
-                            rows,
-                            plan.dims[sr.out].len() as u64,
-                        );
-                    out
-                }
-                Region::Combine {
-                    out: _,
-                    op,
-                    default,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = resolve_node(&plan, &store, &session, *lhs)?;
-                    let b = resolve_node(&plan, &store, &session, *rhs)?;
-                    let op = *op;
-                    probe_combine(
-                        Cow::Borrowed(a),
-                        b,
-                        &move |va, vb| op.apply(va, vb),
-                        &JoinPolicy::Outer { default: *default },
-                        threads,
-                    )?
-                }
-                Region::Aggregate {
-                    out: _,
-                    arg,
-                    agg,
-                    group_by,
-                } => {
-                    let batch = resolve_node(&plan, &store, &session, *arg)?;
-                    let parts = key_parts(&plan.dims[*arg], group_by)?;
-                    let partitions = if batch.len() < PAR_MIN_ROWS {
-                        1
-                    } else {
-                        threads
-                    };
-                    aggregate_batch(batch, &session.pool, &parts, *agg, partitions)?
-                }
-                Region::Series { out: _, arg, op } => {
-                    let batch = resolve_node(&plan, &store, &session, *arg)?;
-                    series_batch(*op, &plan.dims[*arg], batch, &session.pool, threads)?
-                }
-            };
+            let out = run_region(plan, region, &store, session, threads, stats)?;
             store[region.out()] = Some(out);
             cursor += 1;
         }
-        let (_, root) = plan.roots[i];
-        let batch = resolve_node(&plan, &store, &session, root)?;
+        let batch = resolve_node(plan, &store, session, root)?;
+        let rows = batch.len() as u64;
         exl_fault::govern::charge(
-            batch.len() as u64,
-            exl_fault::govern::approx_cube_bytes(batch.len() as u64, plan.dims[root].len() as u64),
+            rows,
+            exl_fault::govern::approx_cube_bytes(rows, plan.dims[root].len() as u64),
         );
-        let data = to_data_counted(batch, &session.pool, &mut stats);
-        let schema = analyzed.schemas[&stmt.target].clone();
-        env.put(Cube::new(schema, data));
-        session
-            .cubes
-            .retain(|id, _| source_last_use.get(id).is_some_and(|&l| l > i));
+        match &mut roots {
+            Roots::Export { analyzed, env } => {
+                let data = to_data_counted(batch, &session.pool, stats);
+                env.put(Cube::new(analyzed.schemas[target].clone(), data));
+                session
+                    .cubes
+                    .retain(|id, _| source_last_use.get(id).is_some_and(|&l| l > i));
+            }
+            Roots::Keep => {
+                // the root's batch moves into the session unless a later
+                // statement of the plan still reads it, or it is a
+                // source's (`B := A`)
+                let batch = match store[root].take_if(|_| plan.last_use_stmt[root] <= i) {
+                    Some(batch) => batch,
+                    None => resolve_node(plan, &store, session, root)?.clone(),
+                };
+                let dims = plan.dims[root].clone();
+                session
+                    .cubes
+                    .insert(target.clone(), SessionCube { dims, batch });
+            }
+        }
         for (n, slot) in store.iter_mut().enumerate() {
             if slot.is_some() && plan.last_use_stmt[n] <= i {
                 *slot = None;
             }
         }
     }
-    Ok((env, stats))
+    Ok(())
+}
+
+/// Execute one region of `plan` whose inputs are all resolvable.
+fn run_region(
+    plan: &CompiledPlan,
+    region: &Region,
+    store: &[Option<CubeBatch>],
+    session: &EvalSession,
+    threads: usize,
+    stats: &mut PlanStats,
+) -> Result<CubeBatch, EvalError> {
+    let input = |n: NodeId| resolve_node(plan, store, session, n);
+    match region {
+        Region::Stream(sr) => {
+            let base = input(sr.base)?;
+            let mut probes: Vec<(NodeId, &CubeBatch)> = Vec::new();
+            for step in &sr.steps {
+                if let Step::Probe { input: n, .. } = step {
+                    probes.push((*n, input(*n)?));
+                }
+            }
+            let rows = base.len() as u64;
+            let out = plan::run_stream(sr, base, &probes, &session.pool, threads)?;
+            stats.bytes_not_materialized += sr.fused
+                * exl_fault::govern::approx_cube_bytes(rows, plan.dims[sr.out].len() as u64);
+            Ok(out)
+        }
+        Region::Combine {
+            op,
+            default,
+            lhs,
+            rhs,
+            ..
+        } => {
+            let op = *op;
+            let f = move |va, vb| op.apply(va, vb);
+            probe_combine(input(*lhs)?, input(*rhs)?, &f, *default, threads)
+        }
+        Region::Aggregate {
+            arg, agg, group_by, ..
+        } => {
+            let batch = input(*arg)?;
+            let parts = key_parts(&plan.dims[*arg], group_by)?;
+            let partitions = if batch.len() < PAR_MIN_ROWS {
+                1
+            } else {
+                threads
+            };
+            aggregate_batch(batch, &session.pool, &parts, *agg, partitions)
+        }
+        Region::Series { arg, op, .. } => {
+            series_batch(*op, &plan.dims[*arg], input(*arg)?, &session.pool, threads)
+        }
+    }
 }
 
 /// Borrow the batch a plan node resolved to: sources live in the
 /// session, every other node in the region store.
 fn resolve_node<'a>(
-    plan: &crate::plan::CompiledPlan,
+    plan: &CompiledPlan,
     store: &'a [Option<CubeBatch>],
     session: &'a EvalSession,
-    n: crate::plan::NodeId,
+    n: NodeId,
 ) -> Result<&'a CubeBatch, EvalError> {
     match &plan.nodes[n] {
-        crate::plan::CNode::Source(id) => {
+        CNode::Source(id) => {
             session
                 .cubes
                 .get(id)
@@ -470,148 +474,6 @@ pub fn eval_statement(stmt: &Statement, env: &Dataset) -> Result<CubeData, EvalE
     }
     session.eval(stmt)?;
     Ok(session.resolve(&stmt.target).expect("target just derived"))
-}
-
-/// Evaluation result of an expression: a bare scalar or a batch with its
-/// dimensions. Cube operands borrow straight from the session.
-enum BVal<'a> {
-    Scalar(f64),
-    Batch {
-        dims: Vec<Dimension>,
-        batch: Cow<'a, CubeBatch>,
-    },
-}
-
-fn eval_expr<'a>(expr: &Expr, s: &'a EvalSession) -> Result<BVal<'a>, EvalError> {
-    match expr {
-        Expr::Number(n) => Ok(BVal::Scalar(*n)),
-        Expr::Cube(id) => {
-            let cube = s.cubes.get(id).ok_or_else(|| match s.failed.get(id) {
-                Some(e) => e.clone(),
-                None => EvalError::MissingInput {
-                    cube: id.to_string(),
-                },
-            })?;
-            Ok(BVal::Batch {
-                dims: cube.dims.clone(),
-                batch: Cow::Borrowed(&cube.batch),
-            })
-        }
-        Expr::Unary { op, arg } => match eval_expr(arg, s)? {
-            BVal::Scalar(v) => Ok(BVal::Scalar(op.apply(v))),
-            BVal::Batch { dims, batch } => {
-                let out = map_measures(batch, &|v| op.apply(v), workers())?;
-                Ok(BVal::Batch {
-                    dims,
-                    batch: Cow::Owned(out),
-                })
-            }
-        },
-        Expr::Binary {
-            op,
-            policy,
-            lhs,
-            rhs,
-        } => {
-            let l = eval_expr(lhs, s)?;
-            let r = eval_expr(rhs, s)?;
-            match (l, r) {
-                (BVal::Scalar(a), BVal::Scalar(b)) => Ok(BVal::Scalar(op.apply(a, b))),
-                (BVal::Scalar(a), BVal::Batch { dims, batch }) => {
-                    let out = map_measures(batch, &|v| op.apply(a, v), workers())?;
-                    Ok(BVal::Batch {
-                        dims,
-                        batch: Cow::Owned(out),
-                    })
-                }
-                (BVal::Batch { dims, batch }, BVal::Scalar(b)) => {
-                    let out = map_measures(batch, &|v| op.apply(v, b), workers())?;
-                    Ok(BVal::Batch {
-                        dims,
-                        batch: Cow::Owned(out),
-                    })
-                }
-                (BVal::Batch { dims, batch: a }, BVal::Batch { batch: b, .. }) => {
-                    let out = probe_combine(a, &b, &|va, vb| op.apply(va, vb), policy, workers())?;
-                    Ok(BVal::Batch {
-                        dims,
-                        batch: Cow::Owned(out),
-                    })
-                }
-            }
-        }
-        Expr::Shift { arg, offset, dim } => {
-            let BVal::Batch { dims, batch } = eval_expr(arg, s)? else {
-                unreachable!("analysis rejects shift on scalars")
-            };
-            let idx = resolve_time_index(&dims, dim.as_deref())?;
-            let offset = *offset;
-            // shift is injective on its axis, so keys cannot collide; the
-            // axis is rewritten in place in the key column
-            let mut out = batch.into_owned();
-            let arity = out.arity().max(1);
-            for d in out.keys_mut().iter_mut().skip(idx).step_by(arity) {
-                *d = match *d {
-                    IDim::Time(t) => IDim::Time(t.shift(offset)),
-                    // §3: shift is "a sum on the values of a numeric dimension"
-                    IDim::Int(i) => IDim::Int(i + offset),
-                    other => {
-                        return Err(EvalError::BadTimeValue {
-                            cube: "<shift operand>".into(),
-                            detail: format!(
-                                "value {} cannot be shifted",
-                                s.pool.resolve_value(other)
-                            ),
-                        })
-                    }
-                };
-            }
-            Ok(BVal::Batch {
-                dims,
-                batch: Cow::Owned(out),
-            })
-        }
-        Expr::Aggregate { agg, arg, group_by } => {
-            let BVal::Batch { dims, batch } = eval_expr(arg, s)? else {
-                unreachable!("analysis rejects aggregation of scalars")
-            };
-            let parts = key_parts(&dims, group_by)?;
-            // output dimensions, derived from the resolved key parts so a
-            // statement that reaches us without re-analysis fails above,
-            // in key_parts, instead of panicking here
-            let out_dims: Vec<Dimension> = group_by
-                .iter()
-                .zip(&parts)
-                .map(|(g, p)| match (g, p) {
-                    (GroupKey::TimeMap { target, alias, .. }, _) => {
-                        Dimension::new(alias.clone(), exl_model::DimType::Time(*target))
-                    }
-                    (_, KeyPart::Dim(i)) => dims[*i].clone(),
-                    _ => unreachable!("key parts mirror group keys"),
-                })
-                .collect();
-            let partitions = if batch.len() < PAR_MIN_ROWS {
-                1
-            } else {
-                workers()
-            };
-            let out = aggregate_batch(&batch, &s.pool, &parts, *agg, partitions)?;
-            Ok(BVal::Batch {
-                dims: out_dims,
-                batch: Cow::Owned(out),
-            })
-        }
-        Expr::SeriesFn { op, arg } => {
-            let BVal::Batch { dims, batch } = eval_expr(arg, s)? else {
-                unreachable!("analysis rejects series operators on scalars")
-            };
-            let out = series_batch(*op, &dims, &batch, &s.pool, workers())?;
-            Ok(BVal::Batch {
-                dims,
-                batch: Cow::Owned(out),
-            })
-        }
-    }
 }
 
 /// Message of a worker's panic payload, for [`EvalError::WorkerPanicked`].
@@ -662,85 +524,47 @@ fn worker_entry(governor: &Option<exl_fault::govern::Governor>) -> Result<(), Ev
     Ok(())
 }
 
-/// Apply a pure measure transform to a batch **in place**: keys are
-/// untouched, measures are rewritten (fanning out across `threads`
-/// workers for large operands), and rows whose result is non-finite are
-/// dropped afterwards (the §3 partiality rule). Borrowed operands pay
-/// one column clone; owned intermediates pay nothing but the arithmetic —
-/// no key clones, no index build.
-fn map_measures(
-    batch: Cow<'_, CubeBatch>,
-    f: &(dyn Fn(f64) -> f64 + Sync),
-    threads: usize,
-) -> Result<CubeBatch, EvalError> {
-    let mut out = batch.into_owned();
-    let chunk = chunk_len(out.len(), threads);
-    fan_out(
-        out.measures_mut().chunks_mut(chunk).collect(),
-        &|mc: &mut [f64]| {
-            for v in mc.iter_mut() {
-                *v = f(*v);
-            }
-            Ok(())
-        },
-    )?;
-    out.retain_finite();
-    Ok(out)
-}
-
-/// Vectorial binary operator: stream the left side, probe the right, and
-/// write each combined measure back **in place** over the left operand's
-/// columns. An inner-join miss marks the row `NaN`, which the final
-/// [`CubeBatch::retain_finite`] sweep removes together with non-finite
-/// results (the §3 partiality rule — both are "no tuple"). For an outer
-/// join the anti side (right keys the left never had) is collected
-/// *before* the sweep, while the batch still holds every left key, and
-/// appended after.
+/// Outer-policy vectorial operator: stream the left side, probe the
+/// right, and write each combined measure over a copy of the left
+/// operand's columns (a miss combines with `default`). The anti side
+/// (right keys the left never had) is collected while the batch still
+/// holds every left key, and appended after; the final
+/// [`CubeBatch::retain_finite`] sweep drops non-finite results (the §3
+/// partiality rule).
 pub(crate) fn probe_combine(
-    a: Cow<'_, CubeBatch>,
+    a: &CubeBatch,
     b: &CubeBatch,
     f: &(dyn Fn(f64, f64) -> f64 + Sync),
-    policy: &JoinPolicy,
+    default: f64,
     threads: usize,
 ) -> Result<CubeBatch, EvalError> {
     b.ensure_indexed();
-    let miss = match policy {
-        JoinPolicy::Inner => f64::NAN,
-        JoinPolicy::Outer { default } => *default,
-    };
-    let mut out = a.into_owned();
+    let mut out = a.clone();
     let (keys, measures) = out.columns_mut();
-    let combine = |k: &[IDim], va: f64| match b.get(k) {
-        Some(vb) => f(va, vb),
-        None if miss.is_nan() => f64::NAN,
-        None => f(va, miss),
-    };
     let chunk = chunk_len(keys.len(), threads);
     fan_out(
         measures.chunks_mut(chunk).enumerate().collect(),
         &|(c, mc): (usize, &mut [f64])| {
             for (r, v) in (c * chunk..).zip(mc.iter_mut()) {
-                *v = combine(keys.get(r), *v);
+                *v = f(*v, b.get(keys.get(r)).unwrap_or(default));
             }
             Ok(())
         },
     )?;
-    if let JoinPolicy::Outer { default } = policy {
-        // anti side, probed against the still-complete left key set;
-        // buffered so the appends don't invalidate the probe index mid-loop
-        out.ensure_indexed();
-        let mut extra: Vec<(usize, f64)> = Vec::new();
-        for (row, (k, vb)) in b.iter().enumerate() {
-            if !out.contains(k) {
-                let r = f(*default, vb);
-                if r.is_finite() {
-                    extra.push((row, r));
-                }
+    // anti side, probed against the still-complete left key set; buffered
+    // so the appends don't invalidate the probe index mid-loop
+    out.ensure_indexed();
+    let mut extra: Vec<(usize, f64)> = Vec::new();
+    for (row, (k, vb)) in b.iter().enumerate() {
+        if !out.contains(k) {
+            let r = f(default, vb);
+            if r.is_finite() {
+                extra.push((row, r));
             }
         }
-        for (row, r) in extra {
-            out.push(b.key(row), r);
-        }
+    }
+    for (row, r) in extra {
+        out.push(b.key(row), r);
     }
     out.retain_finite();
     Ok(out)
@@ -1369,23 +1193,6 @@ pub(crate) fn series_batch(
     Ok(out)
 }
 
-/// Output dimensions of an aggregation (also used by mapping generation).
-pub fn aggregate_out_dims(dims: &[Dimension], group_by: &[GroupKey]) -> Vec<Dimension> {
-    group_by
-        .iter()
-        .map(|k| match k {
-            GroupKey::Dim(name) => dims
-                .iter()
-                .find(|d| &d.name == name)
-                .expect("analysis validated keys")
-                .clone(),
-            GroupKey::TimeMap { target, alias, .. } => {
-                Dimension::new(alias.clone(), exl_model::DimType::Time(*target))
-            }
-        })
-        .collect()
-}
-
 /// Index of the time dimension an operator acts on. Statements arriving
 /// without re-analysis (delta kernels, cached replay) can fail to
 /// resolve; that is an error, not a panic.
@@ -1769,6 +1576,44 @@ mod tests {
         assert!(matches!(err, EvalError::InvalidStatement { .. }), "{err}");
     }
 
+    #[test]
+    fn statements_without_a_cube_operand_are_typed_errors() {
+        // statements that never went through analysis: a constant, and
+        // shift, aggregation and series operators over a scalar operand
+        use exl_lang::ast::{BinOp, Expr};
+        let two = || Box::new(Expr::Number(2.0));
+        let exprs = [
+            Expr::binary(BinOp::Add, Expr::Number(2.0), Expr::Number(3.0)),
+            Expr::Shift {
+                arg: two(),
+                offset: 1,
+                dim: None,
+            },
+            Expr::Aggregate {
+                agg: AggFn::Sum,
+                arg: two(),
+                group_by: Vec::new(),
+            },
+            Expr::SeriesFn {
+                op: SeriesOp::CumSum,
+                arg: two(),
+            },
+        ];
+        for expr in exprs {
+            let stmt = Statement {
+                target: CubeId::new("A"),
+                expr,
+                pos: Default::default(),
+            };
+            let err = eval_statement(&stmt, &Dataset::new()).unwrap_err();
+            assert!(matches!(err, EvalError::InvalidStatement { .. }), "{err}");
+            let mut session = EvalSession::new();
+            let err = session.eval(&stmt).unwrap_err();
+            assert!(matches!(err, EvalError::InvalidStatement { .. }), "{err}");
+            assert!(!session.is_loaded(&stmt.target));
+        }
+    }
+
     // ---- worker containment ----
 
     #[test]
@@ -1776,11 +1621,12 @@ mod tests {
         let data = big_cube((PAR_MIN_ROWS + 100) as i64);
         let mut pool = DimPool::new();
         let batch = CubeBatch::from_data(&data, &mut pool);
+        let f = |va: f64, vb: f64| va * vb;
         let _guard = exl_fault::install(FaultPlan::panic_once("eval.worker"));
-        let err = map_measures(Cow::Borrowed(&batch), &|v| v * 2.0, 4).unwrap_err();
+        let err = probe_combine(&batch, &batch, &f, 0.0, 4).unwrap_err();
         assert!(matches!(err, EvalError::WorkerPanicked { .. }), "{err}");
         // the panic was contained: later evaluations on this thread work
-        assert!(map_measures(Cow::Borrowed(&batch), &|v| v * 2.0, 4).is_ok());
+        assert!(probe_combine(&batch, &batch, &f, 0.0, 4).is_ok());
     }
 
     #[test]
@@ -1826,18 +1672,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_measures_matches_serial_bitwise() {
-        let _guard = no_faults();
-        let data = big_cube((PAR_MIN_ROWS + 100) as i64);
-        let mut pool = DimPool::new();
-        let batch = CubeBatch::from_data(&data, &mut pool);
-        let f = |v: f64| (v * 1.0000001).ln();
-        let serial = map_measures(Cow::Borrowed(&batch), &f, 1).unwrap();
-        let parallel = map_measures(Cow::Borrowed(&batch), &f, 4).unwrap();
-        assert_eq!(bits(&serial.to_data(&pool)), bits(&parallel.to_data(&pool)));
-    }
-
-    #[test]
     fn parallel_probe_combine_matches_serial_bitwise() {
         let _guard = no_faults();
         let data = big_cube((PAR_MIN_ROWS + 100) as i64);
@@ -1855,11 +1689,9 @@ mod tests {
         let a = CubeBatch::from_data(&data, &mut pool);
         let b = CubeBatch::from_data(&partner, &mut pool);
         let f = |va: f64, vb: f64| va / vb;
-        for policy in [JoinPolicy::Inner, JoinPolicy::Outer { default: 1.0 }] {
-            let serial = probe_combine(Cow::Borrowed(&a), &b, &f, &policy, 1).unwrap();
-            let parallel = probe_combine(Cow::Borrowed(&a), &b, &f, &policy, 4).unwrap();
-            assert_eq!(bits(&serial.to_data(&pool)), bits(&parallel.to_data(&pool)));
-        }
+        let serial = probe_combine(&a, &b, &f, 1.0, 1).unwrap();
+        let parallel = probe_combine(&a, &b, &f, 1.0, 4).unwrap();
+        assert_eq!(bits(&serial.to_data(&pool)), bits(&parallel.to_data(&pool)));
     }
 
     #[test]
@@ -2177,8 +2009,7 @@ mod tests {
             CubeData::from_tuples(tuples).unwrap(),
         ));
         let (_, fused) = run_program_with_stats(&analyzed, &input).unwrap();
-        let mut unfused = PlanStats::default();
-        run_unfused(&analyzed, &input, &mut unfused).unwrap();
+        let (_, unfused) = run_compiled(&analyzed, &input, 1, false).unwrap();
         for (stats, label) in [(fused, "fused"), (unfused, "unfused")] {
             assert_eq!(stats.intern_rows, 4, "{label}");
             assert_eq!(stats.to_data_rows, 8, "{label}");

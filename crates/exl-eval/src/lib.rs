@@ -1,10 +1,11 @@
-//! # exl-eval — the reference EXL interpreter
+//! # exl-eval — the reference EXL evaluator
 //!
 //! Direct operational semantics of EXL over [`exl_model`] datasets: the
 //! "algorithmic application of program expressions" the paper's §4.2
 //! equivalence theorem compares the chase against. Every other backend
 //! (chase, SQL, R, Matlab, ETL) is tested for equivalence with this
-//! interpreter.
+//! evaluator, which compiles every evaluation into a region plan
+//! ([`plan`]) and runs it through one execution loop ([`eval`]).
 //!
 //! Semantics notes (all shared with the backends):
 //!

@@ -1,15 +1,16 @@
 //! Plan compilation: operator fusion and cross-statement CSE.
 //!
-//! [`run_program`](crate::run_program) no longer walks each statement's
-//! expression tree per run. Instead the whole native subgraph is
-//! *concretized* once into a flat DAG of `CNode`s (the
+//! Every native evaluation runs a compiled plan: a whole subgraph
+//! ([`run_program`](crate::run_program)) or one statement over an
+//! [`EvalSession`](crate::EvalSession). The statements are
+//! *concretized* into a flat DAG of `CNode`s (the
 //! `concretize_expression` → `ConcreteExpr` move): every subtree is
 //! structurally hashed through the PR 5 [`Fingerprint`] machinery and
 //! interned, so a subexpression appearing twice — in one statement or
 //! across statements — becomes one shared node (cross-statement CSE).
-//! Scalar-only subtrees constant-fold at plan time through the same
-//! `op.apply` the interpreter uses, so folded constants are bit-identical
-//! to the eager scalar folding of the unfused evaluator.
+//! Scalar-only subtrees constant-fold at plan time through the
+//! operators' own `op.apply`, and a statement that does not denote a
+//! cube is a typed error here, before any data is read.
 //!
 //! The DAG is then partitioned into **regions**, each producing one
 //! materialized [`CubeBatch`]. Fusion legality: a node is forced to
@@ -34,12 +35,19 @@
 //! the probed value, so `T - shift(T, 1)` probes `T`'s index — built
 //! once, shared — instead of materializing a shifted copy.
 //!
-//! Interaction with the engine's run cache is deliberately coarse: the
+//! The **unfused** mode ([`run_program_unfused`](crate::run_program_unfused))
+//! compiles with both rewrites off: no node is shared and every node
+//! materializes, so every operator is its own region and a stream region
+//! holds one step. It runs the same kernels, so fused ≡ unfused bit for
+//! bit pins exactly the two rewrites.
+//!
+//! Interaction with the engine's run cache is statement-grained: the
 //! cache resolves **statements** (PR 5 fingerprints are still computed
 //! per statement), and a warm delta run that resolves part of a subgraph
-//! replays the cached prefix untouched and inline-evaluates the dirty
-//! statements one by one — fusion applies only to fully-dirty subgraphs
-//! handed to [`run_program`](crate::run_program) as one job. See
+//! replays the cached prefix untouched and evaluates each dirty statement
+//! as a one-statement plan over one shared session — fusion across
+//! statements applies only to fully-dirty subgraphs handed to
+//! [`run_program`](crate::run_program) as one job. See
 //! `docs/PERFORMANCE.md` ("Plan compilation") for the full legality
 //! argument.
 
@@ -54,6 +62,7 @@ use exl_stats::descriptive::AggFn;
 use exl_stats::seriesop::SeriesOp;
 
 use crate::error::EvalError;
+use crate::eval::{key_parts, resolve_time_index, KeyPart};
 
 /// Index of a node in the plan's flat DAG.
 pub(crate) type NodeId = usize;
@@ -264,8 +273,13 @@ pub(crate) struct CompiledPlan {
 
 // ---- concretization ----
 
+/// Dimensions of a source cube, or the error reading it reports.
+pub(crate) type SourceDims<'a> = &'a dyn Fn(&CubeId) -> Result<Vec<Dimension>, EvalError>;
+
 struct Builder<'a> {
-    analyzed: &'a AnalyzedProgram,
+    sources: SourceDims<'a>,
+    /// Share structurally equal operator nodes (off in the unfused mode).
+    cse: bool,
     nodes: Vec<CNode>,
     fps: Vec<Fingerprint>,
     dims: Vec<Vec<Dimension>>,
@@ -276,9 +290,10 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn new(analyzed: &'a AnalyzedProgram) -> Builder<'a> {
+    fn new(sources: SourceDims<'a>, cse: bool) -> Builder<'a> {
         Builder {
-            analyzed,
+            sources,
+            cse,
             nodes: Vec::new(),
             fps: Vec::new(),
             dims: Vec::new(),
@@ -371,12 +386,13 @@ impl<'a> Builder<'a> {
     }
 
     /// Intern a node: an existing structurally-equal node is reused (a
-    /// CSE hit when it is an operator node); a new node counts one
-    /// consumer edge per child.
+    /// CSE hit when it is an operator node, which only the CSE mode
+    /// shares); a new node counts one consumer edge per child.
     fn add(&mut self, node: CNode, dims: Vec<Dimension>) -> NodeId {
         let fp = self.fp_of(&node);
-        if let Some(&id) = self.intern.get(&fp) {
-            if !matches!(node, CNode::Source(_) | CNode::Scalar(_)) {
+        let operator = !matches!(node, CNode::Source(_) | CNode::Scalar(_));
+        if let Some(&id) = self.intern.get(&fp).filter(|_| self.cse || !operator) {
+            if operator {
                 self.cse_reuses += 1;
             }
             return id;
@@ -407,23 +423,15 @@ impl<'a> Builder<'a> {
                 if let Some(&n) = self.defs.get(id) {
                     return Ok(n);
                 }
-                let dims = self
-                    .analyzed
-                    .schemas
-                    .get(id)
-                    .ok_or_else(|| EvalError::MissingInput {
-                        cube: id.to_string(),
-                    })?
-                    .dims
-                    .clone();
+                let dims = (self.sources)(id)?;
                 let n = self.add(CNode::Source(id.clone()), dims);
                 self.defs.insert(id.clone(), n);
                 Ok(n)
             }
             Expr::Unary { op, arg } => {
                 let a = self.build_expr(arg)?;
-                // plan-time constant folding through the same `apply` the
-                // interpreter folds with — bit-identical
+                // plan-time constant folding through the operator's own
+                // `apply` — bit-identical to folding at run time
                 if let Some(v) = self.scalar_of(a) {
                     return Ok(self.add(CNode::Scalar(op.apply(v)), Vec::new()));
                 }
@@ -441,7 +449,7 @@ impl<'a> Builder<'a> {
                 match (self.scalar_of(l), self.scalar_of(r)) {
                     (Some(a), Some(b)) => Ok(self.add(CNode::Scalar(op.apply(a, b)), Vec::new())),
                     // a scalar side makes the join policy irrelevant: the
-                    // interpreter maps measures in place either way
+                    // measures map in place either way
                     (Some(a), None) => {
                         let dims = self.dims[r].clone();
                         Ok(self.add(
@@ -490,7 +498,7 @@ impl<'a> Builder<'a> {
                         detail: "shift of a scalar operand".into(),
                     });
                 }
-                let idx = crate::eval::resolve_time_index(&self.dims[a], dim.as_deref())?;
+                let idx = resolve_time_index(&self.dims[a], dim.as_deref())?;
                 let dims = self.dims[a].clone();
                 Ok(self.add(
                     CNode::Shift {
@@ -508,16 +516,18 @@ impl<'a> Builder<'a> {
                         detail: "aggregation of a scalar operand".into(),
                     });
                 }
-                let parts = crate::eval::key_parts(&self.dims[a], group_by)?;
+                let parts = key_parts(&self.dims[a], group_by)?;
                 let out_dims: Vec<Dimension> = group_by
                     .iter()
                     .zip(&parts)
-                    .map(|(g, p)| match (g, p) {
-                        (GroupKey::TimeMap { target, alias, .. }, _) => {
+                    .map(|(g, p)| match g {
+                        GroupKey::TimeMap { target, alias, .. } => {
                             Dimension::new(alias.clone(), exl_model::DimType::Time(*target))
                         }
-                        (_, crate::eval::KeyPart::Dim(i)) => self.dims[a][*i].clone(),
-                        _ => unreachable!("key parts mirror group keys"),
+                        GroupKey::Dim(_) => {
+                            let (KeyPart::Dim(i) | KeyPart::TimeMap { idx: i, .. }) = p;
+                            self.dims[a][*i].clone()
+                        }
                     })
                     .collect();
                 Ok(self.add(
@@ -556,14 +566,22 @@ fn children_of(node: &CNode) -> Vec<NodeId> {
     }
 }
 
-/// Compile an analyzed program into a fused execution plan. Needs no
-/// data: shift axes and group keys resolve against the analyzed schemas,
-/// raising the same typed errors the unfused evaluator would.
+/// Compile statements into an execution plan. Needs no data: shift axes
+/// and group keys resolve against the dimensions `sources` gives for
+/// each cube the statements read but do not define. A statement that
+/// does not denote a cube (a constant, or a shift, aggregation or series
+/// operator over one) is an [`EvalError::InvalidStatement`].
+///
+/// With `fuse` off (the unfused mode behind
+/// [`run_program_unfused`](crate::run_program_unfused)) neither rewrite
+/// applies: no operator node is shared, each is its own region, and a
+/// stream region holds exactly one step.
 pub(crate) fn compile(
-    analyzed: &AnalyzedProgram,
     statements: &[Statement],
+    sources: SourceDims<'_>,
+    fuse: bool,
 ) -> Result<CompiledPlan, EvalError> {
-    let mut b = Builder::new(analyzed);
+    let mut b = Builder::new(sources, fuse);
     let mut roots: Vec<(CubeId, NodeId)> = Vec::with_capacity(statements.len());
     let mut stmt_node_end: Vec<usize> = Vec::with_capacity(statements.len());
     for stmt in statements {
@@ -591,7 +609,7 @@ pub(crate) fn compile(
         .map(|n| match &nodes[n] {
             CNode::Source(_) | CNode::Scalar(_) => true,
             CNode::Aggregate { .. } | CNode::Series { .. } | CNode::Outer { .. } => true,
-            _ => consumers[n] >= 2,
+            _ => !fuse || consumers[n] >= 2,
         })
         .collect();
     // externally-visible statement roots always materialize
@@ -717,7 +735,6 @@ fn stream_region(nodes: &[CNode], mat: &[bool], out: NodeId) -> StreamRegion {
     let mut folded: u64 = 0; // nodes executed by this region (root included)
     let mut cur = out;
     loop {
-        folded += 1;
         let next = match &nodes[cur] {
             CNode::Unary { op, arg } => {
                 steps_rev.push(Step::Map(MapOp::Unary(*op)));
@@ -744,8 +761,11 @@ fn stream_region(nodes: &[CNode], mat: &[bool], out: NodeId) -> StreamRegion {
                 steps_rev.push(step);
                 *lhs
             }
-            _ => unreachable!("stream spine holds only fusable node kinds"),
+            // sources and barriers always materialize: the spine ends
+            // before it reaches one
+            _ => break,
         };
+        folded += 1;
         cur = next;
         if mat[cur] {
             break;
@@ -756,7 +776,7 @@ fn stream_region(nodes: &[CNode], mat: &[bool], out: NodeId) -> StreamRegion {
         out,
         base: cur,
         steps: steps_rev,
-        fused: folded - 1,
+        fused: folded.saturating_sub(1),
     }
 }
 
@@ -771,29 +791,30 @@ fn probe_step(nodes: &[CNode], mat: &[bool], rhs: NodeId, op: BinOp) -> (Step, u
     let mut folded = 0u64;
     let mut cur = rhs;
     while !mat[cur] {
-        folded += 1;
-        match &nodes[cur] {
+        cur = match &nodes[cur] {
             CNode::Unary { op, arg } => {
                 maps_rev.push(MapOp::Unary(*op));
-                cur = *arg;
+                *arg
             }
             CNode::ScalarL { op, scalar, arg } => {
                 maps_rev.push(MapOp::ScalarL(*op, *scalar));
-                cur = *arg;
+                *arg
             }
             CNode::ScalarR { op, arg, scalar } => {
                 maps_rev.push(MapOp::ScalarR(*op, *scalar));
-                cur = *arg;
+                *arg
             }
             CNode::Shift { arg, idx, offset } => {
                 match adjust.iter_mut().find(|(i, _)| i == idx) {
                     Some((_, total)) => *total += offset,
                     None => adjust.push((*idx, *offset)),
                 }
-                cur = *arg;
+                *arg
             }
-            _ => unreachable!("legality marking materialized non-chain probe nodes"),
-        }
+            // legality marking materialized every other probe-side node
+            _ => break,
+        };
+        folded += 1;
     }
     maps_rev.reverse();
     (
@@ -809,8 +830,9 @@ fn probe_step(nodes: &[CNode], mat: &[bool], rhs: NodeId, op: BinOp) -> (Step, u
 
 // ---- execution ----
 
-/// Rewrite one key component by a shift offset — the same rule (and the
-/// same typed error) as the unfused shift kernel.
+/// Rewrite one key component by a shift offset (`Int` dimensions shift
+/// too, §3: "a sum on the values of a numeric dimension"); any other
+/// value is a typed error.
 #[inline]
 fn shift_idim(d: IDim, offset: i64, pool: &DimPool) -> Result<IDim, EvalError> {
     match d {
@@ -827,8 +849,8 @@ fn shift_idim(d: IDim, offset: i64, pool: &DimPool) -> Result<IDim, EvalError> {
 /// surviving rows to the front of `out_keys` (the base's arity values
 /// each) and `out_measures`, which have room for every row; returns how
 /// many survived. Rows are dropped the moment any step turns the measure
-/// non-finite or a probe misses — exactly the rows the unfused pipeline's
-/// per-operator `retain_finite` sweeps would have removed. `probes` maps
+/// non-finite or a probe misses — exactly the rows per-operator
+/// `retain_finite` sweeps would have removed. `probes` maps
 /// each probe step's input node to its batch.
 fn stream_rows(
     region: &StreamRegion,
@@ -1132,6 +1154,117 @@ impl CompiledPlan {
 /// Compile `analyzed` and describe the resulting plan — the data-free
 /// introspection entry point behind `exlc plan` and `--dump-plan`.
 pub fn plan_description(analyzed: &AnalyzedProgram) -> Result<PlanDescription, EvalError> {
-    let plan = compile(analyzed, &analyzed.program.statements)?;
+    let plan = compile_program(analyzed, true)?;
     Ok(plan.describe())
+}
+
+/// Compile a whole analyzed program, its sources read from the analyzed
+/// schemas.
+pub(crate) fn compile_program(
+    analyzed: &AnalyzedProgram,
+    fuse: bool,
+) -> Result<CompiledPlan, EvalError> {
+    let sources = |id: &CubeId| {
+        analyzed
+            .schemas
+            .get(id)
+            .map(|s| s.dims.clone())
+            .ok_or_else(|| EvalError::MissingInput {
+                cube: id.to_string(),
+            })
+    };
+    compile(&analyzed.program.statements, &sources, fuse)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::eval::PAR_MIN_ROWS;
+    use exl_lang::{analyze, parse_program};
+
+    #[test]
+    fn unfused_plan_has_one_region_per_operator_node() {
+        // `B` is a shift/probe/map chain; `C` repeats `ln(A)`
+        let analyzed = analyze(
+            &parse_program("cube A(q: quarter); B := 2 * (A - shift(A, 1)); C := ln(A) * ln(A);")
+                .unwrap(),
+            &[],
+        )
+        .unwrap();
+        let unfused = compile_program(&analyzed, false).unwrap();
+        let operators = unfused
+            .nodes
+            .iter()
+            .filter(|n| !matches!(n, CNode::Source(_) | CNode::Scalar(_)))
+            .count();
+        assert_eq!(operators, 6);
+        assert_eq!(unfused.regions.len(), operators);
+        for region in &unfused.regions {
+            if let Region::Stream(s) = region {
+                assert_eq!((s.steps.len(), s.fused), (1, 0), "{s:?}");
+            }
+        }
+        let stats = unfused.stats;
+        assert_eq!((stats.fused_ops, stats.cse_reuses), (0, 0), "{stats:?}");
+
+        // fused: `B` is one stream region with the shift and the probe
+        // folded in, and `C` reads one shared `ln(A)` region
+        let fused = compile_program(&analyzed, true).unwrap();
+        assert!(fused.regions.len() < unfused.regions.len());
+        assert_eq!(fused.regions.len(), 3);
+        let stats = fused.stats;
+        assert_eq!((stats.fused_ops, stats.cse_reuses), (2, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn run_stream_is_bit_identical_for_any_worker_count() {
+        // every fanned-out worker passes the process-wide `eval.worker`
+        // site: hold the fault-plan lock so no other test's one-shot
+        // fault fires here
+        let _guard = exl_fault::install(exl_fault::FaultPlan::fail_once("eval.unused"));
+        let n = PAR_MIN_ROWS + 100;
+        let mut pool = DimPool::new();
+        let mut base = CubeBatch::new();
+        let mut probe = CubeBatch::new();
+        for i in 0..n as i64 {
+            let key = [
+                IDim::Int(i),
+                IDim::Sym(pool.intern(&format!("g{}", i / 700))),
+            ];
+            base.push(&key, (i as f64).sin() * 1e6 + 0.1);
+            // every third key misses on the probe side (and so does a
+            // shifted key crossing into the next group)
+            if i % 3 != 0 {
+                probe.push(&key, (i as f64).cos() + 2.0);
+            }
+        }
+        let region = StreamRegion {
+            out: 2,
+            base: 0,
+            steps: vec![
+                Step::Map(MapOp::ScalarR(BinOp::Div, 3.0)),
+                Step::ShiftKey { idx: 0, offset: 1 },
+                Step::Probe {
+                    input: 1,
+                    op: BinOp::Mul,
+                    adjust: Vec::new(),
+                    maps: vec![MapOp::Unary(UnaryFn::Ln)],
+                },
+            ],
+            fused: 2,
+        };
+        let rows = |threads: usize| -> Vec<(Vec<IDim>, u64)> {
+            let out = run_stream(&region, &base, &[(1, &probe)], &pool, threads).unwrap();
+            out.iter().map(|(k, v)| (k.to_vec(), v.to_bits())).collect()
+        };
+        let serial = rows(1);
+        assert!(
+            !serial.is_empty() && serial.len() < n,
+            "hits and misses: {} of {n}",
+            serial.len()
+        );
+        for threads in [3, 4] {
+            assert_eq!(rows(threads), serial, "x{threads}");
+        }
+    }
 }

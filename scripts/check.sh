@@ -81,8 +81,8 @@ cargo test -q -p exl-eval --test repro_delta
 
 echo "== fusion differential (fixed-seed matrix) =="
 # fused ≡ unfused bitwise over 120 random programs (+ the interned chase
-# within 1e-9 on a quarter of them), deep-chain shapes, and warm-cache
-# delta runs split at the dirty frontier
+# within 1e-9 on every one), deep-chain shapes, and warm-cache delta runs
+# split at the dirty frontier
 cargo test -q -p exl-integration-tests --test fusion_differential
 
 echo "== shard differential (fixed-seed matrix) =="
@@ -100,6 +100,17 @@ echo "== one run path =="
 cargo test -q -p exl-engine --test cli -- --exact run_accepts_a_target_argument \
     unsupported_operator_falls_back_on_every_flag_combination \
     dump_plan_file_equals_plan_stdout
+
+echo "== one evaluator =="
+# every native evaluation runs a compiled plan: a statement that does not
+# denote a cube is a typed error through `eval_statement` and
+# `EvalSession::eval`; the unfused compile mode gives one region per
+# operator node (fused: fewer, with fusion and CSE); a stream region's
+# rows and their order are the same on 1, 3 and 4 workers
+cargo test -q -p exl-eval --lib -- --exact \
+    eval::tests::statements_without_a_cube_operand_are_typed_errors \
+    plan::tests::unfused_plan_has_one_region_per_operator_node \
+    plan::tests::run_stream_is_bit_identical_for_any_worker_count
 
 echo "== sql backend =="
 # the SQL backend loads staged cubes as typed rows: the load must equal
