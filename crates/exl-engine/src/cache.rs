@@ -73,7 +73,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use exl_eval::delta::{changed_keys, diff_rows, eval_statement_delta};
+use exl_eval::delta::{changed_keys, diff_rows, eval_statement_delta_with_threads};
 use exl_lang::ast::Statement;
 use exl_model::fingerprint::{CubeDelta, CubeDigest, Fingerprint, FingerprintBuilder};
 use exl_model::hash::FxHashMap;
@@ -326,6 +326,21 @@ impl RunCache {
         inputs: &Dataset,
         schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
     ) -> Option<(Vec<(CubeId, CubeData)>, StmtCacheCounts)> {
+        self.resolve_statements_with_threads(stmts, target, inputs, schema_of, None)
+    }
+
+    /// [`RunCache::resolve_statements`] whose inline evaluations and
+    /// delta patches run on `eval_threads` evaluator workers (`None`
+    /// probes the machine): the engine passes its
+    /// [`ExecOpts::eval_threads`](crate::ExecOpts).
+    pub fn resolve_statements_with_threads(
+        &mut self,
+        stmts: &[Statement],
+        target: TargetKind,
+        inputs: &Dataset,
+        schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
+        eval_threads: Option<usize>,
+    ) -> Option<(Vec<(CubeId, CubeData)>, StmtCacheCounts)> {
         let mut env = inputs.clone();
         let mut outputs = Vec::with_capacity(stmts.len());
         let mut counts = StmtCacheCounts::default();
@@ -335,7 +350,7 @@ impl RunCache {
         // one interned working set for the whole subgraph: statements
         // evaluated inline hand their result batches to later inline
         // statements directly, without re-interning at each boundary
-        let mut session = exl_eval::EvalSession::new();
+        let mut session = exl_eval::EvalSession::with_threads(eval_threads);
         for stmt in stmts {
             let stmt_fp = statement_fp(stmt, target, &env)?;
             let last = self.latest.get(&stmt_fp).cloned();
@@ -353,7 +368,7 @@ impl RunCache {
                 // other targets only replay their own prior bits
                 return None;
             } else if let Some((data, delta)) =
-                self.try_delta(stmt, &env, stmt_fp, &input_fps, &mut deltas)
+                self.try_delta(stmt, &env, stmt_fp, &input_fps, &mut deltas, eval_threads)
             {
                 counts.delta_hits += 1;
                 // remember the fresh result so the next identical run
@@ -433,6 +448,7 @@ impl RunCache {
         stmt_fp: Fingerprint,
         input_fps: &[(CubeId, Fingerprint)],
         deltas: &mut FxHashMap<CubeId, CubeDelta>,
+        eval_threads: Option<usize>,
     ) -> Option<(CubeData, CubeDelta)> {
         let last = self.latest.get(&stmt_fp).cloned().or_else(|| {
             let e = self.read_latest(stmt_fp)?;
@@ -456,7 +472,14 @@ impl RunCache {
         // the delta kernels must degrade, never take the engine down: a
         // panic (or error) here just means a cold execution
         let (out, delta) = catch_unwind(AssertUnwindSafe(|| {
-            eval_statement_delta(stmt, env, deltas, &prev_output, last.output)
+            eval_statement_delta_with_threads(
+                stmt,
+                env,
+                deltas,
+                &prev_output,
+                last.output,
+                eval_threads,
+            )
         }))
         .ok()?
         .ok()??;

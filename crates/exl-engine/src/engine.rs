@@ -1129,9 +1129,15 @@ impl ExlEngine {
         // consult the run cache: if every statement of the subgraph
         // resolves (exact content hit, delta patch, or inline evaluation
         // of a dirty remainder), stage the cached outputs and never spawn
-        let resolved = cache
-            .as_mut()
-            .and_then(|c| c.resolve_statements(&p.statements, p.target, &input, &schema_of));
+        let resolved = cache.as_mut().and_then(|c| {
+            c.resolve_statements_with_threads(
+                &p.statements,
+                p.target,
+                &input,
+                &schema_of,
+                ctx.opts.eval_threads,
+            )
+        });
         match resolved {
             Some((items, counts)) => Start::Ended(SubgraphOutcome {
                 cache: counts,

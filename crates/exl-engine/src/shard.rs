@@ -142,10 +142,15 @@ pub(crate) fn dispatch_sharded_in(
     ctx: &ExecCtx,
 ) -> (Result<Vec<(CubeId, CubeData)>, EngineError>, ShardOutcome) {
     let mut outcome = ShardOutcome::default();
-    if let Some((out, counts)) = cache
-        .as_mut()
-        .and_then(|c| c.resolve_statements(stmts, TargetKind::Native, input, schema_of))
-    {
+    if let Some((out, counts)) = cache.as_mut().and_then(|c| {
+        c.resolve_statements_with_threads(
+            stmts,
+            TargetKind::Native,
+            input,
+            schema_of,
+            ctx.opts.eval_threads,
+        )
+    }) {
         outcome.counts = counts;
         return (Ok(out), outcome);
     }

@@ -34,8 +34,9 @@
 //!
 //! The contract, pinned by the `incremental_differential` suite, is
 //! **bit-identity**: a patched output equals the cold from-scratch output
-//! of [`eval_statement`] on the current inputs, bit for bit, and its delta
-//! is exactly the difference between the previous and the patched output.
+//! of [`eval_statement`](crate::eval::eval_statement) on the current
+//! inputs, bit for bit, and its delta is exactly the difference between
+//! the previous and the patched output.
 //! This holds because affected keys/groups are recomputed by the very
 //! same kernels over the very same (restricted) rows, and unaffected keys
 //! keep values that were themselves cold-path results.
@@ -48,7 +49,7 @@ use exl_model::value::DimValue;
 use exl_model::{Cube, CubeData, Dataset, DimTuple};
 
 use crate::error::EvalError;
-use crate::eval::{eval_statement, key_parts, part_value};
+use crate::eval::{eval_statement_with_threads, key_parts, part_value};
 
 /// The change set turning `old` (whose fingerprint is `base`) into `new`:
 /// inserted and updated keys (by measure bits — the cache promises
@@ -263,7 +264,8 @@ fn shift_key(key: &[DimValue], chain: &[(usize, i64)], sign: i64) -> Option<DimT
 /// Returns `Ok(None)` when the statement is not eligible (whole-cube
 /// operators, unmapped shift dimensions, an input without a delta, or a
 /// delta too large for patching to pay off) — the caller falls back to
-/// [`eval_statement`]. `Ok(Some((out, delta)))`: `out` is bit-identical to
+/// [`eval_statement`](crate::eval::eval_statement).
+/// `Ok(Some((out, delta)))`: `out` is bit-identical to
 /// `eval_statement(stmt, env)`, and `delta` (based on `prev_output_fp`)
 /// is exactly the change from `prev_output` to `out`. When nothing
 /// changed, `out` shares `prev_output`'s storage.
@@ -273,6 +275,19 @@ pub fn eval_statement_delta(
     input_deltas: &FxHashMap<CubeId, CubeDelta>,
     prev_output: &CubeData,
     prev_output_fp: Fingerprint,
+) -> Result<Option<(CubeData, CubeDelta)>, EvalError> {
+    eval_statement_delta_with_threads(stmt, env, input_deltas, prev_output, prev_output_fp, None)
+}
+
+/// [`eval_statement_delta`] whose patch evaluation runs on `threads`
+/// evaluator workers (`None` probes the machine).
+pub fn eval_statement_delta_with_threads(
+    stmt: &Statement,
+    env: &Dataset,
+    input_deltas: &FxHashMap<CubeId, CubeDelta>,
+    prev_output: &CubeData,
+    prev_output_fp: Fingerprint,
+    threads: Option<usize>,
 ) -> Result<Option<(CubeData, CubeDelta)>, EvalError> {
     let shape = delta_shape(&stmt.expr);
     if shape == DeltaShape::Full {
@@ -297,8 +312,8 @@ pub fn eval_statement_delta(
     }
 
     let patched = match shape {
-        DeltaShape::Keyed => patch_keyed(stmt, env, input_deltas, total_rows)?,
-        DeltaShape::Grouped => patch_grouped(stmt, env, input_deltas)?,
+        DeltaShape::Keyed => patch_keyed(stmt, env, input_deltas, total_rows, threads)?,
+        DeltaShape::Grouped => patch_grouped(stmt, env, input_deltas, threads)?,
         DeltaShape::Full => unreachable!("rejected above"),
     };
     let Some((affected, patch)) = patched else {
@@ -330,6 +345,7 @@ fn patch_keyed(
     env: &Dataset,
     deltas: &FxHashMap<CubeId, CubeDelta>,
     total_rows: usize,
+    threads: Option<usize>,
 ) -> Result<Patch, EvalError> {
     let mut leaves = Vec::new();
     if collect_leaves(&stmt.expr, env, &mut Vec::new(), &mut leaves).is_none() {
@@ -380,7 +396,7 @@ fn patch_keyed(
     // key outside the set (e.g. an outer join defaulting where a partner
     // row was restricted away) is computed from partial inputs and the
     // caller reads the patch at affected keys only
-    let patch = eval_statement(stmt, &renv)?;
+    let patch = eval_statement_with_threads(stmt, &renv, threads)?;
     Ok(Some((affected, patch)))
 }
 
@@ -389,6 +405,7 @@ fn patch_grouped(
     stmt: &Statement,
     env: &Dataset,
     deltas: &FxHashMap<CubeId, CubeDelta>,
+    threads: Option<usize>,
 ) -> Result<Patch, EvalError> {
     let Expr::Aggregate { arg, group_by, .. } = &stmt.expr else {
         unreachable!("classified as Grouped");
@@ -472,7 +489,7 @@ fn patch_grouped(
         renv.put(Cube::new(cube.schema.clone(), r));
     }
 
-    let patch = eval_statement(stmt, &renv)?;
+    let patch = eval_statement_with_threads(stmt, &renv, threads)?;
     debug_assert!(patch.iter().all(|(k, _)| affected.contains(k)));
     Ok(Some((affected, patch)))
 }
@@ -480,6 +497,7 @@ fn patch_grouped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_statement;
     use exl_lang::{analyze, parse_program};
     use exl_model::fingerprint::CubeDigest;
     use exl_model::time::TimePoint;

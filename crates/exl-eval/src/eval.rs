@@ -7,7 +7,9 @@
 //! plan with fusion and CSE off) or one statement over a session
 //! ([`EvalSession::eval`], [`eval_statement`], which the run cache and
 //! the delta kernels use). The worker count is an argument of the loop:
-//! a program run takes the caller's, a statement takes the machine's.
+//! every entry takes the caller's (`None` probes the machine), so an
+//! engine pinned to one evaluator thread fans nothing out, its run
+//! cache's inline and delta evaluations included.
 //!
 //! The evaluator executes on columnar batches ([`CubeBatch`]): each run
 //! owns an [`EvalSession`] with a run-local [`DimPool`], every operand
@@ -25,14 +27,23 @@
 //! equals a one-worker pass.
 //!
 //! Aggregation is one partition-then-fold kernel for every worker count
-//! (`aggregate_batch`). Workers resolve group keys over contiguous row
-//! chunks in parallel; one serial pass numbers the groups in first-seen
-//! order; the chunks then scatter, in parallel, each row's sort-key
-//! columns and measure into its group's contiguous segment, at the
-//! positions a serial scatter would use; workers then fold ranges of
-//! groups in parallel, each segment sorted by full input key and replayed
-//! through [`ExactState`] — the former sorted-map evaluator's fold order —
-//! so every float is bit-identical for any worker count (pinned against a
+//! (`aggregate_batch`), in four phases over contiguous row chunks.
+//! Workers first take every column's kind and code range. A pure rule on
+//! those ranges and the row count then picks how groups are numbered:
+//! when the group key's code ranges multiply to a small domain, each
+//! row's group is a mixed-radix index into dense arrays (a time map
+//! reads a table holding one conversion per input code); otherwise
+//! (mixed kinds, a large domain, a key that cannot be resolved) workers
+//! resolve and hash each row's key. One serial pass numbers the
+//! groups in first-seen order either way. The chunks then scatter, in
+//! parallel, each row's measure with its sort code (the sort columns
+//! packed into one `u64` when they fit, else copied rank-coded into a
+//! side column) into the chunk's pieces of its group. Workers then fold
+//! ranges of groups in parallel, each group's rows sorted by full input
+//! key (a sort skipped when the rows are in order already) and folded
+//! with `AggFn::apply`, the [`ExactState`] bag contract and the former
+//! sorted-map evaluator's fold order, so every float is bit-identical
+//! for any worker count and either path (pinned against a
 //! `DimTuple`-sorted reference by the interned differential suite).
 //!
 //! Interning, stream regions, outer joins, group-by partitions, and
@@ -51,16 +62,16 @@ use std::time::Instant;
 
 use exl_lang::analyze::AnalyzedProgram;
 use exl_lang::ast::{GroupKey, Statement};
-use exl_model::batch::{intern_rows, remap_syms, CubeBatch, RowCheck};
+use exl_model::batch::{intern_rows, remap_syms, CubeBatch, KeyColumn, RowCheck};
 use exl_model::hash::{FxHashMap, FxHasher};
-use exl_model::intern::{DimPool, IDim, RankedDim};
+use exl_model::intern::{DimPool, IDim, RankedDim, Sym};
 use exl_model::schema::{CubeId, Dimension};
-use exl_model::time::Frequency;
+use exl_model::time::{Frequency, TimePoint};
 use exl_model::value::DimValue;
 use exl_model::{Cube, CubeData, Dataset, DimTuple, ModelError};
 use exl_stats::descriptive::AggFn;
 use exl_stats::seriesop::SeriesOp;
-use exl_stats::state::{AggState, ExactState};
+use exl_stats::state::ExactState;
 
 use crate::error::EvalError;
 use crate::plan::{self, CNode, CompiledPlan, NodeId, PlanStats, Region, Step};
@@ -105,6 +116,9 @@ pub struct EvalSession {
     /// Cubes whose load failed, with the error every statement reading
     /// them reports.
     failed: FxHashMap<CubeId, EvalError>,
+    /// Workers for interning and the data-parallel operators; `None`
+    /// probes the machine.
+    threads: Option<usize>,
 }
 
 #[derive(Debug)]
@@ -117,6 +131,19 @@ impl EvalSession {
     /// Fresh session with an empty pool.
     pub fn new() -> EvalSession {
         EvalSession::default()
+    }
+
+    /// Fresh session whose loads and evaluations run on `threads`
+    /// workers (`None` probes the machine, as [`EvalSession::new`]).
+    pub fn with_threads(threads: Option<usize>) -> EvalSession {
+        EvalSession {
+            threads,
+            ..EvalSession::default()
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(workers).max(1)
     }
 
     /// Intern a cube's data into the session, replacing any batch already
@@ -141,7 +168,8 @@ impl EvalSession {
         self.cubes.remove(&id);
         self.failed.remove(&id);
         let check = RowCheck::Arity(dims.len());
-        let batch = intern_batch(data, check, &mut self.pool, workers())?;
+        let threads = self.threads();
+        let batch = intern_batch(data, check, &mut self.pool, threads)?;
         self.cubes.insert(id, SessionCube { dims, batch });
         Ok(())
     }
@@ -156,7 +184,7 @@ impl EvalSession {
     /// result batch under the statement's target. Every cube the
     /// expression references must have been loaded (or derived) first.
     /// The statement compiles into a one-statement plan and runs on the
-    /// machine's worker count; nothing loaded is evicted, so a caller can
+    /// session's worker count; nothing loaded is evicted, so a caller can
     /// evaluate statement after statement over one session.
     pub fn eval(&mut self, stmt: &Statement) -> Result<(), EvalError> {
         let sources = |id: &CubeId| match self.cubes.get(id) {
@@ -171,7 +199,8 @@ impl EvalSession {
         };
         let plan = plan::compile(std::slice::from_ref(stmt), &sources, true)?;
         let mut stats = PlanStats::default();
-        run_plan(&plan, self, workers(), &mut stats, Roots::Keep)
+        let threads = self.threads();
+        run_plan(&plan, self, threads, &mut stats, Roots::Keep)
     }
 
     /// Resolve a loaded or derived cube back to hash-stored data.
@@ -465,7 +494,18 @@ fn resolve_node<'a>(
 /// Evaluate one statement against an environment that already contains its
 /// operands (the stratified evaluation order of §4.2).
 pub fn eval_statement(stmt: &Statement, env: &Dataset) -> Result<CubeData, EvalError> {
-    let mut session = EvalSession::new();
+    eval_statement_with_threads(stmt, env, None)
+}
+
+/// [`eval_statement`] on `threads` workers for the data-parallel
+/// operators (`None` probes the machine), as
+/// [`run_program_with_threads`].
+pub(crate) fn eval_statement_with_threads(
+    stmt: &Statement,
+    env: &Dataset,
+    threads: Option<usize>,
+) -> Result<CubeData, EvalError> {
+    let mut session = EvalSession::with_threads(threads);
     for id in stmt.expr.cube_refs() {
         let cube = env.get(&id).ok_or_else(|| EvalError::MissingInput {
             cube: id.to_string(),
@@ -877,56 +917,340 @@ impl GroupTable {
     }
 }
 
-/// Group-by aggregation over a batch: one kernel for every worker count,
-/// in four phases.
-///
-/// 1. Contiguous row chunks, in parallel, resolve each row's group key
-///    ([`part_idim`]) and number it in a chunk-local [`GroupTable`]; each
-///    row keeps only its local id.
-/// 2. One serial pass merges the chunk tables, in chunk order, into dense
-///    global ids — so groups are numbered in first-seen row order — and
-///    carves each group's contiguous segment into one piece per chunk
-///    holding rows of it, in chunk order.
-/// 3. The chunks, in parallel, scatter each row's sort columns and
-///    measure into the next free place of its piece. The pieces lie in
-///    chunk order within a segment, so every row lands where a serial
-///    scatter in row order would put it. The sort columns are the full
-///    input key minus the dimensions the group key passes through, which
-///    are equal within a group; each value is copied rank-coded
-///    ([`DimPool::rank_coded`]).
-/// 4. Ranges of groups, in parallel, sort each segment by those local
-///    copies — integer and time compares, in [`DimPool::cmp_keys`]'s
-///    order — and replay [`ExactState`] in that order.
-///
-/// Each group thus folds in full-input-key order — the former sorted-map
-/// evaluator's order — so every float is bit-identical for any
-/// `partitions`, and output rows come in first-seen group order.
-pub(crate) fn aggregate_batch(
-    batch: &CubeBatch,
+/// The kind of value a column holds over a batch's rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    /// No row seen yet.
+    Empty,
+    Int,
+    Sym,
+    /// Time points of one frequency.
+    Time(Frequency),
+    /// Values of several kinds, or time points of several frequencies.
+    Mixed,
+}
+
+/// A value's kind and its code: the integer, the symbol id, or the time
+/// point's index on its own axis ([`TimePoint::index`]). Within one kind
+/// (and one frequency), codes order as [`DimPool::cmp_vals`] does, except
+/// symbols, which order by [`DimPool::rank`].
+fn kind_code(v: IDim) -> (Kind, i64) {
+    match v {
+        IDim::Int(i) => (Kind::Int, i),
+        IDim::Sym(s) => (Kind::Sym, s.0 as i64),
+        IDim::Time(t) => (Kind::Time(t.frequency()), t.index()),
+    }
+}
+
+/// One column's kind and code range over a set of rows: what the
+/// aggregation kernel's path rule reads.
+#[derive(Debug, Clone, Copy)]
+struct ColRange {
+    kind: Kind,
+    lo: i64,
+    hi: i64,
+}
+
+impl ColRange {
+    const EMPTY: ColRange = ColRange {
+        kind: Kind::Empty,
+        lo: i64::MAX,
+        hi: i64::MIN,
+    };
+
+    fn add(&mut self, v: IDim) {
+        let (kind, code) = kind_code(v);
+        self.merge(ColRange {
+            kind,
+            lo: code,
+            hi: code,
+        });
+    }
+
+    fn merge(&mut self, other: ColRange) {
+        if other.kind == Kind::Empty {
+            return;
+        }
+        if self.kind != other.kind {
+            self.kind = match self.kind {
+                Kind::Empty => other.kind,
+                _ => Kind::Mixed,
+            };
+        }
+        self.lo = self.lo.min(other.lo);
+        self.hi = self.hi.max(other.hi);
+    }
+
+    /// Number of codes from `lo` to `hi`.
+    fn span(&self) -> u128 {
+        (self.hi as i128 - self.lo as i128 + 1).max(0) as u128
+    }
+}
+
+/// Every column's [`ColRange`] over `rows`.
+fn col_ranges(keys: KeyColumn<'_>, rows: Range<usize>) -> Vec<ColRange> {
+    let mut cols = vec![ColRange::EMPTY; keys.arity()];
+    for r in rows {
+        for (col, &v) in cols.iter_mut().zip(keys.get(r)) {
+            col.add(v);
+        }
+    }
+    cols
+}
+
+/// Entries the dense path may allocate per array (the group-id array, a
+/// time map's table): twice the rows, at least 4096, and no more than a
+/// `u32` row id can address.
+fn dense_budget(rows: usize) -> u128 {
+    rows.saturating_mul(2).clamp(4096, u32::MAX as usize) as u128
+}
+
+/// One group-key part coded for the dense path: a value's code is its
+/// [`kind_code`] minus `lo`, in `0..radix`. A time map first looks its
+/// input's code up in `memo`, which holds the coarsened code of every
+/// input code from `memo_lo` on.
+struct DensePart {
+    col: usize,
+    /// Kind of the part's output values.
+    kind: Kind,
+    lo: i64,
+    radix: usize,
+    memo_lo: i64,
+    memo: Vec<u32>,
+}
+
+impl DensePart {
+    #[inline]
+    fn code(&self, v: IDim) -> usize {
+        let c = kind_code(v).1;
+        if self.memo.is_empty() {
+            (c - self.lo) as usize
+        } else {
+            self.memo[(c - self.memo_lo) as usize] as usize
+        }
+    }
+
+    /// The output value of `code`.
+    fn value(&self, code: usize) -> IDim {
+        let c = self.lo + code as i64;
+        match self.kind {
+            Kind::Sym => IDim::Sym(Sym(c as u32)),
+            Kind::Time(f) => IDim::Time(TimePoint::from_index(f, c)),
+            _ => IDim::Int(c),
+        }
+    }
+}
+
+/// The path rule for group ids, a pure function of the operand's column
+/// ranges and row count: the dense coding of `parts` and its cell count,
+/// or `None` when the hash path must number the groups. That is when a
+/// part's column is missing or mixes kinds, a code range (or the product
+/// of them) exceeds [`dense_budget`], or a time map's input cannot be
+/// coarsened; the hash path then also reports the first bad row. A time
+/// map's table is built here, one conversion per code of its input
+/// column's range.
+fn dense_parts(
+    parts: &[KeyPart],
+    cols: &[ColRange],
+    rows: usize,
+) -> Option<(Vec<DensePart>, usize)> {
+    let budget = dense_budget(rows);
+    let mut dense = Vec::with_capacity(parts.len());
+    let mut cells: u128 = 1;
+    for part in parts {
+        let (KeyPart::Dim(idx) | KeyPart::TimeMap { idx, .. }) = *part;
+        let col = cols.get(idx)?;
+        if col.span() > budget {
+            return None;
+        }
+        let p = match *part {
+            KeyPart::Dim(_) if matches!(col.kind, Kind::Mixed | Kind::Empty) => return None,
+            KeyPart::Dim(_) => DensePart {
+                col: idx,
+                kind: col.kind,
+                lo: col.lo,
+                radix: col.span() as usize,
+                memo_lo: 0,
+                memo: Vec::new(),
+            },
+            KeyPart::TimeMap { target, .. } => {
+                let Kind::Time(freq) = col.kind else {
+                    return None;
+                };
+                let coarse = |c: i64| {
+                    TimePoint::from_index(freq, c)
+                        .convert(target)
+                        .map(TimePoint::index)
+                };
+                // whether a point coarsens depends on its frequency only
+                let (lo, hi) = (coarse(col.lo)?, coarse(col.hi)?);
+                DensePart {
+                    col: idx,
+                    kind: Kind::Time(target),
+                    lo,
+                    radix: (hi - lo + 1) as usize,
+                    memo_lo: col.lo,
+                    memo: (col.lo..=col.hi)
+                        .map(|c| coarse(c).map_or(0, |x| (x - lo) as u32))
+                        .collect(),
+                }
+            }
+        };
+        cells *= p.radix as u128;
+        if cells > budget {
+            return None;
+        }
+        dense.push(p);
+    }
+    Some((dense, cells as usize))
+}
+
+/// The sort columns packed into one `u64` per row: each column's code
+/// (its offset from the column's least code, or a symbol's
+/// [`DimPool::rank`]) in a bit field of its own, the first column
+/// highest. `u64` order then equals [`DimPool::cmp_keys`] on the columns.
+struct SortPack {
+    /// Column, least code, and the shift of its field.
+    fields: Vec<(usize, i64, u32)>,
+}
+
+impl SortPack {
+    /// The packing of `sort_cols`, or `None` when a column mixes kinds or
+    /// the fields need more than 64 bits.
+    fn new(sort_cols: &[usize], cols: &[ColRange], pool: &DimPool) -> Option<SortPack> {
+        let mut widths = Vec::with_capacity(sort_cols.len());
+        for &c in sort_cols {
+            let col = cols.get(c)?;
+            let span = match col.kind {
+                Kind::Sym => pool.len() as u128,
+                Kind::Int | Kind::Time(_) => col.span(),
+                Kind::Empty | Kind::Mixed => return None,
+            };
+            widths.push(128 - (span.max(1) - 1).leading_zeros());
+        }
+        let mut shift: u32 = widths.iter().sum();
+        if shift > 64 {
+            return None;
+        }
+        let fields = sort_cols
+            .iter()
+            .zip(widths)
+            .map(|(&c, w)| {
+                shift -= w;
+                (c, cols[c].lo, shift)
+            })
+            .collect();
+        Some(SortPack { fields })
+    }
+
+    #[inline]
+    fn pack(&self, key: &[IDim], pool: &DimPool) -> u64 {
+        self.fields.iter().fold(0, |acc, &(c, lo, shift)| {
+            let code = match key[c] {
+                IDim::Sym(s) => pool.rank(s) as u64,
+                v => kind_code(v).1.wrapping_sub(lo) as u64,
+            };
+            acc | code.wrapping_shl(shift)
+        })
+    }
+}
+
+/// One row chunk after numbering: each row's id local to the chunk and,
+/// per local id, its global group and its rows in the chunk.
+struct ChunkGroups<'a> {
+    rows: Range<usize>,
+    ids: &'a [u32],
+    global: Vec<u32>,
+    counts: Vec<usize>,
+}
+
+/// An operand's groups in first-seen order: their strided output keys,
+/// their sizes, and every chunk's numbering.
+struct Numbered<'a> {
+    stride: usize,
+    keys: Vec<IDim>,
+    sizes: Vec<usize>,
+    chunks: Vec<ChunkGroups<'a>>,
+}
+
+/// Dense numbering (phase 2): walk the chunks in order, their rows in
+/// order, each holding its mixed-radix cell, and number every cell on
+/// first sight, in the chunk and globally, through dense arrays. The
+/// global ids are those of a serial pass. Each row's cell is rewritten
+/// to its local id.
+fn number_dense<'a>(
+    dense: &[DensePart],
+    cells: usize,
+    chunks: Vec<(Range<usize>, &'a mut [u32])>,
+) -> Numbered<'a> {
+    const NONE: u32 = u32::MAX;
+    let mut global_of: Vec<u32> = vec![NONE; cells];
+    let mut local_of: Vec<u32> = vec![NONE; cells];
+    let mut cell_of: Vec<u32> = Vec::new();
+    let mut sizes: Vec<usize> = Vec::new();
+    let mut out = Vec::with_capacity(chunks.len());
+    for (rows, ids) in chunks {
+        let mut global: Vec<u32> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        for id in ids.iter_mut() {
+            let cell = *id as usize;
+            let mut l = local_of[cell];
+            if l == NONE {
+                l = global.len() as u32;
+                local_of[cell] = l;
+                if global_of[cell] == NONE {
+                    global_of[cell] = cell_of.len() as u32;
+                    cell_of.push(cell as u32);
+                    sizes.push(0);
+                }
+                global.push(global_of[cell]);
+                counts.push(0);
+            }
+            counts[l as usize] += 1;
+            *id = l;
+        }
+        for (&g, &c) in global.iter().zip(&counts) {
+            local_of[cell_of[g as usize] as usize] = NONE;
+            sizes[g as usize] += c;
+        }
+        out.push(ChunkGroups {
+            rows,
+            ids: &*ids,
+            global,
+            counts,
+        });
+    }
+    let mut keys = vec![IDim::Int(0); cell_of.len() * dense.len()];
+    for (&cell, key) in cell_of
+        .iter()
+        .zip(keys.chunks_exact_mut(dense.len().max(1)))
+    {
+        let mut rest = cell as usize;
+        for (p, v) in dense.iter().zip(key.iter_mut()).rev() {
+            *v = p.value(rest % p.radix);
+            rest /= p.radix;
+        }
+    }
+    Numbered {
+        stride: dense.len(),
+        keys,
+        sizes,
+        chunks: out,
+    }
+}
+
+/// Hash numbering (phases 1 and 2 of the hash path): chunks, in
+/// parallel, resolve each row's group key ([`part_idim`]) and number it
+/// in a chunk-local [`GroupTable`]; one serial pass merges the chunk
+/// tables, in chunk order, into global ids in first-seen row order.
+fn number_hashed<'a>(
+    keys: KeyColumn<'_>,
     pool: &DimPool,
     parts: &[KeyPart],
-    agg: AggFn,
-    partitions: usize,
-) -> Result<CubeBatch, EvalError> {
-    let keys = batch.keys();
-    let measures = batch.measures();
-    let n = batch.len();
-    let width = batch.arity();
+    chunks: Vec<(Range<usize>, &'a mut [u32])>,
+) -> Result<Numbered<'a>, EvalError> {
     let stride = parts.len();
-    if n == 0 {
-        return Ok(CubeBatch::with_capacity(stride, 0));
-    }
-    let partitions = partitions.max(1);
-
-    // phase 1: chunk-local group ids, into one column allocated here
-    let ranges = row_ranges(n, partitions);
-    let mut row_ids: Vec<u32> = vec![0; n];
-    let items: Vec<_> = ranges
-        .iter()
-        .cloned()
-        .zip(split_rows(&mut row_ids, &ranges, 1))
-        .collect();
-    let chunks = fan_out(items, &|(rows, ids): (Range<usize>, &mut [u32])| {
+    let tables = fan_out(chunks, &|(rows, ids): (Range<usize>, &'a mut [u32])| {
         let mut table = GroupTable::new(stride);
         let mut scratch: Vec<IDim> = Vec::with_capacity(stride);
         for (r, id) in rows.clone().zip(ids.iter_mut()) {
@@ -939,100 +1263,248 @@ pub(crate) fn aggregate_batch(
         }
         Ok((rows, table, &*ids))
     })?;
-
-    // phase 2: global ids, merged in chunk order, and segment offsets
     let mut groups = GroupTable::new(stride);
-    let remaps: Vec<Vec<u32>> = chunks
-        .iter()
-        .map(|(_, local, _)| {
-            (0..local.counts.len())
+    let chunks = tables
+        .into_iter()
+        .map(|(rows, local, ids)| ChunkGroups {
+            rows,
+            ids,
+            global: (0..local.counts.len())
                 .map(|l| groups.add(local.key(l), local.counts[l]))
-                .collect()
+                .collect(),
+            counts: local.counts,
         })
         .collect();
-    let n_groups = groups.counts.len();
-    let mut offsets: Vec<usize> = Vec::with_capacity(n_groups + 1);
-    offsets.push(0);
-    for &c in &groups.counts {
-        offsets.push(offsets[offsets.len() - 1] + c);
+    Ok(Numbered {
+        stride,
+        keys: groups.keys,
+        sizes: groups.counts,
+        chunks,
+    })
+}
+
+/// Group-by aggregation over a batch: one kernel for every worker count,
+/// in four phases over contiguous row chunks.
+///
+/// 1. The chunks, in parallel, take each column's kind and code range
+///    ([`ColRange`]). A pure rule on those ranges and the row count
+///    ([`dense_parts`]) picks how groups are numbered. When every part's
+///    column holds one kind of value and the product of the parts' code
+///    ranges, like every time map's table, is within [`dense_budget`]
+///    (twice the rows, at least 4096 entries), each row's group is a
+///    mixed-radix cell over the parts' codes: a symbol id, an integer or
+///    a time index minus the column's least one, and for a time map, the
+///    coarsened code from a table holding one conversion per input code.
+///    The chunks compute the cells in parallel. Otherwise (a column of
+///    mixed kinds, a domain too large for the row count) the chunks
+///    resolve each row's key ([`part_idim`]) into a chunk-local
+///    [`GroupTable`] instead.
+/// 2. One serial pass numbers the groups in first-seen row order, walking
+///    the chunks in order: through dense arrays over the cells, or by
+///    merging the chunk tables. Either way each row keeps an id local to
+///    its chunk, and the global ids are those of a serial pass.
+/// 3. The chunks, in parallel, write their rows into their own stretches
+///    of one record column allocated on the calling thread, grouped by
+///    local id, each row a record of its measure and sort code, in row
+///    order. A group's bag is its pieces in chunk order: its rows in row
+///    order, as a serial scatter would give. The sort columns are the
+///    full input key minus the dimensions the group key passes through,
+///    which are equal within a group. They are packed into one `u64`
+///    ([`SortPack`]) when each holds one kind and their codes fit 64
+///    bits; otherwise they are copied rank-coded
+///    ([`DimPool::rank_coded`]) into a side column laid out like the
+///    records. Both orders are [`DimPool::cmp_keys`]'s.
+/// 4. Ranges of groups, in parallel, sort each bag by its sort codes
+///    unless an O(n) check finds it in order already, and fold it with
+///    [`AggFn::apply`] through one reused buffer: the [`ExactState`] bag
+///    contract, without a bag per group.
+///
+/// Each group thus folds in full-input-key order — the former sorted-map
+/// evaluator's order — so every float is bit-identical for any
+/// `partitions` and either path, and output rows come in first-seen
+/// group order. An operand holding a key that cannot be resolved takes
+/// the hash path, which fails with the error of the first such row in
+/// row order.
+pub(crate) fn aggregate_batch(
+    batch: &CubeBatch,
+    pool: &DimPool,
+    parts: &[KeyPart],
+    agg: AggFn,
+    partitions: usize,
+) -> Result<CubeBatch, EvalError> {
+    let keys = batch.keys();
+    let n = batch.len();
+    let width = batch.arity();
+    if n == 0 {
+        return Ok(CubeBatch::with_capacity(parts.len(), 0));
     }
+    let partitions = partitions.max(1);
+    let ranges = row_ranges(n, partitions);
+
+    // phase 1: column ranges, then each row's cell or chunk-local id,
+    // into one column allocated here
+    let cols = fan_out(ranges.clone(), &|rows| Ok(col_ranges(keys, rows)))?
+        .into_iter()
+        .reduce(|mut a, b| {
+            for (x, y) in a.iter_mut().zip(b) {
+                x.merge(y);
+            }
+            a
+        })
+        .unwrap_or_default();
+    let mut row_ids: Vec<u32> = vec![0; n];
+    let chunks: Vec<_> = ranges
+        .iter()
+        .cloned()
+        .zip(split_rows(&mut row_ids, &ranges, 1))
+        .collect();
+    let groups = match dense_parts(parts, &cols, n) {
+        Some((dense, cells)) => {
+            let chunks = fan_out(chunks, &|(rows, ids): (Range<usize>, &mut [u32])| {
+                for (r, id) in rows.clone().zip(ids.iter_mut()) {
+                    let k = keys.get(r);
+                    *id = dense
+                        .iter()
+                        .fold(0, |cell, p| cell * p.radix + p.code(k[p.col]))
+                        as u32;
+                }
+                Ok((rows, ids))
+            })?;
+            number_dense(&dense, cells, chunks)
+        }
+        None => number_hashed(keys, pool, parts, chunks)?,
+    };
 
     // only order-sensitive folds sort, so `count` copies no key columns
-    let sort_rows = ExactState::order_sensitive(agg);
     let sort_cols: Vec<usize> = (0..width)
         .filter(|&c| {
-            sort_rows
+            ExactState::order_sensitive(agg)
                 && !parts
                     .iter()
                     .any(|p| matches!(p, KeyPart::Dim(i) if *i == c))
         })
         .collect();
-    let w = sort_cols.len();
-    let mut seg_keys: Vec<RankedDim> = vec![RankedDim::Int(0); n * w];
-    let mut seg_vals: Vec<f64> = vec![0.0; n];
+    let codes = match SortPack::new(&sort_cols, &cols, pool) {
+        Some(pack) => SortCodes::Packed(pack),
+        None => SortCodes::Ranked(&sort_cols),
+    };
+    scatter_fold(batch, pool, groups, &codes, agg, partitions)
+}
 
-    // carve every segment into per-chunk pieces, walking memory order
-    // (group, then chunk); `local_of[g * k + c]` is chunk c's id for g
+/// How a record of [`scatter_fold`] carries its row's sort columns.
+enum SortCodes<'a> {
+    /// Packed into the record's `u64`.
+    Packed(SortPack),
+    /// Rank-coded ([`DimPool::rank_coded`]) into a side column, these
+    /// columns' values per record.
+    Ranked(&'a [usize]),
+}
+
+/// A chunk's stretch of the record column and of the side column.
+type Stretch<'a> = (&'a mut [(u64, f64)], &'a mut [RankedDim]);
+
+/// Phases 3 and 4 of [`aggregate_batch`]. Each chunk's rows are laid out
+/// in the chunk's own stretch of one record column, grouped by local id
+/// in local-id order, each row a record of its sort code and measure
+/// (and, for [`SortCodes::Ranked`], the same place in a side column),
+/// written in row order. A group's bag is then its pieces in chunk order,
+/// which is row order: the bag a serial scatter would give. Each bag is
+/// sorted unless already in order, and folded.
+fn scatter_fold(
+    batch: &CubeBatch,
+    pool: &DimPool,
+    groups: Numbered<'_>,
+    codes: &SortCodes<'_>,
+    agg: AggFn,
+    partitions: usize,
+) -> Result<CubeBatch, EvalError> {
+    let keys = batch.keys();
+    let measures = batch.measures();
+    let n = batch.len();
+    let Numbered {
+        stride,
+        keys: group_keys,
+        sizes,
+        chunks,
+    } = groups;
+    let n_groups = sizes.len();
+
+    // phase 3: every chunk scatters its rows into its own stretches, at
+    // its local groups' cursors; the columns are allocated here
+    let w = match codes {
+        SortCodes::Packed(_) => 0,
+        SortCodes::Ranked(cols) => cols.len(),
+    };
+    let mut records: Vec<(u64, f64)> = vec![(0, 0.0); n];
+    let mut side: Vec<RankedDim> = vec![RankedDim::Int(0); n * w];
+    let ranges: Vec<Range<usize>> = chunks.iter().map(|c| c.rows.clone()).collect();
+    let items: Vec<_> = chunks
+        .iter()
+        .zip(
+            split_rows(&mut records, &ranges, 1)
+                .into_iter()
+                .zip(split_rows(&mut side, &ranges, w)),
+        )
+        .collect();
+    let starts = fan_out(items, &|(chunk, (out, side)): (
+        &ChunkGroups<'_>,
+        Stretch<'_>,
+    )| {
+        // a local group's piece starts where the ones before it end
+        let starts: Vec<usize> = chunk
+            .counts
+            .iter()
+            .scan(0, |end, &c| {
+                *end += c;
+                Some(*end - c)
+            })
+            .collect();
+        let mut cursor = starts.clone();
+        for (r, &l) in chunk.rows.clone().zip(chunk.ids) {
+            let at = &mut cursor[l as usize];
+            let key = keys.get(r);
+            let code = match codes {
+                SortCodes::Packed(pack) => pack.pack(key, pool),
+                SortCodes::Ranked(cols) => {
+                    for (d, &c) in side[*at * w..(*at + 1) * w].iter_mut().zip(*cols) {
+                        *d = pool.rank_coded(key[c]);
+                    }
+                    0
+                }
+            };
+            out[*at] = (code, measures[r]);
+            *at += 1;
+        }
+        Ok(starts
+            .into_iter()
+            .map(|s| chunk.rows.start + s)
+            .collect::<Vec<_>>())
+    })?;
+
+    // every group's pieces, in chunk order: `local_of[g * k + c]` is
+    // chunk c's id for g
     let k = chunks.len();
     let mut local_of: Vec<u32> = vec![GroupTable::NONE; n_groups * k];
-    for (c, remap) in remaps.iter().enumerate() {
-        for (l, &g) in remap.iter().enumerate() {
+    for (c, chunk) in chunks.iter().enumerate() {
+        for (l, &g) in chunk.global.iter().enumerate() {
             local_of[g as usize * k + c] = l as u32;
         }
     }
-    drop(remaps);
-    let mut key_pieces: Vec<Vec<&mut [RankedDim]>> = chunks
-        .iter()
-        .map(|(_, t, _)| (0..t.counts.len()).map(|_| Default::default()).collect())
-        .collect();
-    let mut val_pieces: Vec<Vec<&mut [f64]>> = chunks
-        .iter()
-        .map(|(_, t, _)| (0..t.counts.len()).map(|_| Default::default()).collect())
-        .collect();
-    let (mut key_rest, mut val_rest) = (&mut seg_keys[..], &mut seg_vals[..]);
-    for (slot, &l) in local_of.iter().enumerate() {
-        if l == GroupTable::NONE {
-            continue;
-        }
-        let (c, l) = (slot % k, l as usize);
-        let rows = chunks[c].1.counts[l];
-        let (piece, rest) = std::mem::take(&mut key_rest).split_at_mut(rows * w);
-        key_pieces[c][l] = piece;
-        key_rest = rest;
-        let (piece, rest) = std::mem::take(&mut val_rest).split_at_mut(rows);
-        val_pieces[c][l] = piece;
-        val_rest = rest;
-    }
-    drop(local_of);
+    let piece = |g: usize, c: usize| {
+        let l = local_of[g * k + c];
+        (l != GroupTable::NONE).then(|| {
+            let (start, len) = (starts[c][l as usize], chunks[c].counts[l as usize]);
+            start..start + len
+        })
+    };
 
-    // phase 3: each chunk scatters its rows into its pieces, in row order
-    let scatter: Vec<_> = chunks
-        .into_iter()
-        .zip(key_pieces.into_iter().zip(val_pieces))
-        .map(|((rows, _, ids), pieces)| (rows, ids, pieces))
-        .collect();
-    fan_out(scatter, &|(rows, ids, (mut kp, mut vp))| {
-        for (r, &l) in rows.zip(ids) {
-            let l = l as usize;
-            let (v, rest) = std::mem::take(&mut vp[l])
-                .split_first_mut()
-                .expect("piece sized by the chunk's group count");
-            *v = measures[r];
-            vp[l] = rest;
-            if w > 0 {
-                let (dst, rest) = std::mem::take(&mut kp[l]).split_at_mut(w);
-                let key = keys.get(r);
-                for (d, &c) in dst.iter_mut().zip(&sort_cols) {
-                    *d = pool.rank_coded(key[c]);
-                }
-                kp[l] = rest;
-            }
-        }
-        Ok(())
-    })?;
-
-    // phase 4: canonical fold per segment, over ranges of about n /
+    // phase 4: canonical fold per group, over ranges of about n /
     // partitions rows each
+    let mut offsets: Vec<usize> = Vec::with_capacity(n_groups + 1);
+    offsets.push(0);
+    for &c in &sizes {
+        offsets.push(offsets[offsets.len() - 1] + c);
+    }
     let cuts: Vec<usize> = (0..=partitions)
         .map(|p| offsets.partition_point(|&o| o < n * p / partitions))
         .collect();
@@ -1044,20 +1516,33 @@ pub(crate) fn aggregate_batch(
     let folded = fan_out(group_ranges, &|range: Range<usize>| {
         let mut out_keys: Vec<IDim> = Vec::with_capacity(range.len() * stride);
         let mut out_vals: Vec<f64> = Vec::with_capacity(range.len());
-        let mut order: Vec<usize> = Vec::new();
+        let mut bag: Vec<(u64, f64)> = Vec::new();
+        let mut ranked: Vec<RankedDim> = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
         for g in range {
-            order.clear();
-            order.extend(offsets[g]..offsets[g + 1]);
+            bag.clear();
+            ranked.clear();
+            for rows in (0..k).filter_map(|c| piece(g, c)) {
+                bag.extend_from_slice(&records[rows.clone()]);
+                ranked.extend_from_slice(&side[rows.start * w..rows.end * w]);
+            }
             if w > 0 {
-                let row = |i: usize| &seg_keys[i * w..(i + 1) * w];
-                order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+                // a ranked record's code is its place in the bag's copy
+                // of the side column
+                for (i, rec) in bag.iter_mut().enumerate() {
+                    rec.0 = i as u64;
+                }
+                let row = |i: u64| &ranked[i as usize * w..(i as usize + 1) * w];
+                if bag.windows(2).any(|p| row(p[0].0) > row(p[1].0)) {
+                    bag.sort_unstable_by(|a, b| row(a.0).cmp(row(b.0)));
+                }
+            } else if bag.windows(2).any(|p| p[0].0 > p[1].0) {
+                bag.sort_unstable_by_key(|r| r.0);
             }
-            let mut st = ExactState::init(agg);
-            for &i in &order {
-                st.accumulate(seg_vals[i]);
-            }
-            if let Some(v) = st.finish().filter(|v| v.is_finite()) {
-                out_keys.extend_from_slice(groups.key(g));
+            values.clear();
+            values.extend(bag.iter().map(|r| r.1));
+            if let Some(v) = agg.apply(&values).filter(|v| v.is_finite()) {
+                out_keys.extend_from_slice(&group_keys[g * stride..(g + 1) * stride]);
                 out_vals.push(v);
             }
         }
@@ -1747,6 +2232,153 @@ mod tests {
                         "{agg} x{partitions} late={late}"
                     );
                 }
+            }
+        }
+    }
+
+    // ---- the dense and hash paths of the aggregation kernel agree ----
+
+    /// Output rows with their measure bits, in output order.
+    fn row_bits(b: &CubeBatch) -> Vec<(Vec<IDim>, u64)> {
+        b.iter().map(|(k, v)| (k.to_vec(), v.to_bits())).collect()
+    }
+
+    fn epoch_day(days: i32) -> IDim {
+        IDim::Time(TimePoint::Day(Date::from_epoch_days(days)))
+    }
+
+    /// The path rule's verdicts on a batch: whether its group ids are
+    /// dense, and whether its sort codes pack.
+    fn verdicts(batch: &CubeBatch, pool: &DimPool, parts: &[KeyPart]) -> (bool, bool) {
+        let cols = col_ranges(batch.keys(), 0..batch.len());
+        let sort_cols: Vec<usize> = (0..batch.arity())
+            .filter(|&c| {
+                !parts
+                    .iter()
+                    .any(|p| matches!(p, KeyPart::Dim(i) if *i == c))
+            })
+            .collect();
+        (
+            dense_parts(parts, &cols, batch.len()).is_some(),
+            SortPack::new(&sort_cols, &cols, pool).is_some(),
+        )
+    }
+
+    /// `rows` pushed in a scrambled order, then `extra` last.
+    fn scrambled(rows: &[(Vec<IDim>, f64)], extra: Option<&[IDim]>) -> CubeBatch {
+        let mut batch = CubeBatch::new();
+        for i in 0..rows.len() {
+            let (k, v) = &rows[i * 337 % rows.len()];
+            batch.push(k, *v);
+        }
+        if let Some(k) = extra {
+            batch.push(k, f64::NAN);
+        }
+        batch
+    }
+
+    #[test]
+    fn dense_and_hashed_group_ids_give_the_same_rows() {
+        let _guard = no_faults();
+        // (k: int, r: text, d: day); 600 rows, scrambled so segments
+        // arrive out of key order
+        let mut pool = DimPool::new();
+        let syms: Vec<IDim> = ["e", "b", "d", "a", "c"]
+            .iter()
+            .map(|s| IDim::Sym(pool.intern(s)))
+            .collect();
+        let mut rows = Vec::new();
+        for k in 0..6 {
+            for (r, &sym) in syms.iter().enumerate() {
+                for j in 0..20 {
+                    let d = epoch_day(18_262 + (j * 13 + k * 3) % 150);
+                    let i = rows.len() as f64;
+                    rows.push((
+                        vec![IDim::Int(k as i64), sym, d],
+                        i.sin() * 1e6 + 0.1 * r as f64,
+                    ));
+                }
+            }
+        }
+        assert_eq!(rows.len(), 600);
+        // the same rows plus one that widens every column's domain: `k`
+        // far out, an integer in the text column, a day centuries later;
+        // its group is its own, first seen last, and its NaN measure
+        // leaves no row unless the fold ignores it (count, stddev)
+        let far = [IDim::Int(i64::MIN), IDim::Int(7), epoch_day(230_000)];
+        let dense = scrambled(&rows, None);
+        let wide = scrambled(&rows, Some(&far));
+        let month = KeyPart::TimeMap {
+            idx: 2,
+            target: Frequency::Monthly,
+        };
+        // (group key, whether the widened sort codes still pack)
+        let cases = [
+            (vec![KeyPart::Dim(1)], false),
+            (vec![month, KeyPart::Dim(0)], false),
+            (vec![KeyPart::Dim(0), KeyPart::Dim(1)], true),
+        ];
+        for (parts, wide_packs) in &cases {
+            assert_eq!(verdicts(&dense, &pool, parts), (true, true));
+            assert_eq!(verdicts(&wide, &pool, parts), (false, *wide_packs));
+            let far_group: Vec<IDim> = parts
+                .iter()
+                .map(|p| part_idim(p, &far, &pool).unwrap())
+                .collect();
+            for agg in AggFn::ALL {
+                for partitions in 1..=4 {
+                    let want = aggregate_batch(&dense, &pool, parts, agg, partitions).unwrap();
+                    let got = aggregate_batch(&wide, &pool, parts, agg, partitions).unwrap();
+                    let mut got = row_bits(&got);
+                    got.retain(|(k, _)| *k != far_group);
+                    assert_eq!(got, row_bits(&want), "{agg} x{partitions}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_and_hashed_group_ids_fail_alike() {
+        let _guard = no_faults();
+        let far = |width: usize| {
+            let mut k = vec![IDim::Int(i64::MIN)];
+            k.extend((1..width).map(|_| epoch_day(0)));
+            k
+        };
+        // a quarter cannot be coarsened to a month: every row fails, and
+        // the error names the first row's quarter
+        let quarters: Vec<(Vec<IDim>, f64)> = (0..40)
+            .map(|i| {
+                let q = TimePoint::Quarter {
+                    year: 2000 + i / 4,
+                    quarter: (i % 4) as u32 + 1,
+                };
+                (vec![IDim::Int(i as i64 % 3), IDim::Time(q)], i as f64)
+            })
+            .collect();
+        // a day column holding one integer: the error names that row
+        let mut mixed: Vec<(Vec<IDim>, f64)> = (0..40)
+            .map(|i| (vec![IDim::Int(i % 3), epoch_day(i as i32 * 5)], i as f64))
+            .collect();
+        mixed[23].0[1] = IDim::Int(99);
+        let pool = DimPool::new();
+        for (rows, target, want) in [
+            (&quarters, Frequency::Monthly, "cannot be coarsened"),
+            (&mixed, Frequency::Quarterly, "99 is not a time point"),
+        ] {
+            let parts = [KeyPart::Dim(0), KeyPart::TimeMap { idx: 1, target }];
+            let dense = scrambled(rows, None);
+            let wide = scrambled(rows, Some(&far(2)));
+            // a key that cannot be resolved sends both to the hash path
+            assert!(!verdicts(&dense, &pool, &parts).0);
+            assert!(!verdicts(&wide, &pool, &parts).0);
+            for partitions in 1..=4 {
+                let a = aggregate_batch(&dense, &pool, &parts, AggFn::Sum, partitions);
+                let b = aggregate_batch(&wide, &pool, &parts, AggFn::Sum, partitions);
+                let a = a.unwrap_err();
+                assert!(matches!(a, EvalError::BadTimeValue { .. }), "{a}");
+                assert!(a.to_string().contains(want), "{a}");
+                assert_eq!(Err(a), b, "x{partitions}");
             }
         }
     }

@@ -262,9 +262,15 @@ impl DimPool {
     pub fn rank_coded(&self, v: IDim) -> RankedDim {
         match v {
             IDim::Int(i) => RankedDim::Int(i),
-            IDim::Sym(s) => RankedDim::Str(self.ranks()[s.0 as usize]),
+            IDim::Sym(s) => RankedDim::Str(self.rank(s)),
             IDim::Time(t) => RankedDim::Time(t),
         }
+    }
+
+    /// A symbol's lexicographic rank among every string in the pool, in
+    /// `0..self.len()`: the payload of its [`RankedDim::Str`].
+    pub fn rank(&self, sym: Sym) -> u32 {
+        self.ranks()[sym.0 as usize]
     }
 
     fn ranks(&self) -> &[u32] {

@@ -61,9 +61,15 @@ cargo test -q -p exl-eval --lib partitioned_aggregate_matches_serial_bitwise
 
 echo "== aggregation determinism =="
 # the aggregation kernel must be bit-identical to a DimTuple-sorted
-# reference fold for every AggFn and any partition count
+# reference fold for every AggFn and any partition count, on both sides
+# of its path rule (dense group ids, hashed ones); the dense and hash
+# paths give the same rows in the same order, bit for bit, and a key
+# that cannot be resolved takes the hash path's first-bad-row error
 cargo test -q -p exl-integration-tests --test interned_differential \
     fold_then_merge_is_bit_identical_for_any_partition_count
+cargo test -q -p exl-eval --lib -- --exact \
+    eval::tests::dense_and_hashed_group_ids_give_the_same_rows \
+    eval::tests::dense_and_hashed_group_ids_fail_alike
 
 echo "== incremental differential (fixed-seed matrix) =="
 # cold≡warm over the full fixed-seed corpus: 100 random program/delta
@@ -73,6 +79,10 @@ echo "== incremental differential (fixed-seed matrix) =="
 # 20th bit-compared with a cold engine, `diff_rows` pinned to the
 # revised cube so no derived cube with a carried delta is diffed)
 cargo test -q -p exl-integration-tests --test incremental_differential
+# an engine pinned to one evaluator thread keeps the run cache's inline
+# and delta evaluations on it: an armed `eval.worker` fault never fires
+cargo test -q -p exl-integration-tests --test incremental_differential -- --exact \
+    pinned_eval_threads_reach_the_run_cache
 # a digest moved by a random change set (upserts, removals, inserted
 # keys, -0.0 and NaN payloads) equals Fingerprint::of_cube of the
 # patched cube; the delta kernels' own output deltas replay exactly

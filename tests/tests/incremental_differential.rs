@@ -22,9 +22,12 @@
 //! even float folds must land on identical bits.
 
 use exl_engine::ExlEngine;
+use exl_fault::FaultPlan;
 use exl_lang::analyze::AnalyzedProgram;
 use exl_model::fingerprint::Fingerprint;
 use exl_model::schema::CubeId;
+use exl_model::time::TimePoint;
+use exl_model::value::DimValue;
 use exl_model::{CubeData, Dataset};
 use exl_workload::chains::forest_scenario;
 use exl_workload::{gdp_scenario, random_scenario, DeltaGen, GdpConfig, RandomConfig, GDP_PROGRAM};
@@ -321,4 +324,65 @@ fn chained_vintages_stay_bit_identical() {
         delta_hits >= 200,
         "the delta path barely engaged: {delta_hits} delta hits"
     );
+}
+
+/// An engine pinned to one evaluator thread keeps the run cache's
+/// evaluations on that thread too. The warm vintage patches `B` by delta
+/// and evaluates the series statement `C` inline over all of `B`, 5 120
+/// rows: past the evaluator's fan-out threshold (4 096 rows), so any
+/// fanned-out interning or series kernel would pass the `eval.worker`
+/// site and fire the armed fault. That only tells a pinned run from an
+/// unpinned one on a host with two or more cores: on one core the
+/// machine's worker count is 1 as well, and nothing fans out either way.
+#[test]
+fn pinned_eval_threads_reach_the_run_cache() {
+    let src = "cube A(q: time[quarter], r: text) -> y;\nB := 2 * A;\nC := movavg(B, 2);";
+    let a: CubeId = "A".into();
+    let vintage = |bump: f64| {
+        let mut data = CubeData::new();
+        for r in 0..64 {
+            for t in 0..80 {
+                let q = TimePoint::Quarter {
+                    year: 2000 + t / 4,
+                    quarter: (t % 4) as u32 + 1,
+                };
+                let key = vec![DimValue::Time(q), DimValue::str(format!("r{r}"))];
+                let v = (r * 80 + t) as f64 * 0.37 + if (r, t) == (5, 40) { bump } else { 0.0 };
+                data.insert_overwrite(key, v);
+            }
+        }
+        data
+    };
+    let mut e = ExlEngine::new();
+    e.exec.eval_threads = Some(1);
+    e.register_program("p", src).expect("program registers");
+    e.load_elementary(&a, vintage(0.0)).expect("loads");
+    e.enable_cache();
+    e.run_all().expect("cold run");
+
+    e.load_elementary(&a, vintage(0.5)).expect("vintage loads");
+    let guard = exl_fault::install(FaultPlan::fail_once("eval.worker"));
+    let report = e.run_all().expect("warm vintage");
+    let fired = guard.fired();
+    drop(guard);
+    assert!(fired.is_empty(), "the run cache fanned out: {fired:?}");
+    assert_eq!(
+        (report.cache.delta_hits, report.cache.misses),
+        (1, 1),
+        "B patched by delta, C evaluated inline: {:?}",
+        report.cache
+    );
+
+    let mut cold = ExlEngine::new();
+    cold.register_program("p", src).expect("program registers");
+    cold.load_elementary(&a, vintage(0.5)).expect("loads");
+    cold.run_all().expect("cold reference run");
+    for id in ["B", "C"] {
+        let id: CubeId = id.into();
+        assert_eq!(
+            bits(e.data(&id).unwrap()),
+            bits(cold.data(&id).unwrap()),
+            "{id}"
+        );
+    }
 }

@@ -118,9 +118,15 @@ fn reference_aggregate(
 /// Aggregation determinism: the kernel must be bit-identical to the
 /// sorted-bag reference for every aggregation function and any partition
 /// count (1, 2, the machine's core count, and an awkward 17), for plain,
-/// coarsening, and collapsed group-bys alike. Two operand shapes: a
-/// quarterly (text, time) cube grouped to years, and the paper's GDP
-/// shape — a daily (time, text) cube grouped by `quarter(d)`.
+/// coarsening, and collapsed group-bys alike, on both sides of its path
+/// rule. Three operand shapes: a quarterly (text, time) cube grouped to
+/// years; the paper's GDP shape, a daily (time, text) cube grouped by
+/// `quarter(d)` and by `month(d)`; and a sparse (int, int, int) cube whose
+/// codes spread over ±2^40. The first two have small code ranges, so
+/// their group ids are dense; the sparse one's ranges dwarf any row count
+/// as soon as two rows differ in a key column, so its groups are numbered
+/// by hashing, and its sort codes take more than 64 bits unless the
+/// group key passes two of its dimensions through.
 fn merge_determinism(rows: Vec<(usize, usize, f64)>) -> Result<(), String> {
     let quarterly_dims = vec![
         Dimension::new("r", DimType::Str),
@@ -130,9 +136,23 @@ fn merge_determinism(rows: Vec<(usize, usize, f64)>) -> Result<(), String> {
         Dimension::new("d", DimType::Time(Frequency::Daily)),
         Dimension::new("r", DimType::Str),
     ];
+    let sparse_dims = vec![
+        Dimension::new("k", DimType::Int),
+        Dimension::new("t", DimType::Int),
+        Dimension::new("u", DimType::Int),
+    ];
     let mut quarterly = CubeData::new();
     let mut daily = CubeData::new();
+    let mut sparse = CubeData::new();
     for (r, t, v) in rows {
+        // k over ±2^40, t and u over ±2^39 and ±2^41
+        let k = (r as i64 - 3) * 366_503_875_925;
+        let t_int = (t as i64 - 12) * 45_812_984_491;
+        let u = (t as i64 * 7 - 80) * 27_487_790_694;
+        sparse.insert_overwrite(
+            vec![DimValue::Int(k), DimValue::Int(t_int), DimValue::Int(u)],
+            v,
+        );
         let region = DimValue::Str(format!("r{r}").into());
         let quarter = TimePoint::Quarter {
             year: 2000 + (t / 4) as i32,
@@ -149,7 +169,8 @@ fn merge_determinism(rows: Vec<(usize, usize, f64)>) -> Result<(), String> {
         alias: alias.into(),
     };
     let r = || GroupKey::Dim("r".into());
-    let cases: [(&CubeData, &[Dimension], Vec<GroupKey>); 4] = [
+    let dim = |name: &str| GroupKey::Dim(name.into());
+    let cases: [(&CubeData, &[Dimension], Vec<GroupKey>); 8] = [
         (&quarterly, &quarterly_dims, vec![r()]),
         (
             &quarterly,
@@ -166,6 +187,10 @@ fn merge_determinism(rows: Vec<(usize, usize, f64)>) -> Result<(), String> {
             &daily_dims,
             vec![to(Frequency::Quarterly, "q"), r()],
         ),
+        (&daily, &daily_dims, vec![to(Frequency::Monthly, "m")]),
+        (&sparse, &sparse_dims, vec![dim("k")]),
+        (&sparse, &sparse_dims, vec![dim("t")]),
+        (&sparse, &sparse_dims, vec![dim("k"), dim("t")]),
     ];
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     for (data, dims, group_by) in &cases {
