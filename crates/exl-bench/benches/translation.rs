@@ -50,20 +50,21 @@ fn bench_translation(c: &mut Criterion) {
     }
     group.finish();
 
-    // the same execution with the flight recorder armed: the overhead
-    // guard — medians must stay within noise of the disarmed run above
+    // the same execution with a flight ring entered: the overhead guard —
+    // medians must stay within noise of the run without one above
     // (`scripts/bench.sh` runs both; tests/tests/flight_overhead.rs pins
-    // the disarmed path to zero allocations)
+    // the ring-less path to zero allocations)
     let mut group = c.benchmark_group("B1/execute-native-recorder-armed");
     group.sample_size(10);
-    exl_obs::flight::arm_default();
+    let ring = exl_obs::flight::FlightRing::new(exl_obs::flight::DEFAULT_CAPACITY);
+    let entered = ring.enter();
     for depth in [5usize, 20, 80] {
         let (analyzed, data) = chain_scenario(depth, 2000);
         group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
             b.iter(|| exl_eval::run_program(&analyzed, &data).unwrap())
         });
     }
-    exl_obs::flight::disarm();
+    drop(entered);
     group.finish();
 }
 

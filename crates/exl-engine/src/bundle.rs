@@ -4,14 +4,14 @@
 //! `exlc --bundle-dir`) and a run fails — a contained panic, a deadline,
 //! a tripped budget, a cancellation, or a failed subgraph under
 //! `keep_going` — the engine dumps everything a post-mortem needs into
-//! one JSON file: the flight recorder's event tail, the distinct fault
+//! one JSON file: its own flight ring's event tail, the distinct fault
 //! sites that fired, a metrics snapshot, governance state, per-subgraph
 //! statuses, and enough environment to reproduce. Successful runs write
 //! nothing. The schema is versioned ([`BUNDLE_VERSION`]) and documented
 //! in docs/OBSERVABILITY.md; `scripts/check.sh` validates an emitted
 //! bundle against it on every CI run.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -19,7 +19,16 @@ use serde::{Deserialize, Serialize};
 use crate::engine::{RunObservation, RunReport};
 use crate::error::EngineError;
 use crate::govern::{GovernConfig, Governor};
+use exl_obs::flight::{FlightEvent, FlightRing};
 use exl_obs::MetricsRegistry;
+
+/// Where an engine's crash bundles go, and the engine's own flight ring
+/// their event tails come from.
+#[derive(Debug, Clone)]
+pub(crate) struct BundleSink {
+    pub(crate) dir: PathBuf,
+    pub(crate) ring: FlightRing,
+}
 
 /// Schema version stamped into every bundle (`version` field).
 pub const BUNDLE_VERSION: &str = "exl-bundle-v1";
@@ -89,9 +98,9 @@ pub struct BundleSubgraph {
 /// One flight-recorder event.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BundleEvent {
-    /// Monotonic sequence number since arming.
+    /// Monotonic sequence number within the engine's ring.
     pub seq: u64,
-    /// Milliseconds since the recorder was armed.
+    /// Milliseconds since the engine's ring was made (bundle dir armed).
     pub ms: f64,
     /// [`FlightKind::as_str`](exl_obs::FlightKind::as_str).
     pub kind: String,
@@ -169,6 +178,7 @@ fn is_failing(status: crate::SubgraphStatus) -> bool {
 /// Assemble the bundle document for a failed run.
 pub(crate) fn build_bundle(
     result: &Result<RunReport, EngineError>,
+    events: Vec<FlightEvent>,
     obs: &RunObservation,
     governor: &Governor,
     config: &GovernConfig,
@@ -200,7 +210,7 @@ pub(crate) fn build_bundle(
         .iter()
         .find(|r| is_failing(r.status) || r.error.is_some())
         .map(subgraph_entry);
-    let events: Vec<BundleEvent> = exl_obs::flight::tail()
+    let events: Vec<BundleEvent> = events
         .into_iter()
         .map(|e| BundleEvent {
             seq: e.seq,
@@ -265,12 +275,13 @@ pub(crate) fn build_bundle(
     }
 }
 
-/// Write the bundle for a failed run into `dir` and return its path.
+/// Write the bundle for a failed run into the sink's directory, with the
+/// sink's ring as the event tail, and return its path.
 /// The file is written via temp + rename so a reader never sees a torn
 /// bundle; the name (`bundle-<unix_ms>-<pid>-<seq>.json`) is unique per
 /// run even when several engines share one directory.
 pub(crate) fn write_crash_bundle(
-    dir: &Path,
+    sink: &BundleSink,
     result: &Result<RunReport, EngineError>,
     obs: &RunObservation,
     governor: &Governor,
@@ -278,10 +289,11 @@ pub(crate) fn write_crash_bundle(
     metrics: Option<&MetricsRegistry>,
     eval_threads: Option<usize>,
 ) -> Result<PathBuf, EngineError> {
-    let bundle = build_bundle(result, obs, governor, config, metrics, eval_threads);
+    let tail = sink.ring.tail();
+    let bundle = build_bundle(result, tail, obs, governor, config, metrics, eval_threads);
     let seq = BUNDLE_SEQ.fetch_add(1, Ordering::Relaxed);
     let name = format!("bundle-{}-{}-{seq}.json", bundle.unix_ms, bundle.env.pid);
-    let path = dir.join(name);
+    let path = sink.dir.join(name);
     let text = serde_json::to_string_pretty(&bundle)
         .map_err(|e| EngineError::Persistence(format!("cannot serialize crash bundle: {e}")))?;
     let tmp = path.with_extension("json.tmp");
@@ -303,7 +315,7 @@ mod tests {
         let governor = Governor::detached();
         let config = GovernConfig::default();
         let result: Result<RunReport, EngineError> = Err(EngineError::Execution("boom".into()));
-        let bundle = build_bundle(&result, &obs, &governor, &config, None, None);
+        let bundle = build_bundle(&result, Vec::new(), &obs, &governor, &config, None, None);
         assert_eq!(bundle.version, BUNDLE_VERSION);
         assert_eq!(bundle.error.kind, "execution");
         assert!(bundle.metrics.as_object().is_some());
@@ -320,6 +332,7 @@ mod tests {
         };
         let bundle = build_bundle(
             &Ok(report),
+            Vec::new(),
             &RunObservation::default(),
             &Governor::detached(),
             &GovernConfig::default(),

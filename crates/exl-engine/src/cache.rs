@@ -73,7 +73,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use exl_eval::delta::{changed_keys, diff_rows, eval_statement_delta_with_threads};
+use exl_eval::delta::{changed_keys, diff_rows, eval_statement_delta};
 use exl_lang::ast::Statement;
 use exl_model::fingerprint::{CubeDelta, CubeDigest, Fingerprint, FingerprintBuilder};
 use exl_model::hash::FxHashMap;
@@ -472,14 +472,7 @@ impl RunCache {
         // the delta kernels must degrade, never take the engine down: a
         // panic (or error) here just means a cold execution
         let (out, delta) = catch_unwind(AssertUnwindSafe(|| {
-            eval_statement_delta_with_threads(
-                stmt,
-                env,
-                deltas,
-                &prev_output,
-                last.output,
-                eval_threads,
-            )
+            eval_statement_delta(stmt, env, deltas, &prev_output, last.output, eval_threads)
         }))
         .ok()?
         .ok()??;

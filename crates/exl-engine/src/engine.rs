@@ -109,10 +109,10 @@ pub struct ExlEngine {
     /// [`ExlEngine::enable_disk_cache`]. When `None` every statement is
     /// recomputed from scratch (cold semantics).
     cache: Option<RunCache>,
-    /// Crash-bundle directory, armed via [`ExlEngine::set_bundle_dir`].
-    /// When set, every failed run dumps a bundle there (and arming it
-    /// arms the process-global flight recorder).
-    bundle_dir: Option<std::path::PathBuf>,
+    /// Crash-bundle directory and this engine's flight ring, armed via
+    /// [`ExlEngine::set_bundle_dir`]. When set, every run records into
+    /// the ring and every failed run dumps a bundle into the directory.
+    bundle: Option<crate::bundle::BundleSink>,
     /// Run-ledger directory, armed via [`ExlEngine::set_ledger_dir`].
     /// When set, every run appends one JSONL record there.
     ledger_dir: Option<std::path::PathBuf>,
@@ -208,7 +208,7 @@ impl Default for ExlEngine {
             tracer: exl_obs::Tracer::disabled(),
             progress: None,
             cache: None,
-            bundle_dir: None,
+            bundle: None,
             ledger_dir: None,
             last_bundle: None,
         }
@@ -564,8 +564,9 @@ impl ExlEngine {
     /// [`DispatchPolicy::keep_going`](crate::DispatchPolicy)) writes one
     /// self-describing JSON bundle — the flight recorder's event tail, a
     /// metrics snapshot, governance state, and per-subgraph statuses —
-    /// into `dir`. Arming the bundle dir also arms the process-global
-    /// [`exl_obs::flight`] recorder so the event tail is populated.
+    /// into `dir`. Arming the bundle dir also gives the engine its own
+    /// [`exl_obs::flight`] ring, entered for every run, which the bundle's
+    /// event tail is read from. Re-arming starts a fresh ring.
     pub fn set_bundle_dir(
         &mut self,
         dir: impl Into<std::path::PathBuf>,
@@ -574,8 +575,10 @@ impl ExlEngine {
         std::fs::create_dir_all(&dir).map_err(|e| {
             EngineError::Persistence(format!("cannot create bundle dir {}: {e}", dir.display()))
         })?;
-        exl_obs::flight::arm_default();
-        self.bundle_dir = Some(dir);
+        self.bundle = Some(crate::bundle::BundleSink {
+            dir,
+            ring: flight::FlightRing::new(flight::DEFAULT_CAPACITY),
+        });
         Ok(())
     }
 
@@ -850,6 +853,9 @@ impl ExlEngine {
         let started = std::time::Instant::now();
         // observability collected alongside the report, surviving aborts
         let mut obs = RunObservation::default();
+        // this engine's own ring (armed with a bundle dir) takes the run's
+        // events; the run governor carries it to every worker thread
+        let _ring = self.bundle.as_ref().map(|b| b.ring.enter());
         exl_obs::flight::record_with(exl_obs::flight::FlightKind::Run, "engine.run", || {
             format!("start: {} changed cube(s)", changed.len())
         });
@@ -934,9 +940,9 @@ impl ExlEngine {
             Ok(r) => !r.failed.is_empty(),
         };
         if failed {
-            if let Some(dir) = self.bundle_dir.clone() {
+            if let Some(sink) = &self.bundle {
                 match crate::bundle::write_crash_bundle(
-                    &dir,
+                    sink,
                     result,
                     obs,
                     governor,

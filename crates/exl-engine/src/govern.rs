@@ -47,15 +47,6 @@ pub struct GovernConfig {
 }
 
 impl GovernConfig {
-    /// Whether any limit or an already-cancelled token is configured —
-    /// if not, runs skip governor bookkeeping entirely.
-    pub fn is_armed(&self) -> bool {
-        self.run_deadline.is_some()
-            || self.max_memory_bytes.is_some()
-            || self.max_rows.is_some()
-            || self.cancel.is_cancelled()
-    }
-
     /// Build the per-run governor: a child of the external token over a
     /// fresh budget with this config's limits.
     pub fn run_governor(&self) -> Governor {
@@ -80,7 +71,6 @@ mod tests {
     #[test]
     fn unarmed_config_builds_detached_runs() {
         let cfg = GovernConfig::default();
-        assert!(!cfg.is_armed());
         assert!(cfg.run_governor().checkpoint().is_ok());
     }
 
@@ -88,7 +78,6 @@ mod tests {
     fn external_cancel_reaches_every_run_governor() {
         let cfg = GovernConfig::default();
         cfg.cancel.cancel("shutdown");
-        assert!(cfg.is_armed());
         let g1 = cfg.run_governor();
         let g2 = cfg.run_governor();
         assert!(g1.checkpoint().is_err());
@@ -110,7 +99,6 @@ mod tests {
             max_memory_bytes: Some(100),
             ..GovernConfig::default()
         };
-        assert!(cfg.is_armed());
         let g = cfg.run_governor();
         g.budget().charge_bytes(200);
         assert!(matches!(

@@ -401,42 +401,8 @@ mod tests {
         assert_eq!(attempts[0].target, TargetKind::Native);
     }
 
-    /// Live threads in this process (Linux: one entry per task).
-    fn live_threads() -> usize {
-        std::fs::read_dir("/proc/self/task").map_or(1, |d| d.count())
-    }
-
-    /// Re-run the test `name` alone in a child process of this test
-    /// binary and assert that it passed; returns true inside that child,
-    /// where the caller runs the body. Other tests of this binary run
-    /// `exec.native` without installing a fault plan, so in a shared
-    /// process they can consume a one-shot fault meant for `name`, and
-    /// their threads show up in its `/proc/self/task` count.
-    fn isolated(name: &str) -> bool {
-        const CHILD: &str = "EXL_ISOLATED_TEST";
-        if std::env::var(CHILD).as_deref() == Ok(name) {
-            return true;
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let out = std::process::Command::new(exe)
-            .args([name, "--exact", "--test-threads=1"])
-            .env(CHILD, name)
-            .output()
-            .expect("spawn the isolated test");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("test result: ok. 1 passed"),
-            "isolated run of {name} failed:\n{stdout}{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        false
-    }
-
     #[test]
     fn deadline_cuts_off_a_stalled_backend() {
-        if !isolated("supervise::tests::deadline_cuts_off_a_stalled_backend") {
-            return;
-        }
         let (code, input, wanted) = native_setup();
         let _guard = exl_fault::install(exl_fault::FaultPlan::delay_once("exec.native", 200));
         let policy = DispatchPolicy {
@@ -450,35 +416,37 @@ mod tests {
         );
         assert_eq!(attempts.last().unwrap().outcome, AttemptOutcome::TimedOut);
         // cancel-then-join: the worker was reclaimed before run_supervised
-        // returned, so the next test's fault plan never sees it
+        // returned
     }
 
     #[test]
     fn timed_out_workers_are_joined_not_leaked() {
-        if !isolated("supervise::tests::timed_out_workers_are_joined_not_leaked") {
-            return;
-        }
+        use exl_obs::flight::{FlightKind, FlightRing};
         let (code, input, wanted) = native_setup();
         let policy = DispatchPolicy {
             subgraph_timeout: Some(Duration::from_millis(10)),
             ..DispatchPolicy::default()
         };
-        let before = live_threads();
-        for _ in 0..8 {
+        // the worker records into this test's ring, and only this test's
+        let ring = FlightRing::new(256);
+        let _entered = ring.enter();
+        for round in 0..8 {
             let _guard = exl_fault::install(exl_fault::FaultPlan::delay_once("exec.native", 500));
+            let seen = ring.total_recorded();
             let (result, _) = supervise(&code, None, &input, &wanted, &policy, None);
             assert!(
                 matches!(result, Err(EngineError::Timeout { .. })),
                 "{result:?}"
             );
+            // the cut-off worker ran on to its next checkpoint, tripped on
+            // the deadline cancel, and was joined before the call returned
+            let trips = ring
+                .tail()
+                .iter()
+                .filter(|e| e.seq >= seen && e.kind == FlightKind::GovernTrip)
+                .count();
+            assert!(trips >= 1, "round {round}: worker not joined on return");
         }
-        // every deadline-cut worker must have been joined: were workers
-        // abandoned, eight of them would still be sleeping here
-        let after = live_threads();
-        assert!(
-            after <= before,
-            "leaked dispatch workers: {before} threads before, {after} after"
-        );
     }
 
     #[test]

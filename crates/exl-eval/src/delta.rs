@@ -268,20 +268,9 @@ fn shift_key(key: &[DimValue], chain: &[(usize, i64)], sign: i64) -> Option<DimT
 /// `Ok(Some((out, delta)))`: `out` is bit-identical to
 /// `eval_statement(stmt, env)`, and `delta` (based on `prev_output_fp`)
 /// is exactly the change from `prev_output` to `out`. When nothing
-/// changed, `out` shares `prev_output`'s storage.
+/// changed, `out` shares `prev_output`'s storage. The patch evaluation
+/// runs on `threads` evaluator workers (`None` probes the machine).
 pub fn eval_statement_delta(
-    stmt: &Statement,
-    env: &Dataset,
-    input_deltas: &FxHashMap<CubeId, CubeDelta>,
-    prev_output: &CubeData,
-    prev_output_fp: Fingerprint,
-) -> Result<Option<(CubeData, CubeDelta)>, EvalError> {
-    eval_statement_delta_with_threads(stmt, env, input_deltas, prev_output, prev_output_fp, None)
-}
-
-/// [`eval_statement_delta`] whose patch evaluation runs on `threads`
-/// evaluator workers (`None` probes the machine).
-pub fn eval_statement_delta_with_threads(
     stmt: &Statement,
     env: &Dataset,
     input_deltas: &FxHashMap<CubeId, CubeDelta>,
@@ -570,9 +559,10 @@ mod tests {
         let cold = eval_statement(stmt, &new_env).unwrap();
         let prev_fp = Fingerprint::of_cube(&prev_output);
         let deltas = input_deltas(&prev_inputs, &new_env);
-        let (warm, delta) = eval_statement_delta(stmt, &new_env, &deltas, &prev_output, prev_fp)
-            .unwrap()
-            .expect("statement should be delta-eligible");
+        let (warm, delta) =
+            eval_statement_delta(stmt, &new_env, &deltas, &prev_output, prev_fp, None)
+                .unwrap()
+                .expect("statement should be delta-eligible");
         assert_eq!(bits(&cold), bits(&warm));
         assert_eq!(delta.base, prev_fp);
         let mut replayed = prev_output.clone();
@@ -725,10 +715,16 @@ mod tests {
         .into_iter()
         .collect();
         let fp = Fingerprint::of_cube(&prev_out);
-        let (warm, delta) =
-            eval_statement_delta(stmt, &env, &input_deltas(&prev_inputs, &env), &prev_out, fp)
-                .unwrap()
-                .unwrap();
+        let (warm, delta) = eval_statement_delta(
+            stmt,
+            &env,
+            &input_deltas(&prev_inputs, &env),
+            &prev_out,
+            fp,
+            None,
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(bits(&warm), bits(&prev_out));
         assert!(delta.is_empty());
         assert_eq!(delta.base, fp);
@@ -769,6 +765,7 @@ mod tests {
             &FxHashMap::default(),
             &CubeData::new(),
             Fingerprint::EMPTY,
+            None,
         )
         .unwrap();
         assert!(r.is_none());

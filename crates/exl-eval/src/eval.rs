@@ -2129,14 +2129,6 @@ mod tests {
 
     // ---- parallel kernels must be byte-identical to serial ones ----
 
-    /// A no-op fault plan. Every fanned-out worker passes the process-wide
-    /// `eval.worker` site, so a test that fans out without holding the
-    /// install lock could consume the one-shot fault of a test above;
-    /// holding this guard serializes it with them instead.
-    fn no_faults() -> exl_fault::FaultGuard {
-        exl_fault::install(FaultPlan::fail_once("eval.unused"))
-    }
-
     fn big_cube(n: i64) -> CubeData {
         let mut data = CubeData::with_capacity(n as usize);
         for i in 0..n {
@@ -2158,7 +2150,6 @@ mod tests {
 
     #[test]
     fn parallel_probe_combine_matches_serial_bitwise() {
-        let _guard = no_faults();
         let data = big_cube((PAR_MIN_ROWS + 100) as i64);
         // a shifted partner so both the hit and the miss paths run
         let mut partner = CubeData::with_capacity(data.len());
@@ -2181,7 +2172,6 @@ mod tests {
 
     #[test]
     fn partitioned_aggregate_matches_serial_bitwise() {
-        let _guard = no_faults();
         // bags of ~740 floats per group: any fold-order difference between
         // inline and fanned-out phases would show in the low bits (with 17
         // partitions there are more workers than groups)
@@ -2279,7 +2269,6 @@ mod tests {
 
     #[test]
     fn dense_and_hashed_group_ids_give_the_same_rows() {
-        let _guard = no_faults();
         // (k: int, r: text, d: day); 600 rows, scrambled so segments
         // arrive out of key order
         let mut pool = DimPool::new();
@@ -2339,7 +2328,6 @@ mod tests {
 
     #[test]
     fn dense_and_hashed_group_ids_fail_alike() {
-        let _guard = no_faults();
         let far = |width: usize| {
             let mut k = vec![IDim::Int(i64::MIN)];
             k.extend((1..width).map(|_| epoch_day(0)));
@@ -2429,7 +2417,6 @@ mod tests {
     #[test]
     fn parallel_interning_matches_serial() {
         use rand::{Rng, SeedableRng};
-        let _guard = no_faults();
         let schema =
             exl_model::CubeSchema::new("C", intern_dims(), exl_model::schema::CubeKind::Elementary);
         let checks = [RowCheck::Schema(&schema), RowCheck::Arity(4)];
@@ -2556,7 +2543,6 @@ mod tests {
 
     #[test]
     fn series_output_keeps_operand_row_order() {
-        let _guard = no_faults();
         // above PAR_MIN_ROWS, so four workers really fan out
         let (dims, batch, pool) = series_operand(41, 120);
         assert!(batch.len() >= PAR_MIN_ROWS);
@@ -2650,7 +2636,6 @@ mod tests {
 
     #[test]
     fn mixed_arity_aggregation_operand_is_a_typed_error() {
-        let _guard = no_faults();
         // unvalidated data (delta paths) can break the one-arity contract;
         // a flat key column cannot hold ragged rows, so interning refuses
         let data = CubeData::from_tuples(vec![

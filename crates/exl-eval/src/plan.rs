@@ -1218,10 +1218,6 @@ mod tests {
 
     #[test]
     fn run_stream_is_bit_identical_for_any_worker_count() {
-        // every fanned-out worker passes the process-wide `eval.worker`
-        // site: hold the fault-plan lock so no other test's one-shot
-        // fault fires here
-        let _guard = exl_fault::install(exl_fault::FaultPlan::fail_once("eval.unused"));
         let n = PAR_MIN_ROWS + 100;
         let mut pool = DimPool::new();
         let mut base = CubeBatch::new();

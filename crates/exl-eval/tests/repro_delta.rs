@@ -48,9 +48,10 @@ fn addz_shift_patch_bit_identity() {
         changed_keys(base, &old, new_env.data(&CubeId::new("A")).unwrap()),
     );
     let prev_fp = Fingerprint::of_cube(&prev_output);
-    let (warm, delta) = eval_statement_delta(stmt, &new_env, &input_deltas, &prev_output, prev_fp)
-        .unwrap()
-        .expect("delta-eligible");
+    let (warm, delta) =
+        eval_statement_delta(stmt, &new_env, &input_deltas, &prev_output, prev_fp, None)
+            .unwrap()
+            .expect("delta-eligible");
     // the output delta replays the old output onto the cold one
     let mut replayed = prev_output.clone();
     delta.patch(&mut replayed);

@@ -18,19 +18,28 @@
 //! not cross `thread::spawn`). With no governor installed a checkpoint
 //! is a thread-local read and nothing else.
 //!
+//! The governor is the one run context: it also carries the installed
+//! fault plan ([`crate::install`]) and the entered [`exl_obs::flight`]
+//! ring, so a worker re-entering a captured [`governor`] sees the plan
+//! and records into the ring of the thread that spawned it.
+//!
 //! This module lives in `exl-fault` (the lowest shared layer — its only
 //! dependency is the equally foundation-level `exl-obs`) so every
 //! backend can observe the token; the engine re-exports and drives it
 //! from `exl_engine::govern`. A *tripped* checkpoint — cancellation
-//! observed or a budget limit exceeded — is recorded into the
-//! [`exl_obs::flight`] event ring (inert when disarmed); the vastly more
-//! common passing checkpoint records nothing.
+//! observed or a budget limit exceeded — is recorded into the entered
+//! flight ring (inert when none is); the vastly more common passing
+//! checkpoint records nothing.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use exl_obs::flight::{self, EnteredRing, FlightRing};
+
+use crate::FaultState;
 
 /// Why a governed execution stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,13 +69,6 @@ pub enum GovernError {
         /// Accounted rows when the limit was hit.
         rows: u64,
     },
-}
-
-impl GovernError {
-    /// True for plain cancellation (as opposed to budget exhaustion).
-    pub fn is_cancellation(&self) -> bool {
-        matches!(self, GovernError::Cancelled { .. })
-    }
 }
 
 impl fmt::Display for GovernError {
@@ -291,14 +293,17 @@ impl RunBudget {
     }
 }
 
-/// A cancellation token and a resource budget travelling together.
-/// Cloning shares both; [`child`](Governor::child) derives a child token
-/// over the *same* budget (budgets are per run, tokens per unit of
-/// work).
+/// The run context: a cancellation token and a resource budget, plus the
+/// installed fault plan and the entered flight ring, travelling together.
+/// Cloning shares all four; [`child`](Governor::child) derives a child
+/// token over the *same* budget, plan and ring (budgets are per run,
+/// tokens per unit of work).
 #[derive(Debug, Clone, Default)]
 pub struct Governor {
     token: CancelToken,
     budget: Arc<RunBudget>,
+    pub(crate) faults: Option<Arc<FaultState>>,
+    ring: Option<FlightRing>,
 }
 
 impl Governor {
@@ -307,6 +312,7 @@ impl Governor {
         Governor {
             token,
             budget: Arc::new(budget),
+            ..Governor::default()
         }
     }
 
@@ -320,7 +326,7 @@ impl Governor {
     pub fn child(&self) -> Governor {
         Governor {
             token: self.token.child(),
-            budget: Arc::clone(&self.budget),
+            ..self.clone()
         }
     }
 
@@ -366,32 +372,49 @@ thread_local! {
     static CURRENT: RefCell<Vec<Governor>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Restores the previous ambient governor on drop.
+/// Restores the previous ambient governor (and flight ring) on drop.
 #[must_use = "the governor is uninstalled when the guard drops"]
 pub struct GovernorGuard {
-    _private: (),
+    depth: usize,
+    _ring: Option<EnteredRing>,
 }
 
 impl Drop for GovernorGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
+        CURRENT.with(|c| c.borrow_mut().truncate(self.depth));
     }
 }
 
 /// Install `governor` as this thread's ambient governor until the guard
-/// drops. Worker threads must re-install explicitly: thread-locals do
-/// not propagate across `thread::spawn`/`thread::scope`.
-pub fn set_governor(governor: Governor) -> GovernorGuard {
-    CURRENT.with(|c| c.borrow_mut().push(governor));
-    GovernorGuard { _private: () }
+/// drops. A governor without a fault plan inherits the one installed
+/// below it; a governor captured by [`governor`] also re-enters the
+/// flight ring it was captured with. Worker threads must re-install
+/// explicitly: thread-locals do not propagate across
+/// `thread::spawn`/`thread::scope`.
+pub fn set_governor(mut governor: Governor) -> GovernorGuard {
+    let ring = governor.ring.as_ref().map(FlightRing::enter);
+    let depth = CURRENT.with(|c| {
+        let mut stack = c.borrow_mut();
+        if governor.faults.is_none() {
+            governor.faults = stack.last().and_then(|g| g.faults.clone());
+        }
+        stack.push(governor);
+        stack.len() - 1
+    });
+    GovernorGuard { depth, _ring: ring }
 }
 
-/// This thread's ambient governor, if one is installed (cloned — cheap,
-/// two `Arc` bumps).
+/// This thread's ambient governor with the flight ring entered here, if
+/// a governor is installed (cloned — a few `Arc` bumps).
 pub fn governor() -> Option<Governor> {
-    CURRENT.with(|c| c.borrow().last().cloned())
+    let mut governor = CURRENT.with(|c| c.borrow().last().cloned())?;
+    governor.ring = flight::current();
+    Some(governor)
+}
+
+/// The fault plan installed in the ambient governor, if any.
+pub(crate) fn faults() -> Option<Arc<FaultState>> {
+    CURRENT.with(|c| c.borrow().last().and_then(|g| g.faults.clone()))
 }
 
 /// The cooperative checkpoint against the ambient governor. With none
@@ -431,15 +454,10 @@ pub fn release(bytes: u64) {
 
 /// Cancel the ambient governor's token (used by
 /// [`FaultAction::Cancel`](crate::FaultAction)); no-op when ungoverned.
-/// Returns whether a token was cancelled.
-pub fn cancel_current(reason: &str) -> bool {
-    CURRENT.with(|c| match c.borrow().last() {
-        Some(g) => {
-            g.token.cancel(reason);
-            true
-        }
-        None => false,
-    })
+pub fn cancel_current(reason: &str) {
+    if let Some(g) = CURRENT.with(|c| c.borrow().last().cloned()) {
+        g.token.cancel(reason);
+    }
 }
 
 /// A coarse byte estimate for a cube-shaped intermediate: `rows` keys of
@@ -586,5 +604,52 @@ mod tests {
         assert!(run.checkpoint().is_ok(), "subgraph cancel stays local");
         run.token().cancel("run-wide");
         assert!(sub.child().checkpoint().is_err(), "run cancel reaches all");
+    }
+
+    #[test]
+    fn plan_and_ring_reach_reentered_workers_and_pushed_governors_only() {
+        use exl_obs::flight::FlightKind;
+        let ring = FlightRing::new(64);
+        let _entered = ring.enter();
+        let guard = crate::install(crate::FaultPlan::fail_always("w"));
+        {
+            // a governor pushed on top (an engine's run governor) inherits both
+            let _run = set_governor(Governor::detached());
+            assert!(crate::check("w").is_err());
+            flight::record_with(FlightKind::Statement, "pushed", String::new);
+        }
+        let captured = governor().expect("installing a plan installs a governor");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // a worker re-entering the captured governor sees both
+                let _g = set_governor(captured.child());
+                assert!(crate::check("w").is_err());
+                flight::record_with(FlightKind::Statement, "worker", String::new);
+            });
+        });
+        std::thread::spawn(|| {
+            // a bare spawn sees neither
+            assert!(governor().is_none());
+            assert!(flight::current().is_none());
+            assert!(crate::check("w").is_ok());
+            flight::record_with(FlightKind::Statement, "bare", String::new);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(guard.fired_count(), 2);
+        let events: Vec<String> = ring
+            .tail()
+            .iter()
+            .map(|e| format!("{} {}", e.kind.as_str(), e.site))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                "fault.fired w",
+                "stmt pushed",
+                "fault.fired w",
+                "stmt worker"
+            ]
+        );
     }
 }

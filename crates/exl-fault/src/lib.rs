@@ -3,18 +3,18 @@
 //! Chaos testing for the dispatch path: the engine, the ETL runner, and
 //! the mini interpreters call [`check`] at named *sites*
 //! (e.g. `exec.sql`, `etl.flow`, `rmini.run`). In production the check is
-//! a single relaxed atomic load and nothing else. In a chaos test, a
+//! a single thread-local read and nothing else. In a chaos test, a
 //! [`FaultPlan`] is [`install`]ed — "make the *Nth* execution of site *S*
 //! fail / panic / stall" — and the chosen executions misbehave exactly as
 //! planned, so every chaos run is reproducible from its seed. A firing
-//! is also recorded into the [`exl_obs::flight`] event ring (inert when
-//! that recorder is disarmed), so crash bundles name the fault site.
+//! is also recorded into the entered [`exl_obs::flight`] ring (inert when
+//! none is entered), so crash bundles name the fault site.
 //!
-//! Installation is process-global (the instrumented code must not carry
-//! an injector through every signature), therefore [`install`] serializes
-//! installers: the returned [`FaultGuard`] holds a global lock, so two
-//! chaos tests in one test binary never see each other's plan. Dropping
-//! the guard disarms injection.
+//! An installed plan rides in the ambient [`govern::Governor`], so it
+//! reaches the installing thread, the work that thread spawns and every
+//! governor pushed above it, and nothing else: chaos tests on other
+//! threads run their own plans at the same time. Dropping the
+//! [`FaultGuard`] uninstalls the plan.
 //!
 //! The known sites are listed in [`SITES`]; [`FaultPlan::from_seed`]
 //! picks one site, occurrence, and action from a seed (splitmix64, no
@@ -26,8 +26,7 @@ pub mod govern;
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Injection sites instrumented across the workspace: every [`check`]
@@ -65,12 +64,13 @@ pub enum FaultAction {
     Delay(u64),
     /// Cancel the ambient [`govern::Governor`]'s token at the site and
     /// continue; the cancellation surfaces at the next governance
-    /// checkpoint (exercises cooperative cancellation). A no-op when the
-    /// executing thread is ungoverned.
+    /// checkpoint (exercises cooperative cancellation). Installed with no
+    /// governor below it, the plan's own scope is what gets cancelled.
     Cancel,
     /// Charge the given number of bytes against the ambient budget at
-    /// the site and continue (exercises memory-ceiling exhaustion). A
-    /// no-op when the executing thread is ungoverned.
+    /// the site and continue (exercises memory-ceiling exhaustion).
+    /// Installed with no governor below it, the plan's own unlimited
+    /// budget absorbs the charge.
     MemPressure(u64),
 }
 
@@ -106,11 +106,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Empty plan (installing it still counts site executions).
-    pub fn new() -> FaultPlan {
-        FaultPlan::default()
-    }
-
     /// Plan one injected error on the first execution of `site`.
     pub fn fail_once(site: &str) -> FaultPlan {
         FaultPlan::one(site, 1, FaultAction::Error)
@@ -233,80 +228,74 @@ pub struct FiredFault {
     pub action: &'static str,
 }
 
+/// One installed plan: its specs, per-site execution counts, and the
+/// faults fired so far. Every governor that carries the plan shares it
+/// through an `Arc`, so counts span all the threads of a run.
 #[derive(Debug, Default)]
-struct ActiveState {
+pub(crate) struct ActiveState {
     specs: Vec<FaultSpec>,
     counts: BTreeMap<String, u64>,
     fired: Vec<FiredFault>,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<ActiveState>> = Mutex::new(None);
-/// Serializes installers so concurrent chaos tests cannot interleave.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
+pub(crate) type FaultState = Mutex<ActiveState>;
 
-fn state() -> MutexGuard<'static, Option<ActiveState>> {
+fn lock(state: &FaultState) -> MutexGuard<'_, ActiveState> {
     // a panic while holding the state lock is an injected panic, not a
     // corrupted state: keep going
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
+    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arms a [`FaultPlan`]; disarms and releases the installer lock on drop.
+/// Scopes a [`FaultPlan`] to the installing thread and the work it
+/// spawns; dropping it uninstalls the plan.
 #[must_use = "the plan is disarmed when the guard drops"]
 pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
+    state: Arc<FaultState>,
+    _scope: govern::GovernorGuard,
 }
 
 impl FaultGuard {
     /// Faults that have fired so far under this installation.
     pub fn fired(&self) -> Vec<FiredFault> {
-        state()
-            .as_ref()
-            .map(|s| s.fired.clone())
-            .unwrap_or_default()
+        lock(&self.state).fired.clone()
     }
 
     /// Number of faults fired so far.
     pub fn fired_count(&self) -> usize {
-        state().as_ref().map(|s| s.fired.len()).unwrap_or(0)
+        lock(&self.state).fired.len()
     }
 }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        *state() = None;
-    }
-}
-
-/// Install a fault plan process-wide. Blocks until any previously
-/// installed plan is dropped; injection stays armed until the returned
-/// guard drops.
+/// Install a fault plan on the current thread until the returned guard
+/// drops. The plan rides in the ambient governor: the workers this
+/// thread spawns re-enter it, and the governors pushed above it (an
+/// engine's run governor among them) inherit it. Plans installed on
+/// other threads are neither seen nor waited for.
 pub fn install(plan: FaultPlan) -> FaultGuard {
-    let lock = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    *state() = Some(ActiveState {
+    let state = Arc::new(Mutex::new(ActiveState {
         specs: plan.specs,
-        counts: BTreeMap::new(),
-        fired: Vec::new(),
-    });
-    ARMED.store(true, Ordering::SeqCst);
-    FaultGuard { _lock: lock }
+        ..ActiveState::default()
+    }));
+    let mut scope = govern::governor().unwrap_or_else(govern::Governor::detached);
+    scope.faults = Some(Arc::clone(&state));
+    FaultGuard {
+        state,
+        _scope: govern::set_governor(scope),
+    }
 }
 
 /// The per-site hook the instrumented code calls. Free when no plan is
-/// installed (one atomic load). With a plan armed: counts the execution,
-/// and if a spec matches this occurrence, performs its action — returns
-/// `Err` for [`FaultAction::Error`], panics for [`FaultAction::Panic`],
-/// sleeps then returns `Ok` for [`FaultAction::Delay`].
+/// installed (one thread-local read). With a plan armed: counts the
+/// execution, and if a spec matches this occurrence, performs its
+/// action — returns `Err` for [`FaultAction::Error`], panics for
+/// [`FaultAction::Panic`], sleeps then returns `Ok` for
+/// [`FaultAction::Delay`].
 pub fn check(site: &str) -> Result<(), FaultError> {
-    if !ARMED.load(Ordering::Relaxed) {
+    let Some(state) = govern::faults() else {
         return Ok(());
-    }
+    };
     let (action, occurrence) = {
-        let mut guard = state();
-        let Some(active) = guard.as_mut() else {
-            return Ok(());
-        };
+        let mut active = lock(&state);
         let count = active.counts.entry(site.to_string()).or_insert(0);
         *count += 1;
         let occurrence = *count;
@@ -326,9 +315,9 @@ pub fn check(site: &str) -> Result<(), FaultError> {
         (action, occurrence)
         // the state lock drops here — never panic or sleep under it
     };
-    // a firing is rare by construction: tell the flight recorder (one
-    // relaxed load when it is disarmed) before performing the action, so
-    // even an injected panic leaves its trace in the event ring
+    // a firing is rare by construction: tell the flight recorder (inert
+    // with no ring entered) before performing the action, so even an
+    // injected panic leaves its trace in the event ring
     exl_obs::flight::record_with(exl_obs::flight::FlightKind::FaultFired, site, || {
         format!("occurrence {occurrence}, action {}", action.name())
     });
@@ -444,8 +433,12 @@ mod tests {
 
     #[test]
     fn cancel_action_without_governor_is_inert() {
-        let _guard = install(FaultPlan::cancel_once("c"));
-        assert!(check("c").is_ok());
+        {
+            let _guard = install(FaultPlan::cancel_once("c"));
+            assert!(check("c").is_ok());
+        }
+        // the cancel landed in the plan's own scope and left with it
+        assert!(govern::governor().is_none());
         assert!(govern::checkpoint().is_ok());
     }
 
@@ -507,18 +500,26 @@ mod tests {
     }
 
     #[test]
-    fn install_serializes_concurrent_plans() {
-        let t = std::thread::spawn(|| {
-            let _g = install(FaultPlan::fail_once("a"));
-            assert!(check("a").is_err());
-            std::thread::sleep(Duration::from_millis(10));
-            // still our plan: "b" does not fire
-            assert!(check("b").is_ok());
+    fn concurrent_plans_fire_only_on_their_own_thread() {
+        // both plans are installed at once; a barrier proves neither
+        // installer waits for the other, and each thread's check of the
+        // other's site stays clean
+        let both_installed = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (mine, theirs) in [("a", "b"), ("b", "a")] {
+                let both_installed = &both_installed;
+                s.spawn(move || {
+                    let guard = install(FaultPlan::fail_always(mine));
+                    both_installed.wait();
+                    for _ in 0..20 {
+                        assert!(check(mine).is_err());
+                        assert!(check(theirs).is_ok());
+                    }
+                    assert_eq!(guard.fired_count(), 20);
+                    assert!(guard.fired().iter().all(|f| f.site == mine));
+                });
+            }
         });
-        std::thread::sleep(Duration::from_millis(2));
-        let g2 = install(FaultPlan::fail_once("b")); // blocks until t's guard drops
-        assert!(check("b").is_err());
-        drop(g2);
-        t.join().unwrap();
+        assert!(check("a").is_ok() && check("b").is_ok());
     }
 }

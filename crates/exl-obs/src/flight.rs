@@ -1,30 +1,32 @@
-//! The flight recorder: a bounded, process-global ring buffer of recent
-//! structured events, inert when disarmed.
+//! The flight recorder: bounded rings of recent structured events.
 //!
 //! The engine's metrics and traces answer "how did this run behave?";
 //! the flight recorder answers "what were the last things that happened
 //! before it failed?". Instrumented paths across the workspace — span
 //! closes, dispatch retries and fallbacks, cache hits and misses,
 //! governor trips, fault-site firings, backend statement boundaries —
-//! call [`record_with`]. Disarmed (the default), that call is **one
-//! relaxed atomic load and nothing else**: the detail closure is never
-//! invoked, so the hot path allocates nothing (pinned by the
-//! `flight_overhead` test). Armed, events land in a fixed-capacity ring
-//! under a plain mutex; when the ring is full the oldest event is
-//! evicted, so the recorder holds the *tail* of the run at all times.
+//! call [`record_with`], which writes to the [`FlightRing`] entered on
+//! the calling thread. With none entered (the default) that call is
+//! **one thread-local read and nothing else**: the detail closure is
+//! never invoked, so the hot path allocates nothing (pinned by the
+//! `flight_overhead` test). An entered ring holds a fixed number of
+//! events under a plain mutex; when it is full the oldest event is
+//! evicted, so the ring holds the *tail* of the run at all times.
 //!
-//! The engine arms the recorder when a crash-bundle directory is
-//! configured (`exlc --bundle-dir`) and dumps [`tail`] into the bundle
-//! on any run failure. The event vocabulary is [`FlightKind`]; see
-//! docs/OBSERVABILITY.md for the documented schema.
+//! Each engine with a crash-bundle directory (`exlc --bundle-dir`) owns
+//! a ring, enters it for every run (workers see it through the governor
+//! they re-enter, `exl_fault::govern`) and dumps its [`FlightRing::tail`]
+//! into the bundle on failure. The event vocabulary is [`FlightKind`];
+//! see docs/OBSERVABILITY.md for the documented schema.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Ring capacity used by [`arm_default`]: large enough to span the full
-/// dispatch tail of a many-subgraph run, small enough to stay cheap.
+/// Ring capacity an engine's ring is made with: large enough to span the
+/// full dispatch tail of a many-subgraph run, small enough to stay cheap.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// The event vocabulary — every recorded event carries exactly one kind.
@@ -101,10 +103,10 @@ impl FlightKind {
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Monotonic sequence number since arming (never reused; gaps in a
-    /// [`tail`] mean older events were evicted).
+    /// Monotonic sequence number within its ring (never reused; gaps in
+    /// a [`FlightRing::tail`] mean older events were evicted).
     pub seq: u64,
-    /// Nanoseconds since the recorder was armed.
+    /// Nanoseconds since the ring was made.
     pub nanos: u64,
     /// Event kind.
     pub kind: FlightKind,
@@ -114,6 +116,7 @@ pub struct FlightEvent {
     pub detail: String,
 }
 
+#[derive(Debug)]
 struct Ring {
     epoch: Instant,
     capacity: usize,
@@ -121,65 +124,89 @@ struct Ring {
     events: VecDeque<FlightEvent>,
 }
 
-/// The armed/disarmed flag, checked with one relaxed load on every
-/// [`record_with`] call — the entire disarmed cost.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static RING: Mutex<Option<Ring>> = Mutex::new(None);
-
-fn ring() -> MutexGuard<'static, Option<Ring>> {
-    // an injected panic can poison the lock mid-record; the ring data is
-    // still structurally sound, so keep recording
-    RING.lock().unwrap_or_else(PoisonError::into_inner)
+/// A bounded ring of the most recent [`FlightEvent`]s; clones share it.
+/// Events reach a ring only while it is [entered](FlightRing::enter).
+#[derive(Debug, Clone)]
+pub struct FlightRing {
+    inner: Arc<Mutex<Ring>>,
 }
 
-/// Arm the recorder with a ring of `capacity` events. Re-arming resets
-/// the ring (fresh epoch, sequence restarts at 0). Arming is
-/// process-global, like fault injection: instrumented code must not
-/// carry a recorder handle through every signature.
-pub fn arm(capacity: usize) {
-    *ring() = Some(Ring {
-        epoch: Instant::now(),
-        capacity: capacity.max(1),
-        next_seq: 0,
-        events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-    });
-    ARMED.store(true, Ordering::SeqCst);
+thread_local! {
+    /// The ring entered on this thread, if any — the entire cost of
+    /// [`record_with`] when it is `None`.
+    static ENTERED: RefCell<Option<FlightRing>> = const { RefCell::new(None) };
 }
 
-/// [`arm`] with [`DEFAULT_CAPACITY`].
-pub fn arm_default() {
-    arm(DEFAULT_CAPACITY);
+/// Restores the previously entered ring (or none) on drop.
+#[must_use = "the ring is left when the guard drops"]
+pub struct EnteredRing {
+    previous: Option<FlightRing>,
+    // thread-bound: it restores this thread's slot
+    _thread: PhantomData<*const ()>,
 }
 
-/// Disarm the recorder and drop the ring.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-    *ring() = None;
-}
-
-/// Whether the recorder is currently armed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Record one event with an eagerly built detail string. Prefer
-/// [`record_with`] on hot paths — this form allocates `detail` even
-/// when disarmed only if the caller built it eagerly.
-pub fn record(kind: FlightKind, site: &str, detail: impl Into<String>) {
-    record_with(kind, site, || detail.into());
-}
-
-/// Record one event, building the detail lazily: when the recorder is
-/// disarmed this is a single relaxed atomic load and the closure is
-/// **never invoked** — no allocation, no formatting, no lock.
-pub fn record_with(kind: FlightKind, site: &str, detail: impl FnOnce() -> String) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
+impl Drop for EnteredRing {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        ENTERED.with(|e| *e.borrow_mut() = previous);
     }
-    let mut guard = ring();
-    let Some(ring) = guard.as_mut() else {
+}
+
+impl FlightRing {
+    /// An empty ring holding at most `capacity` events.
+    pub fn new(capacity: usize) -> FlightRing {
+        FlightRing {
+            inner: Arc::new(Mutex::new(Ring {
+                epoch: Instant::now(),
+                capacity: capacity.max(1),
+                next_seq: 0,
+                events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+            })),
+        }
+    }
+
+    /// Make this the ring [`record_with`] writes to on the current thread
+    /// until the guard drops.
+    pub fn enter(&self) -> EnteredRing {
+        let previous = ENTERED.with(|e| e.borrow_mut().replace(self.clone()));
+        EnteredRing {
+            previous,
+            _thread: PhantomData,
+        }
+    }
+
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        // an injected panic can poison the lock mid-record; the ring data
+        // is still structurally sound, so keep recording
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The ring's contents, oldest first.
+    pub fn tail(&self) -> Vec<FlightEvent> {
+        self.ring().events.iter().cloned().collect()
+    }
+
+    /// Total events recorded into this ring (recorded, not retained:
+    /// events beyond the capacity were evicted from the front).
+    pub fn total_recorded(&self) -> u64 {
+        self.ring().next_seq
+    }
+}
+
+/// The ring entered on the current thread, if any.
+pub fn current() -> Option<FlightRing> {
+    ENTERED.with(|e| e.borrow().clone())
+}
+
+/// Record one event into the ring entered on this thread, building the
+/// detail lazily: with no ring entered this is one thread-local read and
+/// the closure is **never invoked** — no allocation, no formatting, no
+/// lock.
+pub fn record_with(kind: FlightKind, site: &str, detail: impl FnOnce() -> String) {
+    let Some(ring) = current() else {
         return;
     };
+    let mut ring = ring.ring();
     let event = FlightEvent {
         seq: ring.next_seq,
         nanos: u64::try_from(ring.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -194,73 +221,63 @@ pub fn record_with(kind: FlightKind, site: &str, detail: impl FnOnce() -> String
     ring.events.push_back(event);
 }
 
-/// The current ring contents, oldest first. Empty when disarmed.
-pub fn tail() -> Vec<FlightEvent> {
-    ring()
-        .as_ref()
-        .map(|r| r.events.iter().cloned().collect())
-        .unwrap_or_default()
-}
-
-/// Total events recorded since arming (recorded, not retained: events
-/// beyond the capacity were evicted from the front).
-pub fn total_recorded() -> u64 {
-    ring().as_ref().map(|r| r.next_seq).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    /// The recorder is process-global; serialize the tests that arm it.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn ring_wraps_and_keeps_the_tail() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        arm(4);
+        let ring = FlightRing::new(4);
+        let _entered = ring.enter();
         for i in 0..10 {
-            record(FlightKind::Statement, "s", format!("event {i}"));
+            record_with(FlightKind::Statement, "s", || format!("event {i}"));
         }
-        let tail = tail();
+        let tail = ring.tail();
         assert_eq!(tail.len(), 4);
         assert_eq!(tail[0].seq, 6);
         assert_eq!(tail[3].seq, 9);
         assert_eq!(tail[3].detail, "event 9");
         assert!(tail.windows(2).all(|w| w[0].nanos <= w[1].nanos));
-        assert_eq!(total_recorded(), 10);
-        disarm();
+        assert_eq!(ring.total_recorded(), 10);
     }
 
     #[test]
     fn disarmed_recorder_never_invokes_the_closure() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        disarm();
         let mut invoked = false;
         record_with(FlightKind::Retry, "s", || {
             invoked = true;
             String::new()
         });
         assert!(!invoked);
-        assert!(tail().is_empty());
-        assert!(!is_armed());
+        assert!(current().is_none());
     }
 
     #[test]
     fn rearming_resets_epoch_and_sequence() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        arm(8);
-        record(FlightKind::Run, "engine.run", "first");
-        assert_eq!(total_recorded(), 1);
-        arm(8);
-        assert_eq!(total_recorded(), 0);
-        assert!(tail().is_empty());
-        record(FlightKind::Run, "engine.run", "second");
-        let t = tail();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].seq, 0);
-        disarm();
+        // re-arming an engine makes a new ring: it numbers and times its
+        // events from scratch; entering it nests, and leaving it restores
+        // the ring entered before
+        let first_made = Instant::now();
+        let first = FlightRing::new(8);
+        let entered = first.enter();
+        record_with(FlightKind::Run, "engine.run", || "first".into());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let second = FlightRing::new(8);
+        assert!(second.tail().is_empty());
+        {
+            let _e = second.enter();
+            record_with(FlightKind::Run, "engine.run", || "second".into());
+        }
+        record_with(FlightKind::Run, "engine.run", || "first again".into());
+        drop(entered);
+        record_with(FlightKind::Run, "engine.run", || "nowhere".into());
+        let t = second.tail();
+        assert_eq!((t.len(), t[0].seq), (1, 0));
+        // the second ring was made at least 2 ms after the first
+        let since_first = first_made.elapsed().as_nanos() as u64;
+        assert!(t[0].nanos + 2_000_000 <= since_first, "epoch not reset");
+        assert_eq!(first.total_recorded(), 2);
+        assert!(current().is_none());
     }
 
     #[test]

@@ -22,9 +22,9 @@ echo "== benchmark package =="
 cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "== crash bundles, repeated =="
-# the crash-bundle tests share the process-global flight ring; ten green
-# runs in a row guard the install-before-arm ordering that keeps them
-# deterministic under the parallel test harness
+# each engine records into its own flight ring and each fault plan stays
+# on its installing thread; ten green runs in a row guard the bundle
+# tests against any shared state creeping back under the parallel harness
 for i in $(seq 1 10); do
     cargo test -q -p exl-integration-tests --test crash_bundle || {
         echo "crash_bundle failed on run $i"; exit 1; }
@@ -40,6 +40,17 @@ for i in $(seq 1 5); do
         echo "chaos failed on run $i"; exit 1; }
 done
 echo "chaos: 5/5 green"
+
+echo "== ambient isolation =="
+# two engines run at once, one under a fault plan that fails every native
+# execution: the plan must stay on its thread and each crash bundle must
+# hold only its own engine's events, ten times in a row
+for i in $(seq 1 10); do
+    cargo test -q -p exl-integration-tests --test crash_bundle \
+        concurrent_engines_keep_their_faults_and_events_apart || {
+        echo "ambient isolation failed on run $i"; exit 1; }
+done
+echo "ambient isolation: 10/10 green"
 
 echo "== row order & rank =="
 # the series kernel emits the operand's keys in the operand's row order

@@ -3,9 +3,9 @@
 //! commits, retries, panic containment, deadlines, and the `keep_going`
 //! degradation mode.
 //!
-//! Every test installs a fault plan through [`exl_fault::install`], whose
-//! guard serializes chaos tests process-wide, so these tests are safe
-//! under the default parallel test runner.
+//! A plan installed through [`exl_fault::install`] reaches only the
+//! installing test's thread and the engine runs it makes, so these tests
+//! run side by side under the default parallel test runner.
 
 use std::time::Duration;
 
@@ -13,23 +13,10 @@ use exl_engine::{
     AttemptOutcome, DispatchPolicy, EngineError, ExlEngine, SubgraphStatus, TargetKind,
 };
 use exl_fault::FaultPlan;
+use exl_integration_tests::{fresh_dir, gdp_engine, wide_sharded_engine};
 use exl_model::value::DimValue;
 use exl_model::CubeData;
-use exl_workload::{gdp_scenario, GdpConfig, GDP_PROGRAM};
-
-fn gdp_engine(target: TargetKind) -> ExlEngine {
-    let (analyzed, data) = gdp_scenario(GdpConfig::default());
-    let mut e = ExlEngine::new();
-    e.register_program("gdp", GDP_PROGRAM).unwrap();
-    for id in analyzed.elementary_inputs() {
-        e.load_elementary(&id, data.data(&id).unwrap().clone())
-            .unwrap();
-    }
-    for id in analyzed.program.derived_ids() {
-        e.catalog.set_affinity(&id, Some(target)).unwrap();
-    }
-    e
-}
+use exl_workload::{gdp_scenario, GdpConfig};
 
 /// A program with two independent derived cubes (C from A, D from B) and
 /// one downstream of C (E), so a failure of C must skip E but not D.
@@ -191,7 +178,6 @@ fn eval_worker_panic_degrades_per_subgraph() {
     );
     // the process survived the panic; a fault-free rerun recovers C and E
     drop(guard);
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let report = e.run_all().unwrap();
     assert!(report.failed.is_empty() && report.skipped.is_empty());
     assert_eq!(
@@ -458,18 +444,8 @@ fn fallback_attempts_are_siblings_with_target_attrs() {
 // Run-cache chaos: the persistent store must only ever *lose* work, never
 // corrupt a result. Every fault below degrades the run to a cold
 // recompute — counted, committed, and bit-identical to a cache-free
-// engine. Each phase holds a fault guard (a no-op plan where no fault is
-// wanted) because the guard is what serializes chaos tests process-wide.
+// engine.
 // ---------------------------------------------------------------------
-
-use std::path::PathBuf;
-
-/// A clean per-test cache directory under the system temp dir.
-fn chaos_cache_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("exl-chaos-cache-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Every derived GDP cube of `e`, bit-compared against the reference run.
 fn assert_gdp_reference(e: &ExlEngine, label: &str) {
@@ -491,7 +467,7 @@ fn assert_gdp_reference(e: &ExlEngine, label: &str) {
 /// later engine simply finds an empty (cold) store.
 #[test]
 fn cache_write_faults_degrade_to_cold_store() {
-    let dir = chaos_cache_dir("write-always");
+    let dir = fresh_dir("chaos-cache-write-always");
     {
         let mut e = gdp_engine(TargetKind::Native);
         e.enable_disk_cache(&dir).unwrap();
@@ -508,7 +484,6 @@ fn cache_write_faults_degrade_to_cold_store() {
     }
     // nothing was persisted, so a fresh engine runs fully cold — a miss,
     // not an error
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let mut e = gdp_engine(TargetKind::Native);
     e.enable_disk_cache(&dir).unwrap();
     let report = e.run_all().unwrap();
@@ -525,7 +500,7 @@ fn cache_write_faults_degrade_to_cold_store() {
 /// same bits.
 #[test]
 fn mid_run_cache_write_failure_stays_transactional() {
-    let dir = chaos_cache_dir("write-once");
+    let dir = fresh_dir("chaos-cache-write-once");
     {
         let mut e = gdp_engine(TargetKind::Native);
         e.enable_disk_cache(&dir).unwrap();
@@ -536,7 +511,6 @@ fn mid_run_cache_write_failure_stays_transactional() {
         assert!(report.failed.is_empty() && report.skipped.is_empty());
         assert_gdp_reference(&e, "one-shot write fault");
     }
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let mut e = gdp_engine(TargetKind::Native);
     e.enable_disk_cache(&dir).unwrap();
     let report = e.run_all().unwrap();
@@ -556,9 +530,8 @@ fn mid_run_cache_write_failure_stays_transactional() {
 /// results still match.
 #[test]
 fn cache_read_faults_degrade_to_cold_run() {
-    let dir = chaos_cache_dir("read-always");
+    let dir = fresh_dir("chaos-cache-read-always");
     {
-        let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
         let mut e = gdp_engine(TargetKind::Native);
         e.enable_disk_cache(&dir).unwrap();
         let report = e.run_all().unwrap();
@@ -584,9 +557,8 @@ fn cache_read_faults_degrade_to_cold_run() {
 /// hash), counted as corrupt, and recomputed cold.
 #[test]
 fn truncated_and_garbage_entries_are_cold_misses() {
-    let dir = chaos_cache_dir("truncate");
+    let dir = fresh_dir("chaos-cache-truncate");
     {
-        let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
         let mut e = gdp_engine(TargetKind::Native);
         e.enable_disk_cache(&dir).unwrap();
         e.run_all().unwrap();
@@ -608,7 +580,6 @@ fn truncated_and_garbage_entries_are_cold_misses() {
             std::fs::write(&path, mangled).unwrap();
         }
     }
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let mut e = gdp_engine(TargetKind::Native);
     e.enable_disk_cache(&dir).unwrap();
     let report = e.run_all().unwrap();
@@ -714,7 +685,6 @@ fn eval_worker_cancel_rolls_back_and_recovers() {
     assert_eq!(guard.fired_count(), 1, "worker cancel never engaged");
     assert_eq!(e.catalog.to_json().unwrap(), before);
     drop(guard);
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     e.run_all().unwrap();
     assert_eq!(
         e.data(&"C".into()).unwrap().get(&[DimValue::Int(7)]),
@@ -731,7 +701,6 @@ fn external_cancel_aborts_even_under_keep_going() {
     e.policy.keep_going = true;
     let before = e.catalog.to_json().unwrap();
     e.govern.cancel.cancel("operator requested stop");
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let err = e.run_all().unwrap_err();
     let EngineError::Cancelled { reason } = &err else {
         panic!("expected a typed cancel, got {err}");
@@ -786,7 +755,6 @@ fn run_deadline_budget_aborts_with_typed_error() {
     let mut e = gdp_engine(TargetKind::Native);
     e.govern.run_deadline = Some(Duration::ZERO);
     let before = e.catalog.to_json().unwrap();
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let err = e.run_all().unwrap_err();
     let EngineError::BudgetExceeded { what } = &err else {
         panic!("expected a typed budget error, got {err}");
@@ -802,7 +770,6 @@ fn memory_budget_rolls_back_by_default() {
     let mut e = gdp_engine(TargetKind::Etl);
     e.govern.max_memory_bytes = Some(1);
     let before = e.catalog.to_json().unwrap();
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let err = e.run_all().unwrap_err();
     assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
     assert_eq!(e.catalog.to_json().unwrap(), before);
@@ -816,7 +783,6 @@ fn memory_budget_degrades_under_keep_going() {
     let mut e = gdp_engine(TargetKind::Etl);
     e.govern.max_memory_bytes = Some(1);
     e.policy.keep_going = true;
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let report = e.run_all().unwrap();
     assert!(!report.failed.is_empty(), "budget never tripped");
     assert!(
@@ -845,7 +811,6 @@ fn sql_backend_honours_row_and_memory_budgets() {
         e.govern.max_rows = max_rows;
         e.govern.max_memory_bytes = max_memory_bytes;
         let before = e.catalog.to_json().unwrap();
-        let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
         let err = e.run_all().unwrap_err();
         let EngineError::BudgetExceeded { what } = &err else {
             panic!("{label}: expected a typed budget error, got {err}");
@@ -869,7 +834,6 @@ fn r_and_matlab_backends_honour_row_and_memory_budgets() {
             e.govern.max_rows = max_rows;
             e.govern.max_memory_bytes = max_memory_bytes;
             let before = e.catalog.to_json().unwrap();
-            let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
             let err = e.run_all().unwrap_err();
             let EngineError::BudgetExceeded { what } = &err else {
                 panic!("{target:?} {label}: expected a typed budget error, got {err}");
@@ -925,7 +889,6 @@ fn cancellation_round(seed: u64) {
         "seed {seed} ({site}): cancel fired but run committed"
     );
     drop(guard);
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     e.run_all()
         .unwrap_or_else(|err| panic!("seed {seed}: recovery run failed: {err}"));
     // backends agree with the native reference to tolerance, not bits
@@ -984,7 +947,7 @@ fn cancellation_storm_is_atomic_and_leaks_no_threads() {
 /// replay as hits, everything else is a plain miss, never a corruption.
 #[test]
 fn cancel_during_cache_write_leaves_store_readable() {
-    let dir = chaos_cache_dir("cancel-write");
+    let dir = fresh_dir("chaos-cache-cancel-write");
     {
         let mut e = gdp_engine(TargetKind::Native);
         e.enable_disk_cache(&dir).unwrap();
@@ -995,7 +958,6 @@ fn cancel_during_cache_write_leaves_store_readable() {
         assert_eq!(guard.fired_count(), 1);
         assert_eq!(e.catalog.to_json().unwrap(), before);
     }
-    let _guard = exl_fault::install(FaultPlan::fail_once("chaos.unused"));
     let mut e = gdp_engine(TargetKind::Native);
     e.enable_disk_cache(&dir).unwrap();
     let report = e.run_all().unwrap();
@@ -1021,31 +983,6 @@ fn cancel_during_cache_write_leaves_store_readable() {
 // to that subgraph alone under `keep_going` — sibling subgraphs on other
 // targets still commit. See `crates/exl-engine/src/shard.rs`.
 // ---------------------------------------------------------------------------
-
-use exl_workload::{wide_program, wide_scenario, WideConfig};
-
-/// A small instance of the B5 wide workload, sharded `shards` ways: five
-/// shard-local statements over `(q, r)` plus a cross-region merge
-/// barrier, all native, so `exec.native` faults land inside shard
-/// workers.
-fn wide_sharded_engine(shards: usize) -> ExlEngine {
-    let cfg = WideConfig {
-        regions: 24,
-        quarters: 8,
-        seed: 11,
-        barrier: true,
-    };
-    let (analyzed, data) = wide_scenario(cfg);
-    let mut e = ExlEngine::new();
-    e.shards = Some(shards);
-    e.register_program("wide", &wide_program(cfg.barrier))
-        .unwrap();
-    for id in analyzed.elementary_inputs() {
-        e.load_elementary(&id, data.data(&id).unwrap().clone())
-            .unwrap();
-    }
-    e
-}
 
 /// An injected execution failure in one shard aborts the run under the
 /// default fail-fast policy, rolls the catalog back byte-identically,
@@ -1189,13 +1126,12 @@ fn sharded_governance_stops_carry_typed_span_status() {
         let mut e = wide_sharded_engine(4);
         e.policy.keep_going = true;
         let tracer = e.enable_tracing();
-        let plan = if label == "cancel" {
-            FaultPlan::cancel_once("exec.native")
+        let _guard = if label == "cancel" {
+            Some(exl_fault::install(FaultPlan::cancel_once("exec.native")))
         } else {
             e.govern.max_memory_bytes = Some(1);
-            FaultPlan::new()
+            None
         };
-        let _guard = exl_fault::install(plan);
         let report = e.run_all().unwrap();
         assert_eq!(report.subgraphs.len(), 1, "{label}");
         assert_eq!(report.subgraphs[0].status, want, "{label}");

@@ -3,43 +3,19 @@
 //! must leave one schema-valid bundle that names the failing subgraph
 //! and any fired fault site, while successful runs write nothing.
 //!
-//! Every test installs a fault plan through [`exl_fault::install`]
-//! (a no-op plan where no fault is wanted): the guard serializes chaos
-//! tests process-wide, which also keeps the process-global flight
-//! recorder state race-free under the parallel test runner. The guard
-//! must be taken *before* [`ExlEngine::set_bundle_dir`]: arming the
-//! bundle dir re-arms the flight ring, so a test that arms it while
-//! another still holds the guard would wipe that test's event tail.
+//! Each engine arming a bundle dir records into its own flight ring, and
+//! a fault plan reaches only the thread that installs it, so these tests
+//! run side by side under the parallel test runner — and so do two
+//! engines running at once (`concurrent_engines_keep_their_faults_and_events_apart`).
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use exl_engine::{CrashBundle, DispatchPolicy, ExlEngine, TargetKind, BUNDLE_VERSION};
 use exl_fault::{FaultAction, FaultPlan};
+use exl_integration_tests::{fresh_dir, gdp_engine, wide_sharded_engine};
 use exl_model::value::DimValue;
 use exl_model::CubeData;
-use exl_workload::{gdp_scenario, GdpConfig, GDP_PROGRAM};
-
-fn gdp_engine(target: TargetKind) -> ExlEngine {
-    let (analyzed, data) = gdp_scenario(GdpConfig::default());
-    let mut e = ExlEngine::new();
-    e.register_program("gdp", GDP_PROGRAM).unwrap();
-    for id in analyzed.elementary_inputs() {
-        e.load_elementary(&id, data.data(&id).unwrap().clone())
-            .unwrap();
-    }
-    for id in analyzed.program.derived_ids() {
-        e.catalog.set_affinity(&id, Some(target)).unwrap();
-    }
-    e
-}
-
-/// A clean per-test bundle directory under the system temp dir.
-fn bundle_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("exl-bundle-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Read the single bundle in `dir` back through the typed schema — the
 /// round-trip *is* the schema validation.
@@ -70,7 +46,7 @@ fn bundle_count(dir: &PathBuf) -> usize {
 /// its event tail ends with the run-failed event.
 #[test]
 fn panic_run_emits_a_bundle_naming_subgraph_and_site() {
-    let dir = bundle_dir("panic");
+    let dir = fresh_dir("bundle-panic");
     let mut e = gdp_engine(TargetKind::Native);
     let _guard = exl_fault::install(FaultPlan::panic_once("exec.native"));
     e.set_bundle_dir(&dir).unwrap();
@@ -106,7 +82,7 @@ fn panic_run_emits_a_bundle_naming_subgraph_and_site() {
 /// subgraph is named and whose fault site (the injected stall) fired.
 #[test]
 fn deadline_run_emits_a_timeout_bundle() {
-    let dir = bundle_dir("deadline");
+    let dir = fresh_dir("bundle-deadline");
     let mut e = gdp_engine(TargetKind::Native);
     e.policy = DispatchPolicy {
         subgraph_timeout: Some(Duration::from_millis(40)),
@@ -137,10 +113,9 @@ fn deadline_run_emits_a_timeout_bundle() {
 /// configured ceiling and the governor trip lands in the event tail.
 #[test]
 fn budget_run_emits_a_budget_bundle_with_govern_state() {
-    let dir = bundle_dir("budget");
+    let dir = fresh_dir("bundle-budget");
     let mut e = gdp_engine(TargetKind::Native);
     e.govern.max_memory_bytes = Some(1);
-    let _guard = exl_fault::install(FaultPlan::fail_once("bundle.unused"));
     e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
     let bundle = read_single_bundle(&dir);
@@ -161,7 +136,7 @@ fn budget_run_emits_a_budget_bundle_with_govern_state() {
 /// the `govern` section.
 #[test]
 fn cancelled_run_emits_a_cancel_bundle() {
-    let dir = bundle_dir("cancel");
+    let dir = fresh_dir("bundle-cancel");
     let mut e = gdp_engine(TargetKind::Native);
     let _guard = exl_fault::install(FaultPlan::cancel_once("exec.native"));
     e.set_bundle_dir(&dir).unwrap();
@@ -185,12 +160,10 @@ fn cancelled_run_emits_a_cancel_bundle() {
 /// the execution failure.
 #[test]
 fn cache_corruption_run_emits_a_bundle_with_corrupt_events() {
-    let cache = std::env::temp_dir().join(format!("exl-bundle-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-    let dir = bundle_dir("corrupt");
+    let cache = fresh_dir("bundle-cache");
+    let dir = fresh_dir("bundle-corrupt");
     {
         // warm run: populate the disk cache cleanly
-        let _guard = exl_fault::install(FaultPlan::fail_once("bundle.unused"));
         let mut e = gdp_engine(TargetKind::Native);
         e.enable_disk_cache(&cache).unwrap();
         e.run_all().unwrap();
@@ -232,7 +205,7 @@ fn cache_corruption_run_emits_a_bundle_with_corrupt_events() {
 /// writes a bundle, under the `subgraph-failures` kind.
 #[test]
 fn degraded_keep_going_run_writes_a_subgraph_failures_bundle() {
-    let dir = bundle_dir("degraded");
+    let dir = fresh_dir("bundle-degraded");
     let mut e = ExlEngine::new();
     e.register_program(
         "diamond",
@@ -267,9 +240,8 @@ fn degraded_keep_going_run_writes_a_subgraph_failures_bundle() {
 /// `last_bundle` stays unset, across repeated runs.
 #[test]
 fn successful_runs_write_no_bundle() {
-    let dir = bundle_dir("ok");
+    let dir = fresh_dir("bundle-ok");
     let mut e = gdp_engine(TargetKind::Native);
-    let _guard = exl_fault::install(FaultPlan::fail_once("bundle.unused"));
     e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap();
     assert_eq!(bundle_count(&dir), 0);
@@ -285,7 +257,7 @@ fn successful_runs_write_no_bundle() {
 /// its evaluator with (`exec.eval_threads`), as the engine was set up.
 #[test]
 fn bundle_records_the_engines_eval_thread_count() {
-    let dir = bundle_dir("threads");
+    let dir = fresh_dir("bundle-threads");
     let mut e = gdp_engine(TargetKind::Native);
     e.exec.eval_threads = Some(4);
     let _guard = exl_fault::install(FaultPlan::fail_always("exec.native"));
@@ -300,7 +272,7 @@ fn bundle_records_the_engines_eval_thread_count() {
 /// (status = the error kind), so post-mortems and baselines see crashes.
 #[test]
 fn failed_run_still_appends_a_ledger_record() {
-    let dir = bundle_dir("ledger");
+    let dir = fresh_dir("bundle-ledger");
     let mut e = gdp_engine(TargetKind::Native);
     e.set_ledger_dir(&dir).unwrap();
     let _guard = exl_fault::install(FaultPlan::panic_once("exec.native"));
@@ -319,23 +291,8 @@ fn failed_run_still_appends_a_ledger_record() {
 /// starts with the partition, not just the subgraph.
 #[test]
 fn sharded_panic_bundle_names_the_failing_shard() {
-    use exl_workload::{wide_program, wide_scenario, WideConfig};
-    let dir = bundle_dir("shard");
-    let cfg = WideConfig {
-        regions: 24,
-        quarters: 8,
-        seed: 11,
-        barrier: true,
-    };
-    let (analyzed, data) = wide_scenario(cfg);
-    let mut e = ExlEngine::new();
-    e.shards = Some(4);
-    e.register_program("wide", &wide_program(cfg.barrier))
-        .unwrap();
-    for id in analyzed.elementary_inputs() {
-        e.load_elementary(&id, data.data(&id).unwrap().clone())
-            .unwrap();
-    }
+    let dir = fresh_dir("bundle-shard");
+    let mut e = wide_sharded_engine(4);
     let _guard = exl_fault::install(FaultPlan::panic_once("exec.native"));
     e.set_bundle_dir(&dir).unwrap();
     e.run_all().unwrap_err();
@@ -355,4 +312,77 @@ fn sharded_panic_bundle_names_the_failing_shard() {
     );
     assert_eq!(bundle.fault_sites, vec!["exec.native".to_string()]);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Two engines run at once on two threads, each with its own bundle dir.
+/// One thread installs a plan that fails every native execution and
+/// keeps it installed while the other thread runs clean rounds: the plan
+/// stays on its own thread, the clean engine writes no bundle, and the
+/// faulted engine's bundle holds only its own run's events.
+#[test]
+fn concurrent_engines_keep_their_faults_and_events_apart() {
+    let engine = |program: &str, dir: &PathBuf| {
+        let mut e = ExlEngine::new();
+        e.register_program("p", program).unwrap();
+        e.set_bundle_dir(dir).unwrap();
+        e
+    };
+    let cube = |v: f64| CubeData::from_tuples(vec![(vec![DimValue::Int(1)], v)]).unwrap();
+    let (faulted_dir, clean_dir) = (fresh_dir("bundle-two-f"), fresh_dir("bundle-two-c"));
+    let (planned, faulted_done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+    let (faulted_result, clean_results) = std::thread::scope(|s| {
+        let faulted = s.spawn(|| {
+            let mut e = engine(
+                "cube A(k: int) -> a; F1 := 2 * A; F2 := 3 * F1;",
+                &faulted_dir,
+            );
+            e.load_elementary(&"A".into(), cube(1.0)).unwrap();
+            let _guard = exl_fault::install(FaultPlan::fail_always("exec.native"));
+            planned.wait();
+            let result = e.run_all().map(|_| ());
+            // the plan stays installed until the clean rounds are done
+            faulted_done.wait();
+            result
+        });
+        let clean = s.spawn(|| {
+            let mut e = engine(
+                "cube B(k: int) -> b; C1 := 2 * B; C2 := 3 * C1;",
+                &clean_dir,
+            );
+            planned.wait();
+            let results: Vec<_> = (0..20)
+                .map(|round| {
+                    e.load_elementary(&"B".into(), cube(round as f64)).unwrap();
+                    e.run_all().map(|_| ())
+                })
+                .collect();
+            faulted_done.wait();
+            results
+        });
+        (faulted.join().unwrap(), clean.join().unwrap())
+    });
+    for (round, result) in clean_results.iter().enumerate() {
+        assert!(result.is_ok(), "clean round {round} failed: {result:?}");
+    }
+    assert_eq!(
+        bundle_count(&clean_dir),
+        0,
+        "the clean engine wrote a bundle"
+    );
+    assert!(faulted_result.is_err(), "the faulted run succeeded");
+    let bundle = read_single_bundle(&faulted_dir);
+    assert_eq!(bundle.fault_sites, vec!["exec.native".to_string()]);
+    let failing = bundle.failing_subgraph.expect("failing subgraph named");
+    assert_eq!(failing.cubes, vec!["F1".to_string(), "F2".to_string()]);
+    let runs = bundle.events.iter().filter(|ev| ev.kind == "run").count();
+    assert_eq!(runs, 2, "one run's start and end, no other engine's");
+    for ev in &bundle.events {
+        let text = format!("{} {}", ev.site, ev.detail);
+        assert!(
+            !text.contains("C1") && !text.contains("C2"),
+            "the clean engine's event leaked into the bundle: {ev:?}"
+        );
+    }
+    std::fs::remove_dir_all(&faulted_dir).unwrap();
+    let _ = std::fs::remove_dir_all(&clean_dir);
 }

@@ -1,6 +1,6 @@
-//! Overhead guard for the flight recorder: disarmed, the hot-path
-//! [`exl_obs::flight::record_with`] must be one relaxed atomic load —
-//! no allocation, no lock, no closure invocation. This binary installs
+//! Overhead guard for the flight recorder: with no ring entered on the
+//! thread, the hot-path [`exl_obs::flight::record_with`] must be one
+//! thread-local read — no allocation, no lock, no closure invocation. This binary installs
 //! a counting global allocator to pin that down; it holds exactly one
 //! test so no concurrent test thread can pollute the counter.
 //!
@@ -29,13 +29,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-use exl_obs::flight::{self, FlightKind};
+use exl_obs::flight::{self, FlightKind, FlightRing};
 
 #[test]
 fn disarmed_hot_path_allocates_nothing_and_armed_ring_stays_bounded() {
-    flight::disarm();
+    assert!(flight::current().is_none());
 
-    // -- disarmed: zero allocations over many recordings, and the
+    // -- no ring entered: zero allocations over many recordings, and the
     //    detail closure is never even invoked
     let mut closure_calls = 0u64;
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -52,32 +52,42 @@ fn disarmed_hot_path_allocates_nothing_and_armed_ring_stays_bounded() {
         "disarmed flight recording allocated on the hot path"
     );
     assert_eq!(closure_calls, 0, "disarmed recording invoked the closure");
-    assert!(flight::tail().is_empty());
 
-    // -- armed: events are recorded, the closure runs, and the ring
-    //    stays bounded at its capacity under sustained load
-    flight::arm(64);
+    // -- an entered ring: events are recorded, the closure runs, and the
+    //    ring stays bounded at its capacity under sustained load
+    let ring = FlightRing::new(64);
+    let entered = ring.enter();
     for i in 0..1_000u64 {
         flight::record_with(FlightKind::Statement, "overhead.test", || format!("ev {i}"));
     }
-    let tail = flight::tail();
+    let tail = ring.tail();
     assert_eq!(tail.len(), 64, "ring did not stay bounded");
-    assert_eq!(flight::total_recorded(), 1_000);
+    assert_eq!(ring.total_recorded(), 1_000);
     // the tail holds the *latest* events, oldest first
     assert_eq!(tail.last().unwrap().detail, "ev 999");
     assert_eq!(tail.first().unwrap().detail, "ev 936");
     assert!(tail.windows(2).all(|w| w[0].seq < w[1].seq));
 
-    // -- disarming drops the ring and restores the zero-cost path
-    flight::disarm();
-    assert!(flight::tail().is_empty());
+    // -- leaving the ring restores the zero-cost path, and the left ring
+    //    takes no more events
+    drop(entered);
+    assert!(flight::current().is_none());
+    let mut closure_calls = 0u64;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        flight::record_with(FlightKind::CacheHit, "overhead.test", String::new);
+        flight::record_with(FlightKind::CacheHit, "overhead.test", || {
+            closure_calls += 1;
+            String::new()
+        });
     }
     assert_eq!(
         ALLOCS.load(Ordering::Relaxed) - before,
         0,
         "re-disarmed flight recording allocated on the hot path"
     );
+    assert_eq!(
+        closure_calls, 0,
+        "re-disarmed recording invoked the closure"
+    );
+    assert_eq!(ring.total_recorded(), 1_000);
 }

@@ -160,8 +160,8 @@ fn warm_cache_delta_runs_stay_bit_identical_to_fused_cold_runs() {
     }
 }
 
-/// An armed flight recorder must see `plan.fuse` from a real engine run
-/// over a fusible chain program, and the run's metrics snapshot must
+/// A flight ring entered around a real engine run over a fusible chain
+/// program must see `plan.fuse`, and the run's metrics snapshot must
 /// carry the `plan.*` counters — the end-to-end half of the flight-ring
 /// unit test in `exl-obs`.
 #[test]
@@ -175,12 +175,15 @@ fn fused_engine_run_records_plan_flight_events_and_counters() {
             .expect("elementary loads");
     }
     e.enable_metrics();
-    exl_obs::flight::arm_default();
-    let report = e.run_all().expect("fused run");
-    let events = exl_obs::flight::tail();
+    let ring = exl_obs::flight::FlightRing::new(exl_obs::flight::DEFAULT_CAPACITY);
+    let report = {
+        let _entered = ring.enter();
+        e.run_all().expect("fused run")
+    };
+    let events = ring.tail();
     assert!(
         events.iter().any(|ev| ev.kind.as_str() == "plan.fuse"),
-        "armed ring saw no plan.fuse event: {:?}",
+        "entered ring saw no plan.fuse event: {:?}",
         events.iter().map(|ev| ev.kind.as_str()).collect::<Vec<_>>()
     );
     assert!(

@@ -2,47 +2,25 @@
 //! agree with what the subsystems measure directly, and every sink that
 //! records a subgraph's fate names the same status.
 //!
-//! Every test holds a fault guard ([`exl_fault::install`], a no-op plan
-//! where no fault is wanted): the guard serializes the tests of this
-//! binary, so a plan one test installs never fires in another test's
-//! run, and the process-global flight ring is armed by one test at a
-//! time.
+//! A fault plan reaches only the thread that installs it, and a flight
+//! ring only the thread that enters it (and the runs it makes), so these
+//! tests run side by side without guarding one another.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use exl_engine::{ExlEngine, ProgressSink, SubgraphStatus, TargetKind};
-use exl_fault::{FaultGuard, FaultPlan};
+use exl_fault::FaultPlan;
+use exl_integration_tests::gdp_engine;
 use exl_model::value::DimValue;
 use exl_model::{CubeData, CubeId};
-use exl_obs::flight::{self, FlightKind};
-use exl_workload::{
-    gdp_scenario, wide_program, wide_scenario, DeltaGen, GdpConfig, WideConfig, GDP_PROGRAM,
-};
-
-fn no_faults() -> FaultGuard {
-    exl_fault::install(FaultPlan::new())
-}
-
-fn gdp_engine(target: TargetKind) -> ExlEngine {
-    let (analyzed, data) = gdp_scenario(GdpConfig::default());
-    let mut e = ExlEngine::new();
-    e.register_program("gdp", GDP_PROGRAM).unwrap();
-    for id in analyzed.elementary_inputs() {
-        e.load_elementary(&id, data.data(&id).unwrap().clone())
-            .unwrap();
-    }
-    for id in analyzed.program.derived_ids() {
-        e.catalog.set_affinity(&id, Some(target)).unwrap();
-    }
-    e
-}
+use exl_obs::flight::{self, FlightKind, FlightRing};
+use exl_workload::{gdp_scenario, wide_program, wide_scenario, DeltaGen, GdpConfig, WideConfig};
 
 /// The chase counters in `RunReport::metrics` equal the `ChaseStats` a
 /// direct chase of the same mapping over the same data reports.
 #[test]
 fn run_report_chase_counters_match_chase_stats() {
-    let _guard = no_faults();
     let mut e = gdp_engine(TargetKind::Chase);
     e.enable_metrics();
     let report = e.run_all().unwrap();
@@ -81,7 +59,6 @@ fn run_report_chase_counters_match_chase_stats() {
 /// metrics section stays empty.
 #[test]
 fn metrics_default_off_and_report_empty() {
-    let _guard = no_faults();
     let mut e = gdp_engine(TargetKind::Native);
     let report = e.run_all().unwrap();
     assert_eq!(report.metrics.counter("engine.subgraphs"), 0);
@@ -93,7 +70,6 @@ fn metrics_default_off_and_report_empty() {
 /// parses back.
 #[test]
 fn registry_accumulates_and_serializes() {
-    let _guard = no_faults();
     let mut e = gdp_engine(TargetKind::Native);
     let registry = e.enable_metrics();
     e.run_all().unwrap();
@@ -119,7 +95,6 @@ fn registry_accumulates_and_serializes() {
 /// reports `Computed` and must not count as cached.
 #[test]
 fn cached_counter_skips_partially_resolved_subgraphs() {
-    let _guard = no_faults();
     let mut e = gdp_engine(TargetKind::Native);
     e.enable_cache();
     e.run_all().unwrap();
@@ -185,7 +160,6 @@ fn sink_agreement_cell(shards: Option<usize>, warm: &str, fault: &str) -> BTreeS
     let cell = format!("shards={shards:?} {warm} {fault}");
     let mut e = sinks_engine(shards);
     if warm != "cold" {
-        let _guard = no_faults();
         e.run_all().unwrap();
     }
     if warm == "delta" {
@@ -208,18 +182,17 @@ fn sink_agreement_cell(shards: Option<usize>, warm: &str, fault: &str) -> BTreeS
         sink.lock().unwrap().push(ev.clone())
     }));
     let plan = match fault {
-        "fail_always" => FaultPlan::fail_always("exec.native"),
-        "cancel_once" => FaultPlan::cancel_once("exec.native"),
-        _ => FaultPlan::new(),
+        "fail_always" => Some(FaultPlan::fail_always("exec.native")),
+        "cancel_once" => Some(FaultPlan::cancel_once("exec.native")),
+        _ => None,
     };
-    // guard first, then arm the ring: arming resets it, and the guard
-    // keeps every other test of this binary from recording into it
-    let guard = exl_fault::install(plan);
-    flight::arm_default();
-    let result = e.run_all();
-    let tail = flight::tail();
-    flight::disarm();
-    drop(guard);
+    let ring = FlightRing::new(flight::DEFAULT_CAPACITY);
+    let result = {
+        let _entered = ring.enter();
+        let _guard = plan.map(exl_fault::install);
+        e.run_all()
+    };
+    let tail = ring.tail();
 
     let join = |cubes: &[CubeId]| {
         cubes
