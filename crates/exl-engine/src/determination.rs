@@ -112,7 +112,7 @@ impl GlobalGraph {
         out
     }
 
-    /// Group subgraphs into *stages* for parallel dispatch: a subgraph
+    /// Group subgraphs into *stages* for dispatch: a subgraph
     /// goes into the earliest stage after every subgraph it depends on
     /// (reads a cube produced by). Subgraphs within one stage are
     /// independent and can run concurrently.

@@ -75,8 +75,6 @@ pub struct ExlEngine {
     graph: GlobalGraph,
     /// Target used when a cube has no affinity.
     pub default_target: TargetKind,
-    /// Dispatch independent subgraphs of a stage on separate threads.
-    pub parallel_dispatch: bool,
     /// Shard native subgraphs across data partitions: `None` disables
     /// sharding, `Some(0)` uses the host's available parallelism, and
     /// `Some(n)` forces `n` shards. Subgraphs whose statements admit a
@@ -199,7 +197,6 @@ impl Default for ExlEngine {
             catalog: Catalog::new(),
             graph: GlobalGraph::new(),
             default_target: TargetKind::Native,
-            parallel_dispatch: false,
             shards: None,
             exec: ExecOpts::default(),
             policy: DispatchPolicy::default(),
@@ -300,23 +297,6 @@ impl SubgraphOutcome {
             span,
         }
     }
-}
-
-/// A subgraph waiting for a supervised backend run, with its staged
-/// inputs.
-struct Job {
-    si: usize,
-    input: Dataset,
-    span: exl_obs::Span,
-}
-
-/// What starting a subgraph led to.
-enum Start {
-    /// The subgraph already ended: skipped, inputs unavailable, sharded,
-    /// or served from the run cache.
-    Ended(SubgraphOutcome),
-    /// The subgraph needs a supervised backend run.
-    Dispatch(Job),
 }
 
 /// The dispatch state of one run: the transaction's staging area plus
@@ -520,13 +500,6 @@ impl ExlEngine {
     /// Whether a run cache is armed.
     pub fn cache_enabled(&self) -> bool {
         self.cache.is_some()
-    }
-
-    /// Cumulative I/O statistics of the armed cache (stores, corrupt
-    /// entries, write failures), if any. Per-run hit/miss counts live in
-    /// [`RunReport::cache`].
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Turn on hierarchical tracing: every subsequent run records a span
@@ -970,10 +943,11 @@ impl ExlEngine {
         }
     }
 
-    /// Plan the run, then dispatch it stage by stage: every subgraph
-    /// either ends when it starts (skipped, inputs unavailable, sharded,
-    /// cache-served) or runs as a supervised job, and each outcome goes
-    /// through [`RunState::finish_subgraph`]. Commits the staged cubes
+    /// Plan the run, then dispatch it stage by stage, one subgraph after
+    /// another on this thread: each is skipped, fails to stage its
+    /// inputs, runs sharded, is served from the run cache, or runs under
+    /// the dispatch supervisor, and each outcome goes through
+    /// [`RunState::finish_subgraph`]. Commits the staged cubes
     /// when no outcome asked for a rollback. `ctx.trace` is the run span.
     fn recompute_inner(
         &mut self,
@@ -1032,14 +1006,8 @@ impl ExlEngine {
             stage_span.set_attr("subgraphs", stage.len() as u64);
             let stage_ctx = ctx.under(&stage_span);
             // each subgraph's inputs are satisfied by earlier stages
-            let mut jobs = Vec::new();
             for &si in stage {
-                match self.start_subgraph(si, &stage_ctx, &run, cache, shards) {
-                    Start::Ended(outcome) => run.finish_subgraph(outcome)?,
-                    Start::Dispatch(job) => jobs.push(job),
-                }
-            }
-            for outcome in self.dispatch(jobs, &planned, ctx, cache) {
+                let outcome = self.run_subgraph(si, &stage_ctx, &run, cache, shards);
                 run.finish_subgraph(outcome)?;
             }
         }
@@ -1076,39 +1044,39 @@ impl ExlEngine {
         Ok(report)
     }
 
-    /// Start one subgraph. It ends right here when an input is poisoned,
-    /// its inputs cannot be staged, it runs sharded, or the run cache
-    /// serves it; otherwise it becomes a job for supervised dispatch.
-    /// `ctx.trace` is the stage span.
-    fn start_subgraph(
+    /// Run one subgraph to its outcome. It ends early when an input is
+    /// poisoned, its inputs cannot be staged, it runs sharded, or the run
+    /// cache serves it; otherwise it runs under the dispatch supervisor
+    /// and its fresh results are recorded in the run cache. `ctx.trace`
+    /// is the stage span.
+    fn run_subgraph(
         &self,
         si: usize,
         ctx: &ExecCtx,
         run: &RunState,
         cache: &mut Option<RunCache>,
         shards: usize,
-    ) -> Start {
+    ) -> SubgraphOutcome {
         let p = &run.planned[si];
         let span = ctx.trace.child("subgraph");
         span.set_attr("cubes", join_ids(&p.cubes));
         span.set_attr("target", p.code.target_name());
         span.set_attr("fallback", p.fallback);
         if p.inputs.iter().any(|s| run.poisoned.contains(&s.id)) {
-            return Start::Ended(SubgraphOutcome::new(si, span, None));
+            return SubgraphOutcome::new(si, span, None);
         }
         let input = match self.prepare_inputs_staged(&p.inputs, &run.staged) {
             Ok(input) => input,
             // a missing input is a deterministic failure of this
             // subgraph, not of the whole run
-            Err(e) => return Start::Ended(SubgraphOutcome::new(si, span, Some(Err(e)))),
+            Err(e) => return SubgraphOutcome::new(si, span, Some(Err(e))),
         };
         span.set_attr("rows_in", dataset_rows(&input));
         let schema_of = |id: &CubeId| self.catalog.schema(id).cloned();
         let started = Instant::now();
         // sharded dispatch: a native subgraph whose statements admit a
-        // shard plan runs data-parallel right here, inline — it consults
-        // the run cache itself, as below, and the shard fan-out replaces
-        // stage-level parallelism for it
+        // shard plan runs data-parallel right here — it consults the run
+        // cache itself, as below
         let shard_plan = (shards >= 2 && p.target == TargetKind::Native)
             .then(|| exl_eval::plan_shards(&p.statements, &schema_of))
             .flatten();
@@ -1124,17 +1092,18 @@ impl ExlEngine {
                 cache,
                 &ctx.under(&span),
             );
-            return Start::Ended(SubgraphOutcome {
+            return SubgraphOutcome {
                 cache: shard.counts,
                 attempts: shard.attempts,
                 shards: shard.reports,
                 wall_nanos: nanos_since(started),
                 ..SubgraphOutcome::new(si, span, Some(result))
-            });
+            };
         }
         // consult the run cache: if every statement of the subgraph
         // resolves (exact content hit, delta patch, or inline evaluation
-        // of a dirty remainder), stage the cached outputs and never spawn
+        // of a dirty remainder), stage the cached outputs and never
+        // dispatch
         let resolved = cache.as_mut().and_then(|c| {
             c.resolve_statements_with_threads(
                 &p.statements,
@@ -1144,93 +1113,44 @@ impl ExlEngine {
                 ctx.opts.eval_threads,
             )
         });
-        match resolved {
-            Some((items, counts)) => Start::Ended(SubgraphOutcome {
+        if let Some((items, counts)) = resolved {
+            return SubgraphOutcome {
                 cache: counts,
                 wall_nanos: nanos_since(started),
                 ..SubgraphOutcome::new(si, span, Some(Ok(items)))
-            }),
-            None => Start::Dispatch(Job { si, input, span }),
+            };
         }
-    }
-
-    /// Run a stage's jobs under the dispatch supervisor — on separate
-    /// threads with [`ExlEngine::parallel_dispatch`], one after another
-    /// otherwise — and turn each result into its outcome, recording fresh
-    /// results in the run cache.
-    fn dispatch(
-        &self,
-        jobs: Vec<Job>,
-        planned: &[PlannedSubgraph],
-        ctx: &ExecCtx,
-        cache: &mut Option<RunCache>,
-    ) -> Vec<SubgraphOutcome> {
-        // every job runs under its own child of the dispatching thread's
-        // governor, which scopes injected cancels and subgraph deadlines
-        // to that subgraph (workers cannot see the ambient governor)
-        let ambient = crate::govern::governor();
-        let run = |job: &Job| {
-            let p = &planned[job.si];
-            let _governor = ambient
-                .as_ref()
-                .map(|g| crate::govern::set_governor(g.child()));
-            let started = Instant::now();
-            let (result, attempts) = run_supervised(
+        let (result, attempts) = {
+            // the supervised run governs under a child of the run's
+            // governor, which scopes injected cancels to this subgraph
+            let _governor =
+                crate::govern::governor().map(|g| crate::govern::set_governor(g.child()));
+            run_supervised(
                 &p.code,
                 p.native.as_ref(),
-                &job.input,
+                &input,
                 &p.cubes,
-                &ctx.under(&job.span),
-            );
-            (result, attempts, nanos_since(started))
+                &ctx.under(&span),
+            )
         };
-        let results: Vec<_> = if self.parallel_dispatch && jobs.len() > 1 {
-            let run = &run;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .map(|job| scope.spawn(move || run(job)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|payload| {
-                            // the supervisor catches backend panics; this
-                            // guards the dispatcher itself
-                            let message = crate::supervise::panic_message(payload);
-                            let target = "dispatcher".to_string();
-                            (Err(EngineError::Panic { target, message }), Vec::new(), 0)
-                        })
-                    })
-                    .collect()
-            })
-        } else {
-            jobs.iter().map(run).collect()
-        };
-        let schema_of = |id: &CubeId| self.catalog.schema(id).cloned();
-        jobs.into_iter()
-            .zip(results)
-            .map(|(job, (result, attempts, wall_nanos))| {
-                let p = &planned[job.si];
-                let mut counts = StmtCacheCounts::default();
-                if let (Ok(items), Some(c)) = (&result, cache.as_mut()) {
-                    counts.misses = items.len() as u64;
-                    // record the results for future runs — but only when
-                    // the effective target actually produced them (a
-                    // runtime-fallback result under another target's key
-                    // would replay the wrong engine)
-                    if attempts.last().is_some_and(|a| a.target == p.target) {
-                        c.store_statements(&p.statements, p.target, &job.input, items, &schema_of);
-                    }
-                }
-                SubgraphOutcome {
-                    cache: counts,
-                    attempts,
-                    wall_nanos,
-                    ..SubgraphOutcome::new(job.si, job.span, Some(result))
-                }
-            })
-            .collect()
+        let wall_nanos = nanos_since(started);
+        let mut counts = StmtCacheCounts::default();
+        if let (Ok(items), Some(c)) = (&result, cache.as_mut()) {
+            counts.misses = items.len() as u64;
+            // record the results for future runs — but only when the
+            // effective target actually produced them (a runtime-fallback
+            // result under another target's key would replay the wrong
+            // engine)
+            if attempts.last().is_some_and(|a| a.target == p.target) {
+                c.store_statements(&p.statements, p.target, &input, items, &schema_of);
+            }
+        }
+        SubgraphOutcome {
+            cache: counts,
+            attempts,
+            wall_nanos,
+            ..SubgraphOutcome::new(si, span, Some(result))
+        }
     }
 
     /// The shard count a run of this engine would use: 1 when sharding

@@ -21,8 +21,9 @@ pub enum EngineError {
     },
     /// Execution failure on a target engine.
     Execution(String),
-    /// A subgraph execution exceeded its deadline (the worker's token is
-    /// cancelled and the thread joined; its result is discarded).
+    /// A subgraph execution attempt returned after its deadline (the
+    /// backend stopped at its first checkpoint past the deadline; its
+    /// result is discarded).
     Timeout {
         /// The target that stalled.
         target: String,
@@ -42,8 +43,8 @@ pub enum EngineError {
     /// Persistence (serde) failure.
     Persistence(String),
     /// The run (or one subgraph) was cancelled cooperatively — an
-    /// external cancel, SIGINT, a supervisor deadline's cancel-then-join,
-    /// or an injected cancel. Never retried: the cancellation is sticky.
+    /// external cancel, SIGINT, or an injected cancel. Never retried: the
+    /// cancellation is sticky.
     Cancelled {
         /// Why the work was cancelled.
         reason: String,

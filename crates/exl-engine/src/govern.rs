@@ -13,7 +13,8 @@
 //! external token (SIGINT / exld admission control)
 //!   └─ run token            one per ExlEngine::recompute
 //!        └─ subgraph token  one per dispatched subgraph
-//!             └─ attempt token   one per supervised execution attempt
+//!             └─ attempt token   one per execution attempt under a
+//!                                subgraph deadline, carrying it
 //! ```
 //!
 //! Cancelling a parent reaches every descendant; cancelling a child (an

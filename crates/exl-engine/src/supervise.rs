@@ -7,10 +7,12 @@
 //! * a **panic** inside a target engine is contained (`catch_unwind`) and
 //!   surfaces as [`EngineError::Panic`], never as an engine panic;
 //! * a **stalled** backend is cut off by a per-subgraph deadline
-//!   ([`DispatchPolicy::subgraph_timeout`]) — the supervisor cancels the
-//!   worker's [`CancelToken`](crate::govern::CancelToken) and **joins**
-//!   it: the worker observes the cancellation at its next governance
-//!   checkpoint and exits, so no busy thread is ever leaked;
+//!   ([`DispatchPolicy::subgraph_timeout`]). Every attempt runs on the
+//!   thread that dispatches it, under a child
+//!   [`Governor`](crate::govern::Governor) that carries the deadline:
+//!   the backend's next governance checkpoint past the deadline trips,
+//!   the same checkpoints that read the run budget, so a deadline needs
+//!   no thread of its own and none can be leaked;
 //! * **transient failures** are retried with exponential backoff
 //!   ([`DispatchPolicy::retries`], [`DispatchPolicy::backoff_base`]);
 //! * when a non-native backend keeps failing *at execution time*, the
@@ -25,8 +27,7 @@
 //! [`SubgraphReport::attempts`](crate::engine::SubgraphReport).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use exl_model::schema::CubeId;
 use exl_model::{CubeData, Dataset};
@@ -42,8 +43,8 @@ pub struct DispatchPolicy {
     /// Backoff before retry `n` is `backoff_base * 2^n` (0 = no wait;
     /// tests use 0, production a few milliseconds).
     pub backoff_base: Duration,
-    /// Wall-clock deadline per subgraph execution attempt. `None` waits
-    /// forever (and executes on the dispatching thread itself).
+    /// Wall-clock deadline per subgraph execution attempt, read at the
+    /// backend's governance checkpoints. `None` waits forever.
     pub subgraph_timeout: Option<Duration>,
     /// Degradation mode: complete every subgraph not downstream of a
     /// failure and report failures in the [`RunReport`](crate::RunReport)
@@ -257,17 +258,16 @@ fn attempt_chain(
     }
 }
 
-/// One execution attempt behind the fault boundary. Without a deadline
-/// the backend runs on the calling thread under `catch_unwind` (and under
-/// whatever governor the caller installed); with one it runs on a scoped
-/// worker thread holding a **child** governor, borrowing the code, the
-/// input and `ctx` (so its `execute.<target>` span nests under the
-/// attempt span). When the deadline passes the supervisor cancels the
-/// child's token and joins the worker: the backend observes the
-/// cancellation at its next checkpoint and exits, so the thread is
-/// reclaimed instead of abandoned. The child token keeps the
-/// cancellation local to this attempt — a retry (or the native fallback)
-/// starts with a fresh, uncancelled child.
+/// One execution attempt behind the fault boundary, on the calling
+/// thread: the backend runs under the `engine.subgraph.<target>` metrics
+/// span and `catch_unwind`, so a panic becomes [`EngineError::Panic`].
+/// With a deadline the attempt runs under a **child** of the caller's
+/// governor that carries it: every governance checkpoint the backend
+/// (and each evaluator worker re-entering it) passes trips once the
+/// deadline is spent, which cancels that child alone — run-level
+/// cancels still reach the attempt, and a retry (or the native
+/// fallback) starts with a fresh child. An attempt that returns after
+/// its deadline is a [`EngineError::Timeout`], whatever it returned.
 fn execute_guarded(
     code: &TargetCode,
     input: &Dataset,
@@ -275,66 +275,32 @@ fn execute_guarded(
     ctx: &ExecCtx,
 ) -> Result<Dataset, EngineError> {
     let target = code.target_name();
-    // the one attempt body of both branches: the backend runs under the
-    // `engine.subgraph.<target>` metrics span, a panic becomes
-    // `EngineError::Panic`
-    let attempt = || {
-        let _span = exl_obs::span(ctx.recorder, format!("engine.subgraph.{target}"));
-        catch_unwind(AssertUnwindSafe(|| execute_in(code, input, wanted, ctx))).unwrap_or_else(
-            |payload| {
-                Err(EngineError::Panic {
-                    target: target.to_string(),
-                    message: panic_message(payload),
-                })
-            },
+    let deadline = ctx.policy.subgraph_timeout;
+    // taken before the child's own clock starts: a tripped child always
+    // reads as a timeout below
+    let started = Instant::now();
+    let _governor = deadline.map(|after| {
+        crate::govern::set_governor(
+            crate::govern::governor()
+                .unwrap_or_else(crate::govern::Governor::detached)
+                .child_with_deadline(after),
         )
-    };
-    let Some(deadline) = ctx.policy.subgraph_timeout else {
-        return attempt();
-    };
-
-    // the worker governs under a child of the caller's governor: run-level
-    // cancels still reach it, while the deadline cancel below stays local
-    let attempt_governor = crate::govern::governor()
-        .unwrap_or_else(crate::govern::Governor::detached)
-        .child();
-    let attempt_token = attempt_governor.token().clone();
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        let worker = std::thread::Builder::new()
-            .name(format!("exl-dispatch-{target}"))
-            .spawn_scoped(scope, move || {
-                let _governor = crate::govern::set_governor(attempt_governor);
-                // the receiver may have given up on us: ignore send failure
-                let _ = tx.send(attempt());
-            })
-            .map_err(|e| EngineError::Execution(format!("cannot spawn dispatch worker: {e}")))?;
-        let result = match rx.recv_timeout(deadline) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                attempt_token.cancel(format!(
-                    "subgraph deadline of {} ms exceeded",
-                    deadline.as_millis()
-                ));
-                Err(EngineError::Timeout {
-                    target: target.to_string(),
-                    millis: deadline.as_millis() as u64,
-                })
-            }
-            // unreachable in practice: the worker always sends (panics are
-            // caught), but a vanished worker must not hang the dispatcher
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(EngineError::Panic {
+    });
+    let _span = exl_obs::span(ctx.recorder, format!("engine.subgraph.{target}"));
+    let result = catch_unwind(AssertUnwindSafe(|| execute_in(code, input, wanted, ctx)))
+        .unwrap_or_else(|payload| {
+            Err(EngineError::Panic {
                 target: target.to_string(),
-                message: "dispatch worker vanished without a result".to_string(),
-            }),
-        };
-        // cancel-then-join: after a timeout the worker sees the cancelled
-        // token at its next checkpoint (injected delays are sliced and abort
-        // early) and exits; on the success/error paths it has already sent,
-        // so the join is immediate either way
-        let _ = worker.join();
-        result
-    })
+                message: panic_message(payload),
+            })
+        });
+    match deadline {
+        Some(after) if started.elapsed() >= after => Err(EngineError::Timeout {
+            target: target.to_string(),
+            millis: after.as_millis() as u64,
+        }),
+        _ => result,
+    }
 }
 
 /// Render a `catch_unwind` payload as text.
@@ -415,8 +381,6 @@ mod tests {
             "{result:?}"
         );
         assert_eq!(attempts.last().unwrap().outcome, AttemptOutcome::TimedOut);
-        // cancel-then-join: the worker was reclaimed before run_supervised
-        // returned
     }
 
     #[test]
@@ -427,7 +391,7 @@ mod tests {
             subgraph_timeout: Some(Duration::from_millis(10)),
             ..DispatchPolicy::default()
         };
-        // the worker records into this test's ring, and only this test's
+        // the attempt records into this test's ring, and only this test's
         let ring = FlightRing::new(256);
         let _entered = ring.enter();
         for round in 0..8 {
@@ -438,14 +402,14 @@ mod tests {
                 matches!(result, Err(EngineError::Timeout { .. })),
                 "{result:?}"
             );
-            // the cut-off worker ran on to its next checkpoint, tripped on
-            // the deadline cancel, and was joined before the call returned
+            // the stalled attempt ran on to its next checkpoint and
+            // tripped on the deadline before the call returned
             let trips = ring
                 .tail()
                 .iter()
                 .filter(|e| e.seq >= seen && e.kind == FlightKind::GovernTrip)
                 .count();
-            assert!(trips >= 1, "round {round}: worker not joined on return");
+            assert!(trips >= 1, "round {round}: attempt not cut at a checkpoint");
         }
     }
 

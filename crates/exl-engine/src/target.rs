@@ -271,8 +271,8 @@ pub struct ExecOpts {
 /// The execution context of one dispatch, passed by reference from the
 /// engine through the supervisor to the backend: where metrics go, the
 /// span the work nests under, the execution options and the fault
-/// policy. It only borrows, so scoped workers (shards, parallel jobs,
-/// the deadline worker) share their dispatcher's context as is.
+/// policy. It only borrows, so scoped shard workers share their
+/// dispatcher's context as is.
 #[derive(Clone, Copy)]
 pub struct ExecCtx<'a> {
     /// Metrics sink (the no-op recorder when metrics are off).

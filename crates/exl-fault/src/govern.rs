@@ -44,8 +44,8 @@ use crate::FaultState;
 /// Why a governed execution stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GovernError {
-    /// The token was cancelled (external request, SIGINT, supervisor
-    /// deadline, or an injected cancel).
+    /// The token was cancelled (external request, SIGINT, an injected
+    /// cancel), or a subgraph deadline passed.
     Cancelled {
         /// Human-readable cancellation reason.
         reason: String,
@@ -297,11 +297,13 @@ impl RunBudget {
 /// installed fault plan and the entered flight ring, travelling together.
 /// Cloning shares all four; [`child`](Governor::child) derives a child
 /// token over the *same* budget, plan and ring (budgets are per run,
-/// tokens per unit of work).
+/// tokens per unit of work). A governor may also carry the deadline of
+/// one unit of work ([`child_with_deadline`](Governor::child_with_deadline)).
 #[derive(Debug, Clone, Default)]
 pub struct Governor {
     token: CancelToken,
     budget: Arc<RunBudget>,
+    deadline: Option<(Instant, Duration)>,
     pub(crate) faults: Option<Arc<FaultState>>,
     ring: Option<FlightRing>,
 }
@@ -330,6 +332,17 @@ impl Governor {
         }
     }
 
+    /// A child governor (see [`child`](Governor::child)) whose
+    /// checkpoints also trip once `after` has elapsed from now. The trip
+    /// cancels the child's token alone, so the parent, its other
+    /// children, and a later child of the same parent stay live.
+    pub fn child_with_deadline(&self, after: Duration) -> Governor {
+        Governor {
+            deadline: Some((Instant::now() + after, after)),
+            ..self.child()
+        }
+    }
+
     /// This governor's token.
     pub fn token(&self) -> &CancelToken {
         &self.token
@@ -340,29 +353,43 @@ impl Governor {
         &self.budget
     }
 
+    /// What [`checkpoint`](Governor::checkpoint) would return now, with
+    /// none of its effects.
+    pub(crate) fn verdict(&self) -> Result<(), GovernError> {
+        if let Some(err) = self.token.cancellation() {
+            return Err(err);
+        }
+        self.budget.verdict()?;
+        match self.deadline {
+            Some((at, after)) if Instant::now() >= at => Err(GovernError::Cancelled {
+                reason: format!("subgraph deadline of {} ms exceeded", after.as_millis()),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// The cooperative checkpoint: cancellation first, then budget
-    /// limits. A budget violation also cancels the token so sibling
-    /// threads stop at their own next checkpoint. Trips land in the
+    /// limits, then this governor's own deadline, which reads as a
+    /// cancellation. A budget or deadline violation also cancels the
+    /// token so threads sharing it stop at their own next checkpoint. Trips land in the
     /// flight recorder's event ring; passing checkpoints stay free.
     pub fn checkpoint(&self) -> Result<(), GovernError> {
-        if let Some(err) = self.token.cancellation() {
-            exl_obs::flight::record_with(
-                exl_obs::flight::FlightKind::GovernTrip,
-                "govern.checkpoint",
-                || err.to_string(),
-            );
-            return Err(err);
+        let was_cancelled = self.token.is_cancelled();
+        let Err(err) = self.verdict() else {
+            return Ok(());
+        };
+        if !was_cancelled {
+            self.token.cancel(match &err {
+                GovernError::Cancelled { reason } => reason.clone(),
+                other => other.to_string(),
+            });
         }
-        if let Err(err) = self.budget.verdict() {
-            self.token.cancel(err.to_string());
-            exl_obs::flight::record_with(
-                exl_obs::flight::FlightKind::GovernTrip,
-                "govern.checkpoint",
-                || err.to_string(),
-            );
-            return Err(err);
-        }
-        Ok(())
+        exl_obs::flight::record_with(
+            exl_obs::flight::FlightKind::GovernTrip,
+            "govern.checkpoint",
+            || err.to_string(),
+        );
+        Err(err)
     }
 }
 
@@ -509,6 +536,12 @@ mod tests {
             RunBudget::unlimited().with_deadline(Duration::ZERO),
         );
         std::thread::sleep(Duration::from_millis(1));
+        // the verdict reports the violation without acting on it
+        assert!(matches!(
+            g.verdict(),
+            Err(GovernError::DeadlineExceeded { .. })
+        ));
+        assert!(!g.token().is_cancelled());
         let err = g.checkpoint().unwrap_err();
         assert!(matches!(err, GovernError::DeadlineExceeded { .. }), "{err}");
         // the violation cancelled the token: siblings observe it too
@@ -604,6 +637,34 @@ mod tests {
         assert!(run.checkpoint().is_ok(), "subgraph cancel stays local");
         run.token().cancel("run-wide");
         assert!(sub.child().checkpoint().is_err(), "run cancel reaches all");
+    }
+
+    #[test]
+    fn attempt_deadline_trips_the_child_and_its_workers_only() {
+        let run = Governor::new(CancelToken::new(), RunBudget::unlimited());
+        let attempt = run.child_with_deadline(Duration::ZERO);
+        let sibling = run.child();
+        std::thread::sleep(Duration::from_millis(1));
+        // a worker re-entering the captured attempt governor trips on
+        // the deadline
+        let worker = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = set_governor(attempt.clone());
+                checkpoint()
+            })
+            .join()
+            .unwrap()
+        });
+        let err = worker.unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cancelled: subgraph deadline of 0 ms exceeded"
+        );
+        assert!(attempt.token().is_cancelled(), "the trip cancels the child");
+        assert_eq!(attempt.checkpoint().unwrap_err(), err);
+        assert!(run.checkpoint().is_ok(), "the parent stays live");
+        assert!(sibling.checkpoint().is_ok(), "a sibling child stays live");
+        assert!(run.child().checkpoint().is_ok(), "a retry starts fresh");
     }
 
     #[test]

@@ -58,9 +58,9 @@ pub enum FaultAction {
     Panic,
     /// Sleep for the given number of milliseconds, then continue
     /// (exercises deadlines); the execution itself succeeds. The sleep
-    /// is cooperative: it is sliced and aborts early when the ambient
-    /// [`govern`] token is cancelled, so a stall never outlives a
-    /// cancel-then-join.
+    /// is cooperative: it is sliced and ends early once a checkpoint of
+    /// the ambient [`govern`] governor would fail, so a stall never
+    /// outlives a cancel, a spent run budget or a subgraph deadline.
     Delay(u64),
     /// Cancel the ambient [`govern::Governor`]'s token at the site and
     /// continue; the cancellation surfaces at the next governance
@@ -327,20 +327,16 @@ pub fn check(site: &str) -> Result<(), FaultError> {
         }),
         FaultAction::Panic => panic!("injected panic at {site}"),
         FaultAction::Delay(millis) => {
-            // sliced so a cancelled governor cuts the stall short — the
-            // supervisor's cancel-then-join must never wait out a full
-            // injected delay
+            // sliced so a governor whose checkpoint would fail (cancelled,
+            // over budget, past its deadline) cuts the stall short. The
+            // loop only reads the verdict: the caller's next checkpoint
+            // trips it and reports the typed error
             let deadline = std::time::Instant::now() + Duration::from_millis(millis);
             let governor = govern::governor();
             loop {
                 let now = std::time::Instant::now();
-                if now >= deadline {
+                if now >= deadline || governor.as_ref().is_some_and(|g| g.verdict().is_err()) {
                     return Ok(());
-                }
-                if let Some(g) = &governor {
-                    if g.token().is_cancelled() {
-                        return Ok(());
-                    }
                 }
                 std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
             }
@@ -471,6 +467,30 @@ mod tests {
             "delay ignored the cancelled governor: {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn spent_budget_cuts_an_injected_delay_short_without_tripping() {
+        let _guard = install(FaultPlan::delay_once("d", 10_000));
+        let governor = govern::Governor::new(
+            govern::CancelToken::new(),
+            govern::RunBudget::unlimited().with_deadline(Duration::from_millis(20)),
+        );
+        let _g = govern::set_governor(governor.clone());
+        let start = std::time::Instant::now();
+        assert!(check("d").is_ok());
+        assert!(
+            start.elapsed() < Duration::from_millis(1000),
+            "delay ignored the run deadline: {:?}",
+            start.elapsed()
+        );
+        // the next checkpoint reports the typed budget error, not a
+        // cancellation the delay left behind
+        assert!(!governor.token().is_cancelled());
+        assert!(matches!(
+            govern::checkpoint(),
+            Err(govern::GovernError::DeadlineExceeded { millis: 20 })
+        ));
     }
 
     #[test]

@@ -64,13 +64,6 @@ pub struct SpanGuard<'a> {
     start: Instant,
 }
 
-impl SpanGuard<'_> {
-    /// Nanoseconds elapsed so far, without closing the span.
-    pub fn elapsed_nanos(&self) -> u64 {
-        nanos_u64(self.start.elapsed().as_nanos())
-    }
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let nanos = nanos_u64(self.start.elapsed().as_nanos());

@@ -14,7 +14,7 @@
 //! nothing and every operation on it — span creation, attributes, events —
 //! is a branch on an `Option` and an immediate return. Armed tracers share
 //! one mutex-guarded buffer through an `Arc`, and a [`Span`] is `Sync`:
-//! scoped worker threads (dispatch workers, shard workers) open children
+//! scoped worker threads (shard workers) open children
 //! of a span their dispatcher lends them.
 //!
 //! Naming convention: short dotted lowercase names describing the unit of
@@ -60,14 +60,6 @@ impl AttrValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             AttrValue::UInt(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool when it is [`AttrValue::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(v) => Some(*v),
             _ => None,
         }
     }

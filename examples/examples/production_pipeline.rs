@@ -20,7 +20,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- register programs: they form one global dependency DAG
     let mut engine = ExlEngine::new();
-    engine.parallel_dispatch = true;
     engine.register_program("gdp", GDP_PROGRAM)?;
     engine.register_program("household", HOUSEHOLD_PROGRAM)?;
     println!(

@@ -133,6 +133,23 @@ cargo test -q -p exl-eval --lib -- --exact \
     plan::tests::unfused_plan_has_one_region_per_operator_node \
     plan::tests::run_stream_is_bit_identical_for_any_worker_count
 
+echo "== one dispatch path =="
+# a stage's subgraphs run one after another on the dispatching thread,
+# and both deadlines are governance checkpoints: an attempt deadline
+# trips only its own child governor (and the workers re-entering it), a
+# run deadline cuts an injected 3 s stall short with the typed
+# BudgetExceeded, a subgraph deadline still yields Timeout, and the one
+# dispatch path agrees with the reference evaluator
+cargo test -q -p exl-fault --lib -- --exact \
+    govern::tests::attempt_deadline_trips_the_child_and_its_workers_only \
+    tests::spent_budget_cuts_an_injected_delay_short_without_tripping
+cargo test -q -p exl-engine --lib -- --exact tests::dispatch_agrees_with_run_program
+cargo test -q -p exl-integration-tests --test chaos -- --exact \
+    run_deadline_cuts_off_stalled_backend deadline_cuts_off_stalled_backend \
+    keep_going_commits_independent_subgraphs
+cargo test -q -p exl-integration-tests --test crash_bundle -- --exact \
+    deadline_run_emits_a_timeout_bundle
+
 echo "== sql backend =="
 # the SQL backend loads staged cubes as typed rows: the load must equal
 # the sqlgen text load row for row (seeded differential), SQL-target

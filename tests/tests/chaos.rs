@@ -104,7 +104,6 @@ fn keep_going_commits_independent_subgraphs() {
         .set_affinity(&"E".into(), Some(TargetKind::Chase))
         .unwrap();
     e.policy.keep_going = true;
-    e.parallel_dispatch = true; // exercise the supervised parallel path
     let _guard = exl_fault::install(FaultPlan::fail_always("exec.sql"));
     let report = e.run_all().unwrap();
     assert_eq!(report.failed, vec!["C".into()]);
@@ -205,9 +204,9 @@ fn fail_fast_aborts_the_whole_run() {
     assert!(e.data(&"D".into()).is_none());
 }
 
-/// A stalled backend is cut off by the per-subgraph deadline. The
-/// supervisor cancels the worker's token and joins it before returning,
-/// so no drain period is needed — the worker is gone when this returns.
+/// A stalled backend is cut off by the per-subgraph deadline: the
+/// attempt's governor carries it, so the stall ends at the backend's
+/// next checkpoint, on the dispatching thread, before this returns.
 #[test]
 fn deadline_cuts_off_stalled_backend() {
     let mut e = gdp_engine(TargetKind::Native);
@@ -763,6 +762,29 @@ fn run_deadline_budget_aborts_with_typed_error() {
     assert_eq!(e.catalog.to_json().unwrap(), before);
 }
 
+/// A run deadline cuts a stalled backend short like a subgraph deadline
+/// does: the injected stall ends once the budget is spent, and the next
+/// checkpoint reports the typed `BudgetExceeded`, not a cancellation.
+#[test]
+fn run_deadline_cuts_off_stalled_backend() {
+    let mut e = gdp_engine(TargetKind::Native);
+    e.govern.run_deadline = Some(Duration::from_millis(50));
+    let before = e.catalog.to_json().unwrap();
+    let _guard = exl_fault::install(FaultPlan::delay_once("exec.native", 3_000));
+    let started = std::time::Instant::now();
+    let err = e.run_all().unwrap_err();
+    let elapsed = started.elapsed();
+    let EngineError::BudgetExceeded { what } = &err else {
+        panic!("expected a typed budget error, got {err}");
+    };
+    assert!(what.contains("deadline"), "{what}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "stall ran on: {elapsed:?}"
+    );
+    assert_eq!(e.catalog.to_json().unwrap(), before);
+}
+
 /// A memory ceiling below the first materialized intermediate rolls the
 /// run back by default...
 #[test]
@@ -918,8 +940,8 @@ fn seeded_cancellation_is_atomic() {
 
 /// The cancellation storm: many seeded rounds back to back, each a
 /// cancel → rollback → recovery cycle, with the kernel's own thread
-/// accounting pinning that the supervisor joined every worker it
-/// cancelled. `CHAOS_STORM` scales the round count
+/// accounting pinning that every worker a cancelled run started was
+/// joined. `CHAOS_STORM` scales the round count
 /// (`scripts/chaos.sh --storm N`).
 #[test]
 fn cancellation_storm_is_atomic_and_leaks_no_threads() {
